@@ -20,7 +20,7 @@ from .errors import (ConvergenceError, EstimabilityError, MwwdrError,
                      SeparationError, SingularDesignError, ValidationError)
 from .estimators import ipw_estimate, mww_estimate
 from .simstudy import (PRESETS, ScenarioConfig, render_table, run_study)
-from .ugee import FrmSpec, solve_ugee, wald_test
+from .ugee import FrmSpec, solve_ugee, wald, wald_test
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -104,9 +104,8 @@ def cmd_estimate(args) -> int:
     for name in wanted:
         if name == "mww":
             est = mww_estimate(ds)
-            z = (est.delta_hat - 0.5) / est.se if est.se else None
-            from .special import std_normal_cdf
-            p = 2.0 * (1.0 - std_normal_cdf(abs(z))) if z is not None else None
+            p = wald(est.delta_hat, est.se, 0.5, args.alpha).p_value \
+                if est.se else None
             report["estimates"]["mww"] = {
                 "delta": est.delta_hat, "se": est.se, "p_value": p,
                 "notes": est.notes}

@@ -123,13 +123,30 @@ def enumerate_pairs(dataset) -> Iterator[PairIndex]:
             yield PairIndex(i, j)
 
 
+def treated_control(dataset):
+    """Positions of the treated and of the control subjects."""
+    return np.flatnonzero(dataset.z == 1), np.flatnonzero(dataset.z == 0)
+
+
 def discordant_pairs(dataset) -> Iterator[Tuple[int, int]]:
     """All n1 * n0 (treated_index, control_index) pairs."""
-    treated = np.flatnonzero(dataset.z == 1)
-    control = np.flatnonzero(dataset.z == 0)
+    treated, control = treated_control(dataset)
     for t in treated:
         for c in control:
             yield int(t), int(c)
+
+
+def discordant_kernel(dataset, ties):
+    """n1 x n0 matrix of the observed pair indicators: K[a, b] is the kernel
+    I(y_t <= y_c), or I(<) + 0.5 I(=) when ties are scored, of the a-th
+    treated and the b-th control subject. Every pair term that reads the
+    outcomes is weighted by z_i (1 - z_j), so this block is all of it."""
+    treated, control = treated_control(dataset)
+    y1 = dataset.y[treated][:, None]
+    y0 = dataset.y[control][None, :]
+    if ties:
+        return (y1 < y0) + 0.5 * (y1 == y0)
+    return (y1 <= y0).astype(float)
 
 
 @dataclass(frozen=True)

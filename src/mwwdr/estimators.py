@@ -1,8 +1,9 @@
 """The four point estimators of delta = P(treated outcome <= control outcome).
 
-All pair sums are vectorized over n x n matrices; entries are indexed by
-ordered pairs (i, j) and unordered-pair sums take the off-diagonal upper
-triangle (equivalently half the off-diagonal total of a symmetric matrix).
+All pair sums are vectorized. Terms that read the outcomes live on the
+n1 x n0 treated x control block; the other terms are n x n matrices indexed
+by ordered pairs (i, j), and unordered-pair sums take half the off-diagonal
+total of a symmetric matrix.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EstimabilityError, ValidationError
+from .data import discordant_kernel, treated_control
+from .errors import ValidationError
 from .gpi import g_matrix
 from .propensity import predict_pi_dataset
 
@@ -22,14 +24,6 @@ def kernel(y_a, y_b, ties=False):
     if ties:
         return float(y_a < y_b) + 0.5 * float(y_a == y_b)
     return float(y_a <= y_b)
-
-
-def kernel_matrix(y, ties=False):
-    """K[i, j] = kernel(y_i, y_j) for all ordered pairs."""
-    y = np.asarray(y, dtype=float)
-    if ties:
-        return (y[:, None] < y[None, :]) + 0.5 * (y[:, None] == y[None, :])
-    return (y[:, None] <= y[None, :]).astype(float)
 
 
 @dataclass
@@ -48,15 +42,11 @@ class EstimateResult:
     notes: dict = field(default_factory=dict)
 
 
-def _pair_count(n):
-    return n * (n - 1) // 2
-
-
 def _offdiag_sum(m):
     return float(m.sum() - np.trace(m))
 
 
-def _pair_mean_symmetric(m):
+def pair_mean(m):
     """Mean over unordered pairs of a symmetric pair matrix."""
     n = m.shape[0]
     return _offdiag_sum(m) / (n * (n - 1))
@@ -77,25 +67,32 @@ def resolve_propensities(dataset, propensity):
     return pi, 0
 
 
-def f_ipw_half(z, K, PT):
-    """Ordered-pair matrix of the weighted-indicator term z_i(1-z_j)/[pi_i(1-pi_j)] * K_ij."""
-    Z1 = np.outer(z, 1.0 - z)
-    return Z1 / PT * K
+def pair_response(family, t, c, K, PT=None, G=None):
+    """Symmetric n x n matrix of the per-pair responses f3 of a family: the
+    average of the two orientations of the ordered response
 
+      ipw  r_ij K_ij / PT_ij
+      msi  r_ij K_ij + (1 - r_ij) G_ij
+      dr   R_ij K_ij + (1 - R_ij) G_ij,   R_ij = r_ij / PT_ij,
 
-def f_msi_half(z, K, G):
-    Z1 = np.outer(z, 1.0 - z)
-    return Z1 * K + (1.0 - Z1) * G
-
-
-def f_dr_half(z, K, G, PT):
-    R = np.outer(z, 1.0 - z) / PT
-    return R * K + (1.0 - R) * G
-
-
-def symmetrize_pair(fh):
-    """Pair response: the average of the two orientations of an ordered matrix."""
-    return 0.5 * (fh + fh.T)
+    with r_ij = z_i (1 - z_j) and PT_ij = pi_i (1 - pi_j). r_ij is 1 exactly
+    on the treated x control block (rows t, columns c), so K and PT are given
+    on that n1 x n0 block; G is the n x n matrix g(w_i, w_j).
+    """
+    block = np.ix_(t, c)
+    if family == "ipw":
+        F = np.zeros((len(t) + len(c),) * 2)
+        F[block] = 1.0 / PT * K
+    else:
+        F = G.copy()
+        if family == "msi":
+            F[block] = K
+        else:
+            R = 1.0 / PT
+            F[block] = R * K + (1.0 - R) * G[block]
+    F = F + F.T
+    F *= 0.5
+    return F
 
 
 def mww_estimate(dataset) -> EstimateResult:
@@ -105,11 +102,9 @@ def mww_estimate(dataset) -> EstimateResult:
     variance (components averaged within each arm).
     """
     dataset.require_both_arms()
-    t = np.flatnonzero(dataset.z == 1)
-    c = np.flatnonzero(dataset.z == 0)
-    K = kernel_matrix(dataset.y, dataset.ties)[np.ix_(t, c)]
+    K = discordant_kernel(dataset, dataset.ties)
     delta = float(K.mean())
-    n1, n0 = len(t), len(c)
+    n1, n0 = K.shape
     notes = {"ties": dataset.ties}
     se = None
     if n1 >= 2 and n0 >= 2:
@@ -130,20 +125,14 @@ def ipw_estimate(dataset, propensity, hajek=False) -> EstimateResult:
     """
     dataset.require_both_arms()
     pi, clipped = resolve_propensities(dataset, propensity)
-    K = kernel_matrix(dataset.y, dataset.ties)
-    PT = np.outer(pi, 1.0 - pi)
-    fh = f_ipw_half(dataset.z, K, PT)
-    np.fill_diagonal(fh, 0.0)
-    total = 0.5 * float(fh.sum())
+    t, c = treated_control(dataset)
+    PT = np.outer(pi[t], 1.0 - pi[c])
+    total = _offdiag_sum(pair_response(
+        "ipw", t, c, discordant_kernel(dataset, dataset.ties), PT))
     if hajek:
-        wh = np.outer(dataset.z, 1.0 - dataset.z) / PT
-        np.fill_diagonal(wh, 0.0)
-        denom = 0.5 * float(wh.sum())
-        if denom == 0.0:
-            raise EstimabilityError("no discordant pairs carry weight")
-        delta = total / denom
+        delta = total / float((1.0 / PT).sum())
     else:
-        delta = total / _pair_count(dataset.n)
+        delta = total / (dataset.n * (dataset.n - 1))
     notes = {"ties": dataset.ties, "hajek": hajek, "clipped_propensities": clipped}
     if not 0.0 <= delta <= 1.0:
         notes["range_exit"] = True
@@ -158,11 +147,10 @@ def msi_estimate(dataset, gpi) -> EstimateResult:
     Well-defined even with no discordant pairs (pure imputation), so no
     both-arms requirement.
     """
-    K = kernel_matrix(dataset.y, dataset.ties)
-    G = g_matrix(gpi, dataset.w)
-    f = symmetrize_pair(f_msi_half(dataset.z, K, G))
-    delta = _pair_mean_symmetric(f)
-    return EstimateResult("MSI", float(delta), None, dataset.n,
+    t, c = treated_control(dataset)
+    f = pair_response("msi", t, c, discordant_kernel(dataset, dataset.ties),
+                      G=g_matrix(gpi, dataset.w))
+    return EstimateResult("MSI", pair_mean(f), None, dataset.n,
                           dataset.n1, dataset.n0, {"ties": dataset.ties})
 
 
@@ -171,19 +159,12 @@ def dr_estimate(dataset, propensity, gpi) -> EstimateResult:
     augmented weighted response."""
     dataset.require_both_arms()
     pi, clipped = resolve_propensities(dataset, propensity)
-    f = dr_pair_matrix(dataset, pi, gpi)
-    delta = _pair_mean_symmetric(f)
+    t, c = treated_control(dataset)
+    f = pair_response("dr", t, c, discordant_kernel(dataset, dataset.ties),
+                      np.outer(pi[t], 1.0 - pi[c]), g_matrix(gpi, dataset.w))
+    delta = pair_mean(f)
     notes = {"ties": dataset.ties, "clipped_propensities": clipped}
     if not 0.0 <= delta <= 1.0:
         notes["range_exit"] = True
-    return EstimateResult("DR", float(delta), None, dataset.n,
+    return EstimateResult("DR", delta, None, dataset.n,
                           dataset.n1, dataset.n0, notes)
-
-
-def dr_pair_matrix(dataset, pi, gpi):
-    """Symmetric matrix of per-pair doubly robust responses, shared with the
-    joint UGEE machinery."""
-    K = kernel_matrix(dataset.y, dataset.ties)
-    G = g_matrix(gpi, dataset.w)
-    PT = np.outer(pi, 1.0 - pi)
-    return symmetrize_pair(f_dr_half(dataset.z, K, G, PT))

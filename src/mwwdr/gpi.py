@@ -9,10 +9,12 @@ Bernoulli working variance g(1 - g).
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
+from .data import discordant_kernel, treated_control
 from .errors import (ConvergenceError, EstimabilityError, SeparationError,
                      ValidationError)
-from .special import PROB_EPS, expit, logit, std_normal_cdf, std_normal_pdf
+from .special import expit, logit, std_normal_cdf, std_normal_pdf
 
 LINKS = ("probit", "logit")
 SCORE_TOL = 1e-8
@@ -21,6 +23,7 @@ SEPARATION_BOUND = 30.0
 
 
 def link_inverse(link, a):
+    """g as a function of the linear predictor, clamped away from 0/1."""
     if link == "probit":
         return std_normal_cdf(a)
     return expit(a)
@@ -37,15 +40,7 @@ def link_derivative(link, a):
 def link_initial(link, mean):
     mean = min(max(mean, 1e-6), 1.0 - 1e-6)
     if link == "probit":
-        # crude inverse normal CDF via bisection; only used as a start value
-        lo, hi = -10.0, 10.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if std_normal_cdf(mid) < mean:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(ndtri(mean))
     return logit(mean)
 
 
@@ -90,44 +85,59 @@ def g_value(model, w_first, w_second):
         if len(w_first) != model.p or len(w_second) != model.p:
             raise ValidationError("covariate dimension does not match the model")
         a = model.gamma0 + model.gamma11 @ w_first + model.gamma10 @ w_second
-    return float(np.clip(link_inverse(model.link, a), PROB_EPS, 1.0 - PROB_EPS))
+    return float(link_inverse(model.link, a))
 
 
-def linear_predictor_matrix(model, w):
-    """Matrix A with A[i, j] = linear predictor for ordered pair (i, j)."""
-    n = w.shape[0]
-    if model.constant_only:
-        return np.full((n, n), model.gamma0)
-    fi = w @ model.gamma11
-    se = w @ model.gamma10
-    return model.gamma0 + fi[:, None] + se[None, :]
+def pair_predictor(gamma, w_first, w_second):
+    """A[a, b] = g0 + g11'w_first[a] + g10'w_second[b], the linear predictor
+    of every ordered (first, second) pair."""
+    p = w_first.shape[1]
+    return gamma[0] + (w_first @ gamma[1:1 + p])[:, None] \
+        + (w_second @ gamma[1 + p:])[None, :]
+
+
+def model_covariates(w, constant_only):
+    """The covariate columns the model reads: none for the constant model,
+    which every formula here then treats as the model with p = 0."""
+    return w[:, :0] if constant_only else w
 
 
 def g_matrix(model, w):
     """G[i, j] = g(w_i, w_j) for every ordered pair, clamped away from 0/1."""
-    a = linear_predictor_matrix(model, w)
-    return np.clip(link_inverse(model.link, a), PROB_EPS, 1.0 - PROB_EPS)
+    w = model_covariates(w, model.constant_only)
+    return link_inverse(model.link, pair_predictor(model.gamma, w, w))
 
 
-def _pair_design(dataset, constant_only):
-    """Rows (1, w_treated, w_control) over all ordered discordant pairs."""
-    t = np.flatnonzero(dataset.z == 1)
-    c = np.flatnonzero(dataset.z == 0)
-    m = len(t) * len(c)
-    if constant_only or dataset.p == 0:
-        X = np.ones((m, 1))
-    else:
-        wt = np.repeat(dataset.w[t], len(c), axis=0)
-        wc = np.tile(dataset.w[c], (len(t), 1))
-        X = np.column_stack([np.ones(m), wt, wc])
-    return t, c, X
+def gamma_block(K, G, D, w1, w0):
+    """Score, information and per-subject scores of the outcome block.
 
-
-def observed_indicators(dataset, t, c):
-    from .estimators import kernel_matrix
-
-    K = kernel_matrix(dataset.y, dataset.ties)
-    return K[np.ix_(t, c)].ravel()
+    Every input is read on the treated x control pairs: K, G and D are
+    n1 x n0 matrices of the observed indicators, the modeled g and its
+    derivative in the linear predictor; w1 and w0 the model's covariate
+    rows of the treated and the control subjects. With u = (1, w_t, w_c)
+    and v = g(1 - g), a pair contributes the score d v^-1 (K - g) u and
+    the information d^2 v^-1 u u'. Returns (score, info, rows1, rows0):
+    rows1[a] sums treated subject a's pair scores, rows0[b] control
+    subject b's, so both sum to the score.
+    """
+    V = G * (1.0 - G)
+    S = D / V * (K - G)
+    Q = D * D / V
+    rs, cs = S.sum(axis=1), S.sum(axis=0)
+    qr, qc = Q.sum(axis=1), Q.sum(axis=0)
+    p = w1.shape[1]
+    score = np.concatenate([[rs.sum()], w1.T @ rs, w0.T @ cs])
+    info = np.empty((1 + 2 * p, 1 + 2 * p))
+    info[0, 0] = Q.sum()
+    info[0, 1:1 + p] = info[1:1 + p, 0] = w1.T @ qr
+    info[0, 1 + p:] = info[1 + p:, 0] = w0.T @ qc
+    info[1:1 + p, 1:1 + p] = (w1 * qr[:, None]).T @ w1
+    info[1 + p:, 1 + p:] = (w0 * qc[:, None]).T @ w0
+    info[1:1 + p, 1 + p:] = w1.T @ Q @ w0
+    info[1 + p:, 1:1 + p] = info[1:1 + p, 1 + p:].T
+    rows1 = np.column_stack([rs, w1 * rs[:, None], S @ w0])
+    rows0 = np.column_stack([cs, S.T @ w1, w0 * cs[:, None]])
+    return score, info, rows1, rows0
 
 
 def fit_gpi(dataset, constant_only=False, link="probit"):
@@ -137,39 +147,40 @@ def fit_gpi(dataset, constant_only=False, link="probit"):
     d * v^-1 * (indicator - g), with d the gradient of g in gamma and
     v = g(1 - g).
     """
+    t, c = treated_control(dataset)
+    w = model_covariates(dataset.w, constant_only)
+    return fit_gpi_pairs(discordant_kernel(dataset, dataset.ties),
+                         w[t], w[c], link)
+
+
+def fit_gpi_pairs(K, w1, w0, link):
+    """fit_gpi on given n1 x n0 observed indicators K and model covariate
+    rows w1, w0 (zero columns for the constant model)."""
     if link not in LINKS:
         raise ValidationError(f"link must be one of {LINKS}")
-    dataset.require_both_arms()
-    constant_only = constant_only or dataset.p == 0
-    t, c, X = _pair_design(dataset, constant_only)
-    ind = observed_indicators(dataset, t, c)
-    m = len(ind)
+    m = K.size
     if m == 0:
         raise EstimabilityError("no discordant pairs to fit the outcome model on")
-    mean_ind = float(ind.mean())
+    mean_ind = float(K.mean())
     if mean_ind in (0.0, 1.0):
         raise SeparationError(
             f"all observed pair indicators equal {int(mean_ind)}; "
             "the outcome model intercept diverges")
 
-    gamma = np.zeros(X.shape[1])
+    p = w1.shape[1]
+    gamma = np.zeros(1 + 2 * p)
     gamma[0] = link_initial(link, mean_ind)
     score_norm = np.inf
     tol = max(SCORE_TOL, m * 1e-13)
     for it in range(1, MAX_ITER + 1):
-        a = X @ gamma
-        g = np.clip(link_inverse(link, a), PROB_EPS, 1.0 - PROB_EPS)
-        d = link_derivative(link, a)
-        v = g * (1.0 - g)
-        score = X.T @ (d / v * (ind - g))
+        a = pair_predictor(gamma, w1, w0)
+        score, info, _, _ = gamma_block(K, link_inverse(link, a),
+                                         link_derivative(link, a), w1, w0)
         score_norm = float(np.max(np.abs(score)))
         if score_norm <= tol:
-            return GpiModel(gamma, link, constant_only,
-                            0 if constant_only else dataset.p,
-                            True, it - 1, score_norm)
-        J = (X * (d * d / v)[:, None]).T @ X
+            return GpiModel(gamma, link, p == 0, p, True, it - 1, score_norm)
         try:
-            step = np.linalg.solve(J, score)
+            step = np.linalg.solve(info, score)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Jacobian in outcome-model fit",
                                    last_iterate=gamma, residual=score_norm,

@@ -23,7 +23,7 @@ from .errors import MwwdrError, ValidationError
 from .estimators import mww_estimate
 from .special import expit
 from .streams import RngStream
-from .ugee import FrmSpec, solve_ugee, wald_test
+from .ugee import FrmSpec, solve_ugee, wald, wald_test
 
 ESTIMATOR_NAMES = ("mww", "ipw", "msi", "dr")
 _ORACLE_STREAM = 1 << 48
@@ -176,9 +176,9 @@ def _run_replication(config, rep_index):
                 rec["mww"] = {"delta": est.delta_hat, "se": float("nan"),
                               "reject": False}
             else:
-                z = (est.delta_hat - 0.5) / est.se
                 rec["mww"] = {"delta": est.delta_hat, "se": est.se,
-                              "reject": bool(abs(z) > _z_crit(config.alpha))}
+                              "reject": wald(est.delta_hat, est.se, 0.5,
+                                             config.alpha).reject}
         else:
             fit = solve_ugee(ds, _frm_spec(config, name))
             wt = wald_test(fit, "delta", 0.5, config.alpha)
@@ -224,12 +224,6 @@ class StudySummary:
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-
-def _z_crit(alpha):
-    from .ugee import _normal_quantile
-
-    return _normal_quantile(1.0 - alpha / 2.0)
 
 
 def _aggregate(config, records, true_d):

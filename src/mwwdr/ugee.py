@@ -19,18 +19,18 @@ pair-level gradient of the residuals.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .data import PairIndex
+from .data import PairIndex, discordant_kernel, treated_control
 from .errors import ConvergenceError, MwwdrError, ValidationError
-from .estimators import kernel, kernel_matrix
-from .gpi import (GpiModel, fit_gpi, link_derivative, link_inverse,
-                  linear_predictor_matrix)
+from .estimators import kernel, pair_mean, pair_response
+from .gpi import (fit_gpi_pairs, gamma_block, link_derivative, link_inverse,
+                  model_covariates, pair_predictor)
 from .propensity import DEFAULT_CLIP_EPS, design_matrix, fit_propensity
-from .special import PROB_EPS, expit, std_normal_cdf
+from .special import expit
 
 FAMILIES = ("dr", "ipw", "msi")
 
@@ -141,7 +141,11 @@ def _pair_g(gamma, w_first, w_second, spec, p):
     else:
         a = gamma[0] + float(np.dot(gamma[1:1 + p], w_first)) \
             + float(np.dot(gamma[1 + p:], w_second))
-    return float(np.clip(link_inverse(spec.link, a), PROB_EPS, 1.0 - PROB_EPS)), float(a)
+    return float(link_inverse(spec.link, a)), float(a)
+
+
+def _ties(dataset, spec):
+    return dataset.ties if spec.ties is None else spec.ties
 
 
 def build_pair_response(dataset, pair, theta, spec: FrmSpec) -> PairResponse:
@@ -152,7 +156,7 @@ def build_pair_response(dataset, pair, theta, spec: FrmSpec) -> PairResponse:
         i, j = pair
     layout = ThetaLayout(dataset.p, spec)
     eta, gamma, delta = layout.unpack(theta)
-    ties = dataset.ties if spec.ties is None else spec.ties
+    ties = _ties(dataset, spec)
     z_i, z_j = int(dataset.z[i]), int(dataset.z[j])
     w_i, w_j = dataset.w[i], dataset.w[j]
 
@@ -200,70 +204,85 @@ def build_pair_response(dataset, pair, theta, spec: FrmSpec) -> PairResponse:
 # vectorized workspace
 
 
-class _Workspace:
-    """All pair-level matrices needed by the solver and the sandwich."""
+def _propensities(X, eta, spec):
+    return np.clip(expit(X @ eta), spec.clip_eps, 1.0 - spec.clip_eps)
 
-    def __init__(self, dataset, spec, eta, gamma_model):
+
+def _eta_block(X, z, pi, projections=False):
+    """Score and Jacobian of the treatment block at propensities pi and,
+    with projections=True, each subject's sum of its pair scores.
+
+    A pair contributes d1 V1^-1 (f1 - h1), with f1 - h1 = (z_i + z_j)/2 -
+    (pi_i + pi_j)/2, V1 = (pi_i(1 - pi_i) + pi_j(1 - pi_j))/4 and d1 the
+    gradient of h1 in eta; the Jacobian is the expected one, -d1 V1^-1 d1'.
+    """
+    nd = ~np.eye(len(z), dtype=bool)
+    pp = pi * (1.0 - pi)
+    Ap = X * pp[:, None]
+    R1 = 0.5 * (z[:, None] + z[None, :]) - 0.5 * (pi[:, None] + pi[None, :])
+    V1 = 0.25 * (pp[:, None] + pp[None, :])
+    CR = np.where(nd, R1 / V1, 0.0)
+    cr = CR.sum(axis=1)
+    score = 0.5 * Ap.T @ cr
+    proj = 0.5 * (Ap * cr[:, None] + CR @ Ap) if projections else None
+    CV = np.where(nd, 1.0 / V1, 0.0)
+    jac = -0.25 * (Ap.T @ (Ap * CV.sum(axis=1)[:, None]) + Ap.T @ CV @ Ap)
+    return score, jac, proj
+
+
+class _Workspace:
+    """Every pair quantity of the stacked system at one (eta, gamma): the
+    eta and gamma blocks' scores, Jacobians and per-subject scores, the
+    delta row's n x n response and weights, and the treated x control
+    blocks the delta row's derivatives read. K is the n1 x n0 matrix of
+    observed indicators."""
+
+    def __init__(self, dataset, spec, eta, gamma, K):
         n = dataset.n
         self.n = n
         self.npairs = n * (n - 1) // 2
-        self.z = dataset.z.astype(float)
-        self.w = dataset.w
-        self.nd = ~np.eye(n, dtype=bool)
-        ties = dataset.ties if spec.ties is None else spec.ties
-        self.K = kernel_matrix(dataset.y, ties)
-        self.Z1 = np.outer(self.z, 1.0 - self.z)
+        self.t, self.c = treated_control(dataset)
+        self.K = K
+        block = np.ix_(self.t, self.c)
 
-        self.eta = eta
-        self.X = None
-        self.pi = None
+        self.clip_count = 0
+        self.PT = None
         if spec.has_eta:
             self.X = design_matrix(dataset, spec.intercept_only_propensity)
-            self.pi = np.clip(expit(self.X @ eta),
-                              spec.clip_eps, 1.0 - spec.clip_eps)
+            self.pi = _propensities(self.X, eta, spec)
             self.clip_count = int(np.sum((self.pi <= spec.clip_eps)
                                          | (self.pi >= 1.0 - spec.clip_eps)))
-            self.pp = self.pi * (1.0 - self.pi)
-            self.PT = np.outer(self.pi, 1.0 - self.pi)
-        else:
-            self.clip_count = 0
+            self.PT = np.outer(self.pi[self.t], 1.0 - self.pi[self.c])
+            self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
+                self.X, dataset.z.astype(float), self.pi, projections=True)
 
-        self.gamma_model = gamma_model
+        G = None
         if spec.has_gamma:
-            A = linear_predictor_matrix(gamma_model, dataset.w)
-            self.G = np.clip(link_inverse(spec.link, A), PROB_EPS, 1.0 - PROB_EPS)
+            self.wg = model_covariates(dataset.w, spec.constant_only_gpi)
+            A = pair_predictor(gamma, self.wg, self.wg)
+            G = link_inverse(spec.link, A)
             self.DG = link_derivative(spec.link, A)
-            self.Gv = self.G * (1.0 - self.G)
+            self.G_tc = G[block]
+            self.gamma_score, self.gamma_info, rows1, rows0 = gamma_block(
+                K, self.G_tc, self.DG[block], self.wg[self.t], self.wg[self.c])
+            self.gamma_proj = np.empty((n, len(gamma)))
+            self.gamma_proj[self.t] = rows1
+            self.gamma_proj[self.c] = rows0
 
-        if spec.family == "ipw":
-            F3h = self.Z1 / self.PT * self.K
-        elif spec.family == "msi":
-            F3h = self.Z1 * self.K + (1.0 - self.Z1) * self.G
-        else:
-            R = self.Z1 / self.PT
-            F3h = R * self.K + (1.0 - R) * self.G
-        self.F3 = 0.5 * (F3h + F3h.T)
-
+        self.F3 = pair_response(spec.family, self.t, self.c, K, self.PT, G)
         if spec.family == "dr" and spec.weighted_delta:
-            GvPT = self.Gv / self.PT
-            V3 = 0.25 * (GvPT + GvPT.T)
-            self.wdelta = np.where(self.nd, 1.0 / V3, 0.0)
+            # 1 / V3 built in place: G, DG and F3 are alive here
+            V3 = G * (1.0 - G)
+            V3 /= np.outer(self.pi, 1.0 - self.pi)
+            V3 = V3 + V3.T
+            V3 *= 0.25
+            self.wdelta = np.divide(1.0, V3, out=V3)
         else:
-            self.wdelta = np.where(self.nd, 1.0, 0.0)
+            self.wdelta = np.ones((n, n))
+        np.fill_diagonal(self.wdelta, 0.0)
 
     def solve_delta(self):
         return float((self.wdelta * self.F3).sum() / self.wdelta.sum())
-
-    def delta_plain(self):
-        return float(self.F3[self.nd].mean())
-
-
-def _eta_score_matrices(ws):
-    R1 = 0.5 * (ws.z[:, None] + ws.z[None, :]) - 0.5 * (ws.pi[:, None] + ws.pi[None, :])
-    V1 = 0.25 * (ws.pp[:, None] + ws.pp[None, :])
-    CR = np.where(ws.nd, R1 / V1, 0.0)
-    CV = np.where(ws.nd, 1.0 / V1, 0.0)
-    return CR, CV
 
 
 def _fit_eta_pairwise(dataset, spec, init=None):
@@ -275,22 +294,13 @@ def _fit_eta_pairwise(dataset, spec, init=None):
     X = design_matrix(dataset, spec.intercept_only_propensity)
     n = dataset.n
     npairs = n * (n - 1) / 2.0
-    nd = ~np.eye(n, dtype=bool)
     z = dataset.z.astype(float)
     score_norm = np.inf
     for it in range(1, spec.max_iter + 1):
-        pi = np.clip(expit(X @ eta), spec.clip_eps, 1.0 - spec.clip_eps)
-        pp = pi * (1.0 - pi)
-        R1 = 0.5 * (z[:, None] + z[None, :]) - 0.5 * (pi[:, None] + pi[None, :])
-        V1 = 0.25 * (pp[:, None] + pp[None, :])
-        CR = np.where(nd, R1 / V1, 0.0)
-        Ap = X * pp[:, None]
-        score = 0.5 * Ap.T @ CR.sum(axis=1)
+        score, J, _ = _eta_block(X, z, _propensities(X, eta, spec))
         score_norm = float(np.max(np.abs(score))) / npairs
         if score_norm <= 0.01 * spec.tol:
             return eta, mle, it - 1, score_norm
-        CV = np.where(nd, 1.0 / V1, 0.0)
-        J = -0.25 * (Ap.T @ (Ap * CV.sum(axis=1)[:, None]) + Ap.T @ CV @ Ap)
         try:
             step = np.linalg.solve(J, -score)
         except np.linalg.LinAlgError:
@@ -369,6 +379,17 @@ class WaldResult:
     reject: bool
 
 
+def wald(estimate, se, null_value=0.5, alpha=0.05, component="delta") -> WaldResult:
+    """Two-sided normal test of an estimate with standard error se > 0
+    against a point null; p = 2 Phi(-|z|), without a floor."""
+    zval = (estimate - null_value) / se
+    crit = float(ndtri(1.0 - alpha / 2.0))
+    return WaldResult(component, estimate, se, float(zval),
+                      float(2.0 * ndtr(-abs(zval))),
+                      estimate - crit * se, estimate + crit * se, alpha,
+                      null_value, bool(abs(zval) > crit))
+
+
 def wald_test(fit, component="delta", null_value=0.5, alpha=0.05) -> WaldResult:
     """Two-sided normal test of one component against a point null."""
     if not 0.0 < alpha < 1.0:
@@ -377,105 +398,55 @@ def wald_test(fit, component="delta", null_value=0.5, alpha=0.05) -> WaldResult:
     est, se = float(fit.theta[k]), float(fit.se[k])
     if se <= 0.0:
         raise MwwdrError(f"degenerate test: se({component}) = 0")
-    zval = (est - null_value) / se
-    pval = 2.0 * (1.0 - std_normal_cdf(abs(zval)))
-    crit = _normal_quantile(1.0 - alpha / 2.0)
-    return WaldResult(component, est, se, float(zval), float(pval),
-                      est - crit * se, est + crit * se, alpha, null_value,
-                      bool(abs(zval) > crit))
-
-
-@lru_cache(maxsize=64)
-def _normal_quantile(prob):
-    lo, hi = -10.0, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if std_normal_cdf(mid) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return wald(est, se, null_value, alpha, component)
 
 
 # ---------------------------------------------------------------------------
 # sandwich machinery
 
 
-def _gamma_score_matrix(ws):
-    """S[i, j] = weighted indicator residual on discordant ordered pairs."""
-    S = ws.DG / ws.Gv * (ws.K - ws.G)
-    return np.where(ws.Z1 > 0, S, 0.0)
-
-
-def _projections(ws, layout, spec, delta):
-    n = ws.n
-    vhat = np.zeros((n, layout.q))
+def _projections(ws, layout, delta):
+    vhat = np.zeros((ws.n, layout.q))
     if layout.eta_dim:
-        CR, _ = _eta_score_matrices(ws)
-        Ap = ws.X * ws.pp[:, None]
-        vhat[:, layout.eta_slice] = 0.5 * (Ap * CR.sum(axis=1)[:, None] + CR @ Ap)
+        vhat[:, layout.eta_slice] = ws.eta_proj
     if layout.gamma_dim:
-        S = _gamma_score_matrix(ws)
-        rs, cs = S.sum(axis=1), S.sum(axis=0)
-        g0 = layout.gamma_slice.start
-        vhat[:, g0] = rs + cs
-        if layout.gamma_dim > 1:
-            p = layout.p
-            vhat[:, g0 + 1:g0 + 1 + p] = ws.w * rs[:, None] + S.T @ ws.w
-            vhat[:, g0 + 1 + p:g0 + 1 + 2 * p] = S @ ws.w + ws.w * cs[:, None]
+        vhat[:, layout.gamma_slice] = ws.gamma_proj
     vhat[:, layout.delta_index] = (ws.wdelta * (ws.F3 - delta)).sum(axis=1)
-    return vhat / (n - 1)
+    return vhat / (ws.n - 1)
 
 
 def _bread(ws, layout, spec):
+    """Pair-averaged Jacobian of the stacked system. Block lower-triangular:
+    the eta and gamma blocks' own Jacobians, then the delta row, whose
+    derivatives in eta read only the treated x control pairs."""
     q = layout.q
     B = np.zeros((q, q))
     if layout.eta_dim:
-        _, CV = _eta_score_matrices(ws)
-        Ap = ws.X * ws.pp[:, None]
-        B[layout.eta_slice, layout.eta_slice] = -0.25 * (
-            Ap.T @ (Ap * CV.sum(axis=1)[:, None]) + Ap.T @ CV @ Ap)
+        B[layout.eta_slice, layout.eta_slice] = ws.eta_jac
     if layout.gamma_dim:
-        Q = np.where(ws.Z1 > 0, ws.DG * ws.DG / ws.Gv, 0.0)
-        qr, qc = Q.sum(axis=1), Q.sum(axis=0)
-        g0 = layout.gamma_slice.start
-        if layout.gamma_dim == 1:
-            B[g0, g0] = -Q.sum()
-        else:
-            p = layout.p
-            w = ws.w
-            blk = np.zeros((layout.gamma_dim, layout.gamma_dim))
-            blk[0, 0] = Q.sum()
-            blk[0, 1:1 + p] = blk[1:1 + p, 0] = w.T @ qr
-            blk[0, 1 + p:] = blk[1 + p:, 0] = w.T @ qc
-            blk[1:1 + p, 1:1 + p] = (w * qr[:, None]).T @ w
-            blk[1 + p:, 1 + p:] = (w * qc[:, None]).T @ w
-            blk[1:1 + p, 1 + p:] = w.T @ Q @ w
-            blk[1 + p:, 1:1 + p] = blk[1:1 + p, 1 + p:].T
-            B[layout.gamma_slice, layout.gamma_slice] = -blk
+        B[layout.gamma_slice, layout.gamma_slice] = -ws.gamma_info
 
     d = layout.delta_index
+    t, c, block = ws.t, ws.c, np.ix_(ws.t, ws.c)
     if layout.eta_dim:
-        KK = ws.K - ws.G if spec.family == "dr" else ws.K
-        T = np.where(ws.nd, ws.wdelta * (-0.5) * ws.Z1 * KK / ws.PT ** 2, 0.0)
-        row = ws.X.T @ (ws.pp * (T @ (1.0 - ws.pi))) \
-            - ws.X.T @ (ws.pp * (T.T @ ws.pi))
-        B[d, layout.eta_slice] = row
-    if layout.gamma_dim and spec.family in ("dr", "msi"):
-        C = (1.0 - ws.Z1 / ws.PT) if spec.family == "dr" else (1.0 - ws.Z1)
-        W = np.where(ws.nd, 0.5 * ws.wdelta * C * ws.DG, 0.0)
-        g0 = layout.gamma_slice.start
-        B[d, g0] = W.sum()
-        if layout.gamma_dim > 1:
-            p = layout.p
-            B[d, g0 + 1:g0 + 1 + p] = ws.w.T @ W.sum(axis=1)
-            B[d, g0 + 1 + p:g0 + 1 + 2 * p] = ws.w.T @ W.sum(axis=0)
+        KK = ws.K - ws.G_tc if spec.family == "dr" else ws.K
+        T = ws.wdelta[block] * (-0.5) * KK / ws.PT ** 2
+        pp = ws.pi * (1.0 - ws.pi)
+        B[d, layout.eta_slice] = \
+            ws.X[t].T @ (pp[t] * (T @ (1.0 - ws.pi[c]))) \
+            - ws.X[c].T @ (pp[c] * (T.T @ ws.pi[t]))
+    if layout.gamma_dim:
+        W = 0.5 * ws.wdelta
+        W[block] *= (1.0 - 1.0 / ws.PT) if spec.family == "dr" else 0.0
+        W *= ws.DG
+        B[d, layout.gamma_slice] = np.concatenate(
+            [[W.sum()], ws.wg.T @ W.sum(axis=1), ws.wg.T @ W.sum(axis=0)])
     B[d, d] = -0.5 * ws.wdelta.sum()
     return B / ws.npairs
 
 
 def _covariance_from_workspace(ws, layout, spec, delta):
-    vhat = _projections(ws, layout, spec, delta)
+    vhat = _projections(ws, layout, delta)
     Sigma = vhat.T @ vhat / ws.n
     B = _bread(ws, layout, spec)
     try:
@@ -495,13 +466,8 @@ def _covariance_from_workspace(ws, layout, spec, delta):
 
 def _make_workspace(dataset, spec, theta, layout):
     eta, gamma, _ = layout.unpack(theta)
-    gm = None
-    if spec.has_gamma:
-        gm = GpiModel(np.asarray(gamma, dtype=float), spec.link,
-                      spec.constant_only_gpi or dataset.p == 0,
-                      0 if (spec.constant_only_gpi or dataset.p == 0) else dataset.p,
-                      True, 0, 0.0)
-    return _Workspace(dataset, spec, np.asarray(eta, dtype=float) if spec.has_eta else None, gm)
+    return _Workspace(dataset, spec, eta, gamma,
+                      discordant_kernel(dataset, _ties(dataset, spec)))
 
 
 def sandwich_covariance(dataset, theta_hat, spec: FrmSpec):
@@ -518,17 +484,10 @@ def _stacked_u(ws, layout, delta):
     normalized by the pair count."""
     parts = []
     if layout.eta_dim:
-        CR, _ = _eta_score_matrices(ws)
-        Ap = ws.X * ws.pp[:, None]
-        parts.append(0.5 * Ap.T @ CR.sum(axis=1))
+        parts.append(ws.eta_score)
     if layout.gamma_dim:
-        S = _gamma_score_matrix(ws)
-        rs, cs = S.sum(axis=1), S.sum(axis=0)
-        g = [rs.sum()]
-        if layout.gamma_dim > 1:
-            g += list(ws.w.T @ rs) + list(ws.w.T @ cs)
-        parts.append(np.asarray(g))
-    parts.append(np.asarray([0.5 * (ws.wdelta * (ws.F3 - delta)).sum()]))
+        parts.append(ws.gamma_score)
+    parts.append([0.5 * (ws.wdelta * (ws.F3 - delta)).sum()])
     return np.concatenate(parts) / ws.npairs
 
 
@@ -538,10 +497,6 @@ def stacked_residual(dataset, theta, spec: FrmSpec):
     ws = _make_workspace(dataset, spec, theta, layout)
     _, _, delta = layout.unpack(theta)
     return _stacked_u(ws, layout, delta)
-
-
-def _residual_norm(ws, layout, spec, delta):
-    return float(np.max(np.abs(_stacked_u(ws, layout, delta))))
 
 
 def solve_ugee(dataset, spec: FrmSpec, init=None):
@@ -554,6 +509,7 @@ def solve_ugee(dataset, spec: FrmSpec, init=None):
     dataset.require_both_arms()
     layout = ThetaLayout(dataset.p, spec)
     diagnostics = {}
+    K = discordant_kernel(dataset, _ties(dataset, spec))
 
     eta, plugin, eta_iters = None, None, 0
     if spec.has_eta:
@@ -564,22 +520,25 @@ def solve_ugee(dataset, spec: FrmSpec, init=None):
         diagnostics["eta_iterations"] = eta_iters
         diagnostics["eta_score_norm"] = eta_res
 
-    gm = None
+    gamma = None
     if spec.has_gamma:
-        gm = fit_gpi(dataset, constant_only=spec.constant_only_gpi, link=spec.link)
+        t, c = treated_control(dataset)
+        wg = model_covariates(dataset.w, spec.constant_only_gpi)
+        gm = fit_gpi_pairs(K, wg[t], wg[c], spec.link)
+        gamma = gm.gamma
         diagnostics["gamma_iterations"] = gm.iterations
         diagnostics["gamma_score_norm"] = gm.score_norm
 
-    ws = _Workspace(dataset, spec, eta, gm)
+    ws = _Workspace(dataset, spec, eta, gamma, K)
     delta = ws.solve_delta()
     theta = np.zeros(layout.q)
     if layout.eta_dim:
         theta[layout.eta_slice] = eta
     if layout.gamma_dim:
-        theta[layout.gamma_slice] = gm.gamma
+        theta[layout.gamma_slice] = gamma
     theta[layout.delta_index] = delta
 
-    residual = _residual_norm(ws, layout, spec, delta)
+    residual = float(np.max(np.abs(_stacked_u(ws, layout, delta))))
     if residual > spec.tol:
         raise ConvergenceError("stacked system residual above tolerance",
                                last_iterate=theta, residual=residual)
@@ -600,7 +559,7 @@ def solve_ugee(dataset, spec: FrmSpec, init=None):
                 f"analytic pair-gradient check failed (max rel err {worst:.2e})")
 
     return UgeeFit(spec, layout.names, theta, se, Sigma, B, Sigma_theta,
-                   vhat, ws.delta_plain(), residual, dataset.n, diagnostics,
+                   vhat, pair_mean(ws.F3), residual, dataset.n, diagnostics,
                    plugin_eta=None if plugin is None else plugin.eta)
 
 
@@ -635,7 +594,7 @@ def pair_residual_gradient(dataset, i, j, theta, spec: FrmSpec):
     eta, gamma, _ = layout.unpack(theta)
     z_i, z_j = int(dataset.z[i]), int(dataset.z[j])
     w_i, w_j = dataset.w[i], dataset.w[j]
-    ties = dataset.ties if spec.ties is None else spec.ties
+    ties = _ties(dataset, spec)
     k_ij = kernel(dataset.y[i], dataset.y[j], ties)
     k_ji = kernel(dataset.y[j], dataset.y[i], ties)
     r_ij, r_ji = z_i * (1 - z_j), z_j * (1 - z_i)

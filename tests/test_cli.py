@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mwwdr.cli import main
@@ -55,6 +57,23 @@ class TestEstimate:
         assert len(dr["fit"]["covariance"]) == 6
         assert "delta_plain" in dr
         assert "delta_hajek" in rep["estimates"]["ipw"]
+
+    def test_mww_p_value_not_floored(self, tmp_path, capsys):
+        # treated outcomes sit far below control outcomes (z about 13): the
+        # report's p is 2 Phi(-|z|), not a floor at 2e-12
+        rng = np.random.default_rng(5)
+        y = np.r_[rng.normal(0, 1, 60), rng.normal(1.5, 1, 60)]
+        path = tmp_path / "separated.csv"
+        path.write_text("z,y\n" + "".join(f"{int(k < 60)},{v!r}\n"
+                                          for k, v in enumerate(y.tolist())))
+        code = run(["estimate", "--input", path, "--z-col", "z",
+                    "--y-col", "y", "--estimator", "mww"])
+        assert code == 0
+        mww = json.loads(capsys.readouterr().out)["estimates"]["mww"]
+        z = (mww["delta"] - 0.5) / mww["se"]
+        assert z > 10
+        expected = math.erfc(z / math.sqrt(2.0))
+        assert abs(mww["p_value"] - expected) <= 1e-12 * expected
 
     def test_input_never_mutated(self, capsys):
         before = digest(FIXTURES / "simulated_n120.csv")

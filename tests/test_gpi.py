@@ -70,18 +70,22 @@ class TestFitGpi:
         with pytest.raises(EstimabilityError):
             fit_gpi(ds)
 
-    def test_score_zero_at_convergence(self):
+    @pytest.mark.parametrize("constant_only", [False, True])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    def test_score_zero_at_convergence(self, link, p, constant_only):
         rng = np.random.default_rng(8)
-        w = rng.normal(1.0, 0.5, (80, 1))
+        w = rng.normal(1.0, 0.5, (80, p))
         z = (rng.random(80) < 0.5).astype(int)
-        y = w[:, 0] + rng.normal(0, 1, 80)
+        y = w.sum(axis=1) + rng.normal(0, 1, 80)
         ds = Dataset(z, y, w)
-        m = fit_gpi(ds)
+        m = fit_gpi(ds, constant_only=constant_only, link=link)
         # weighted residual sum is zero within 1e-6 for every component
         from oracles import brute_ugee_residual
         theta = list(m.gamma) + [0.5]
         resid = brute_ugee_residual(list(z), list(y), [list(r) for r in w],
-                                    theta, family="msi")
+                                    theta, family="msi", link=link,
+                                    constant_only=constant_only)
         npairs = 80 * 79 / 2
         assert max(abs(r) for r in resid[:-1]) * npairs < 1e-6
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,12 +92,37 @@ class TestSolve:
                     family=fam)
                 assert np.max(np.abs(ours - np.asarray(brute))) < 1e-12
 
-    def test_brute_residual_zero_at_fit(self):
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    @pytest.mark.parametrize("constant_only_gpi", [False, True])
+    @pytest.mark.parametrize("intercept_only_propensity", [False, True])
+    @pytest.mark.parametrize("family", ["dr", "ipw", "msi"])
+    def test_brute_residual_zero_at_fit(self, family, intercept_only_propensity,
+                                        constant_only_gpi, link):
         ds = small_sim_dataset(40, seed=9)
-        fit = solve_ugee(ds, FrmSpec())
+        fit = solve_ugee(ds, FrmSpec(
+            family=family, link=link,
+            intercept_only_propensity=intercept_only_propensity,
+            constant_only_gpi=constant_only_gpi))
         brute = brute_ugee_residual(list(ds.z), list(ds.y),
-                                    [list(r) for r in ds.w], list(fit.theta))
+                                    [list(r) for r in ds.w], list(fit.theta),
+                                    family=family, link=link,
+                                    intercept_only=intercept_only_propensity,
+                                    constant_only=constant_only_gpi)
         assert max(abs(b) for b in brute) <= 1e-8
+
+    def test_spec_ties_reach_outcome_block(self):
+        # continuous data with tied outcomes: FrmSpec(ties=True) must fit the
+        # outcome model on the half-tie kernel its workspace scores, so every
+        # family reaches the root of the half-tie system
+        base = small_sim_dataset(120, seed=3)
+        ds = Dataset(base.z, np.round(base.y), base.w)
+        assert not ds.ties and len(np.unique(ds.y)) < ds.n
+        for fam in ("dr", "ipw", "msi"):
+            fit = solve_ugee(ds, FrmSpec(family=fam, ties=True))
+            brute = brute_ugee_residual(list(ds.z), list(ds.y),
+                                        [list(r) for r in ds.w],
+                                        list(fit.theta), family=fam, ties=True)
+            assert max(abs(b) for b in brute) <= 1e-8
 
     def test_tiny_constant_blocks_closed_form(self):
         # with intercept-only pi and constant g the delta equation is linear
@@ -202,6 +229,14 @@ class TestWald:
         assert abs(w.z - (-2.0)) < 1e-9
         assert abs(w.p_value - 0.0455) < 3e-4
         assert w.reject
+
+    def test_p_value_not_floored(self):
+        # z = -16: p = 2 Phi(-16) is about 1.3e-57, far below the 2e-12 at
+        # which a clamped normal CDF would floor it
+        w = wald_test(self.fake_fit(0.34, 0.01), "delta", 0.5, 0.05)
+        assert abs(w.z + 16.0) < 1e-9
+        expected = math.erfc(abs(w.z) / math.sqrt(2.0))
+        assert abs(w.p_value - expected) <= 1e-12 * expected
 
     def test_ci_covers_estimate(self):
         w = wald_test(self.fake_fit(0.44, 0.05), "delta", 0.5, 0.05)
