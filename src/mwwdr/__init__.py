@@ -23,8 +23,8 @@ from .special import expit, std_normal_cdf
 from .streams import RngStream, sample_bernoulli, sample_centered_chisq, \
     sample_normal
 from .ugee import (FrmSpec, PairResponse, UgeeFit, WaldResult,
-                   build_pair_response, sandwich_covariance, solve_ugee,
-                   wald_test)
+                   build_pair_response, sandwich_covariance, solve_families,
+                   solve_ugee, wald_test)
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,7 @@ __all__ = [
     "expit", "std_normal_cdf",
     "RngStream", "sample_normal", "sample_bernoulli", "sample_centered_chisq",
     "FrmSpec", "PairResponse", "UgeeFit", "WaldResult",
-    "build_pair_response", "solve_ugee", "sandwich_covariance", "wald_test",
+    "build_pair_response", "solve_ugee", "solve_families",
+    "sandwich_covariance", "wald_test",
     "__version__",
 ]

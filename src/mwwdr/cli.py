@@ -20,7 +20,7 @@ from .errors import (ConvergenceError, EstimabilityError, MwwdrError,
                      SeparationError, SingularDesignError, ValidationError)
 from .estimators import ipw_estimate, mww_estimate
 from .simstudy import (PRESETS, ScenarioConfig, render_table, run_study)
-from .ugee import FrmSpec, solve_ugee, wald, wald_test
+from .ugee import FrmSpec, solve_families, wald, wald_test
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -101,6 +101,9 @@ def cmd_estimate(args) -> int:
                        "rejected_rows": ds.n_rejected_rows},
               "alpha": args.alpha,
               "estimates": {}}
+    fits = solve_families(ds, FrmSpec(link=args.link, clip_eps=args.clip_eps,
+                                      ties=ties_override),
+                          [name for name in wanted if name != "mww"])
     for name in wanted:
         if name == "mww":
             est = mww_estimate(ds)
@@ -110,9 +113,7 @@ def cmd_estimate(args) -> int:
                 "delta": est.delta_hat, "se": est.se, "p_value": p,
                 "notes": est.notes}
             continue
-        spec = FrmSpec(family=name, link=args.link, clip_eps=args.clip_eps,
-                       ties=ties_override)
-        fit = solve_ugee(ds, spec)
+        fit = next(fits)
         wt = wald_test(fit, "delta", 0.5, args.alpha)
         entry = {"delta": fit.delta, "se": wt.se, "z": wt.z,
                  "p_value": wt.p_value, "ci": [wt.ci_lo, wt.ci_hi],
@@ -120,9 +121,8 @@ def cmd_estimate(args) -> int:
         if name == "dr":
             entry["delta_plain"] = fit.delta_plain
         if name == "ipw" and args.hajek:
-            from .propensity import fit_propensity
-            pm = fit_propensity(ds, clip_eps=args.clip_eps)
-            entry["delta_hajek"] = ipw_estimate(ds, pm, hajek=True).delta_hat
+            entry["delta_hajek"] = ipw_estimate(ds, fit.plugin,
+                                                hajek=True).delta_hat
         report["estimates"][name] = entry
 
     if args.format == "json":

@@ -23,7 +23,7 @@ from .errors import MwwdrError, ValidationError
 from .estimators import mww_estimate
 from .special import expit
 from .streams import RngStream
-from .ugee import FrmSpec, solve_ugee, wald, wald_test
+from .ugee import FrmSpec, solve_families, wald, wald_test
 
 ESTIMATOR_NAMES = ("mww", "ipw", "msi", "dr")
 _ORACLE_STREAM = 1 << 48
@@ -149,8 +149,8 @@ def true_delta(config, n_pairs=10_000_000, chunk=1_000_000):
     return hits / total
 
 
-def _frm_spec(config, family):
-    return FrmSpec(family=family, link=config.link,
+def _frm_spec(config):
+    return FrmSpec(link=config.link,
                    intercept_only_propensity=config.misspecify_propensity,
                    constant_only_gpi=config.misspecify_outcome,
                    fd_check_pairs=config.fd_check_pairs)
@@ -169,6 +169,8 @@ def _run_replication(config, rep_index):
             raise MwwdrError(f"replication {rep_index} kept drawing single-arm samples")
 
     rec = {"regenerated": attempt}
+    fits = solve_families(ds, _frm_spec(config),
+                          [name for name in config.estimators if name != "mww"])
     for name in config.estimators:
         if name == "mww":
             est = mww_estimate(ds)
@@ -180,7 +182,7 @@ def _run_replication(config, rep_index):
                               "reject": wald(est.delta_hat, est.se, 0.5,
                                              config.alpha).reject}
         else:
-            fit = solve_ugee(ds, _frm_spec(config, name))
+            fit = next(fits)
             wt = wald_test(fit, "delta", 0.5, config.alpha)
             entry = {"delta": fit.delta, "se": wt.se, "reject": wt.reject,
                      "components": {nm: (float(v), float(s))

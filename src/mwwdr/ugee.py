@@ -18,8 +18,8 @@ The covariance of the stacked root is the U-statistic sandwich
 pair-level gradient of the residuals.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -29,7 +29,8 @@ from .errors import ConvergenceError, MwwdrError, ValidationError
 from .estimators import kernel, pair_mean, pair_response
 from .gpi import (fit_gpi_pairs, gamma_block, link_derivative, link_inverse,
                   model_covariates, pair_predictor)
-from .propensity import DEFAULT_CLIP_EPS, design_matrix, fit_propensity
+from .propensity import (DEFAULT_CLIP_EPS, PropensityModel, design_matrix,
+                         fit_propensity)
 from .special import expit
 
 FAMILIES = ("dr", "ipw", "msi")
@@ -208,25 +209,30 @@ def _propensities(X, eta, spec):
     return np.clip(expit(X @ eta), spec.clip_eps, 1.0 - spec.clip_eps)
 
 
-def _eta_block(X, z, pi, projections=False):
-    """Score and Jacobian of the treatment block at propensities pi and,
-    with projections=True, each subject's sum of its pair scores.
+def _eta_block(X, z, pi):
+    """Score and Jacobian of the treatment block at propensities pi, and
+    each subject's sum of its pair scores.
 
-    A pair contributes d1 V1^-1 (f1 - h1), with f1 - h1 = (z_i + z_j)/2 -
-    (pi_i + pi_j)/2, V1 = (pi_i(1 - pi_i) + pi_j(1 - pi_j))/4 and d1 the
-    gradient of h1 in eta; the Jacobian is the expected one, -d1 V1^-1 d1'.
+    A pair contributes d1 V1^-1 (f1 - h1), with f1 - h1 = (e_i + e_j)/2 for
+    e = z - pi, V1 = (pp_i + pp_j)/4 for pp = pi(1 - pi), and d1 = (Ap_i +
+    Ap_j)/2 the gradient of h1 in eta (Ap = pp * X); the Jacobian is the
+    expected one, -d1 V1^-1 d1'. With M the n x n matrix of 1/V1 (zero
+    diagonal), every pair sum is M times one of the columns (1, e, Ap,
+    e * Ap), so M is the only n x n array and it is read once.
     """
-    nd = ~np.eye(len(z), dtype=bool)
     pp = pi * (1.0 - pi)
+    e = z - pi
     Ap = X * pp[:, None]
-    R1 = 0.5 * (z[:, None] + z[None, :]) - 0.5 * (pi[:, None] + pi[None, :])
-    V1 = 0.25 * (pp[:, None] + pp[None, :])
-    CR = np.where(nd, R1 / V1, 0.0)
-    cr = CR.sum(axis=1)
+    k = Ap.shape[1]
+    M = np.add.outer(pp, pp)
+    np.divide(4.0, M, out=M)
+    np.fill_diagonal(M, 0.0)
+    MC = M @ np.column_stack([np.ones_like(e), e, Ap, e[:, None] * Ap])
+    m1, me, mA, meA = MC[:, 0], MC[:, 1], MC[:, 2:2 + k], MC[:, 2 + k:]
+    cr = 0.5 * (e * m1 + me)  # each subject's sum of V1^-1 (f1 - h1)
     score = 0.5 * Ap.T @ cr
-    proj = 0.5 * (Ap * cr[:, None] + CR @ Ap) if projections else None
-    CV = np.where(nd, 1.0 / V1, 0.0)
-    jac = -0.25 * (Ap.T @ (Ap * CV.sum(axis=1)[:, None]) + Ap.T @ CV @ Ap)
+    proj = 0.5 * (Ap * cr[:, None] + 0.5 * (e[:, None] * mA + meA))
+    jac = -0.25 * (Ap.T @ (Ap * m1[:, None]) + Ap.T @ mA)
     return score, jac, proj
 
 
@@ -235,9 +241,14 @@ class _Workspace:
     eta and gamma blocks' scores, Jacobians and per-subject scores, the
     delta row's n x n response and weights, and the treated x control
     blocks the delta row's derivatives read. K is the n1 x n0 matrix of
-    observed indicators."""
+    observed indicators; eta_block, if given, is _eta_block's value at eta.
 
-    def __init__(self, dataset, spec, eta, gamma, K):
+    The delta row's n x n arrays have a zero diagonal. Its pair weights
+    wdelta are None when the row is unweighted (every weight 1); f3_rows and
+    w_rows hold each subject's weighted sum of f3 and of the weights over
+    its partners."""
+
+    def __init__(self, dataset, spec, eta, gamma, K, eta_block=None):
         n = dataset.n
         self.n = n
         self.npairs = n * (n - 1) // 2
@@ -253,8 +264,9 @@ class _Workspace:
             self.clip_count = int(np.sum((self.pi <= spec.clip_eps)
                                          | (self.pi >= 1.0 - spec.clip_eps)))
             self.PT = np.outer(self.pi[self.t], 1.0 - self.pi[self.c])
-            self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
-                self.X, dataset.z.astype(float), self.pi, projections=True)
+            if eta_block is None:
+                eta_block = _eta_block(self.X, dataset.z.astype(float), self.pi)
+            self.eta_score, self.eta_jac, self.eta_proj = eta_block
 
         G = None
         if spec.has_gamma:
@@ -262,6 +274,7 @@ class _Workspace:
             A = pair_predictor(gamma, self.wg, self.wg)
             G = link_inverse(spec.link, A)
             self.DG = link_derivative(spec.link, A)
+            np.fill_diagonal(self.DG, 0.0)
             self.G_tc = G[block]
             self.gamma_score, self.gamma_info, rows1, rows0 = gamma_block(
                 K, self.G_tc, self.DG[block], self.wg[self.t], self.wg[self.c])
@@ -270,6 +283,8 @@ class _Workspace:
             self.gamma_proj[self.c] = rows0
 
         self.F3 = pair_response(spec.family, self.t, self.c, K, self.PT, G)
+        np.fill_diagonal(self.F3, 0.0)
+        self.wdelta = None
         if spec.family == "dr" and spec.weighted_delta:
             # 1 / V3 built in place: G, DG and F3 are alive here
             V3 = G * (1.0 - G)
@@ -277,12 +292,31 @@ class _Workspace:
             V3 = V3 + V3.T
             V3 *= 0.25
             self.wdelta = np.divide(1.0, V3, out=V3)
+            np.fill_diagonal(self.wdelta, 0.0)
+            self.f3_rows = np.einsum("ij,ij->i", self.wdelta, self.F3)
+            self.w_rows = self.wdelta.sum(axis=1)
         else:
-            self.wdelta = np.ones((n, n))
-        np.fill_diagonal(self.wdelta, 0.0)
+            self.f3_rows = self.F3.sum(axis=1)
+            self.w_rows = np.full(n, n - 1.0)
 
     def solve_delta(self):
-        return float((self.wdelta * self.F3).sum() / self.wdelta.sum())
+        return float(self.f3_rows.sum() / self.w_rows.sum())
+
+    def delta_rows(self, delta):
+        """Each subject's weighted sum of f3 - delta over its partners."""
+        return self.f3_rows - delta * self.w_rows
+
+
+class _EtaFit(NamedTuple):
+    """The treatment block's root, the maximum-likelihood fit its Newton
+    started from, the Newton's iterations and score norm, and _eta_block's
+    value at the root."""
+
+    eta: np.ndarray
+    mle: PropensityModel
+    iterations: int
+    score_norm: float
+    block: tuple
 
 
 def _fit_eta_pairwise(dataset, spec, init=None):
@@ -297,10 +331,11 @@ def _fit_eta_pairwise(dataset, spec, init=None):
     z = dataset.z.astype(float)
     score_norm = np.inf
     for it in range(1, spec.max_iter + 1):
-        score, J, _ = _eta_block(X, z, _propensities(X, eta, spec))
+        block = _eta_block(X, z, _propensities(X, eta, spec))
+        score, J, _ = block
         score_norm = float(np.max(np.abs(score))) / npairs
         if score_norm <= 0.01 * spec.tol:
-            return eta, mle, it - 1, score_norm
+            return _EtaFit(eta, mle, it - 1, score_norm, block)
         try:
             step = np.linalg.solve(J, -score)
         except np.linalg.LinAlgError:
@@ -310,7 +345,8 @@ def _fit_eta_pairwise(dataset, spec, init=None):
                                    iterations=it) from None
         eta = eta + step
     if score_norm <= spec.tol:
-        return eta, mle, spec.max_iter, score_norm
+        return _EtaFit(eta, mle, spec.max_iter, score_norm,
+                       _eta_block(X, z, _propensities(X, eta, spec)))
     raise ConvergenceError("treatment-block Newton did not converge",
                            last_iterate=eta, residual=score_norm,
                            iterations=spec.max_iter)
@@ -332,7 +368,13 @@ class UgeeFit:
     residual_norm: float
     n: int
     diagnostics: dict = field(default_factory=dict)
-    plugin_eta: Optional[np.ndarray] = None
+    plugin: Optional[PropensityModel] = None
+
+    @property
+    def plugin_eta(self):
+        """Coefficients of the maximum-likelihood propensity fit the
+        treatment block started from; None without a treatment block."""
+        return None if self.plugin is None else self.plugin.eta
 
     @property
     def delta(self):
@@ -411,7 +453,7 @@ def _projections(ws, layout, delta):
         vhat[:, layout.eta_slice] = ws.eta_proj
     if layout.gamma_dim:
         vhat[:, layout.gamma_slice] = ws.gamma_proj
-    vhat[:, layout.delta_index] = (ws.wdelta * (ws.F3 - delta)).sum(axis=1)
+    vhat[:, layout.delta_index] = ws.delta_rows(delta)
     return vhat / (ws.n - 1)
 
 
@@ -430,18 +472,21 @@ def _bread(ws, layout, spec):
     t, c, block = ws.t, ws.c, np.ix_(ws.t, ws.c)
     if layout.eta_dim:
         KK = ws.K - ws.G_tc if spec.family == "dr" else ws.K
-        T = ws.wdelta[block] * (-0.5) * KK / ws.PT ** 2
+        T = -0.5 * KK / ws.PT ** 2
+        if ws.wdelta is not None:
+            T *= ws.wdelta[block]
         pp = ws.pi * (1.0 - ws.pi)
         B[d, layout.eta_slice] = \
             ws.X[t].T @ (pp[t] * (T @ (1.0 - ws.pi[c]))) \
             - ws.X[c].T @ (pp[c] * (T.T @ ws.pi[t]))
     if layout.gamma_dim:
-        W = 0.5 * ws.wdelta
+        W = 0.5 * ws.DG
+        if ws.wdelta is not None:
+            W *= ws.wdelta
         W[block] *= (1.0 - 1.0 / ws.PT) if spec.family == "dr" else 0.0
-        W *= ws.DG
         B[d, layout.gamma_slice] = np.concatenate(
             [[W.sum()], ws.wg.T @ W.sum(axis=1), ws.wg.T @ W.sum(axis=0)])
-    B[d, d] = -0.5 * ws.wdelta.sum()
+    B[d, d] = -0.5 * ws.w_rows.sum()
     return B / ws.npairs
 
 
@@ -487,7 +532,7 @@ def _stacked_u(ws, layout, delta):
         parts.append(ws.eta_score)
     if layout.gamma_dim:
         parts.append(ws.gamma_score)
-    parts.append([0.5 * (ws.wdelta * (ws.F3 - delta)).sum()])
+    parts.append([0.5 * ws.delta_rows(delta).sum()])
     return np.concatenate(parts) / ws.npairs
 
 
@@ -506,30 +551,55 @@ def solve_ugee(dataset, spec: FrmSpec, init=None):
     the treatment block; the outcome block self-starts at the constant
     solution. The delta equation is linear given the other blocks.
     """
+    eta_init = None
+    if init is not None and spec.has_eta:
+        eta_init = np.asarray(init, dtype=float)[
+            ThetaLayout(dataset.p, spec).eta_slice]
+    return next(solve_families(dataset, spec, (spec.family,), eta_init))
+
+
+def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
+    """Fit the joint system of each family in turn and yield its UgeeFit.
+
+    spec sets everything but the family. The families share one fit of
+    each block: the treatment block (maximum-likelihood start, pairwise
+    Newton, and its score, Jacobian and projections at the root) and the
+    outcome block are fitted the first time a family needs them, and the
+    observed indicators are built once. Every family still gets its own
+    workspace, residual check, sandwich and finite-difference check, one
+    family at a time. eta_init starts the treatment-block Newton.
+    """
     dataset.require_both_arms()
+    K = discordant_kernel(dataset, _ties(dataset, spec))
+    eta_fit = gamma_fit = None
+    for family in families:
+        fspec = replace(spec, family=family)
+        if fspec.has_eta and eta_fit is None:
+            eta_fit = _fit_eta_pairwise(dataset, fspec, eta_init)
+        if fspec.has_gamma and gamma_fit is None:
+            t, c = treated_control(dataset)
+            wg = model_covariates(dataset.w, spec.constant_only_gpi)
+            gamma_fit = fit_gpi_pairs(K, wg[t], wg[c], spec.link)
+        yield _solve_family(dataset, fspec, K, eta_fit, gamma_fit)
+
+
+def _solve_family(dataset, spec, K, eta_fit, gamma_fit):
+    """One family's UgeeFit from the fitted blocks it has: the delta root,
+    the stacked-residual check, the sandwich and the finite-difference
+    check."""
     layout = ThetaLayout(dataset.p, spec)
     diagnostics = {}
-    K = discordant_kernel(dataset, _ties(dataset, spec))
-
-    eta, plugin, eta_iters = None, None, 0
+    eta = gamma = eta_block = plugin = None
     if spec.has_eta:
-        eta_init = None
-        if init is not None:
-            eta_init = np.asarray(init, dtype=float)[layout.eta_slice]
-        eta, plugin, eta_iters, eta_res = _fit_eta_pairwise(dataset, spec, eta_init)
-        diagnostics["eta_iterations"] = eta_iters
-        diagnostics["eta_score_norm"] = eta_res
-
-    gamma = None
+        eta, plugin, eta_block = eta_fit.eta, eta_fit.mle, eta_fit.block
+        diagnostics["eta_iterations"] = eta_fit.iterations
+        diagnostics["eta_score_norm"] = eta_fit.score_norm
     if spec.has_gamma:
-        t, c = treated_control(dataset)
-        wg = model_covariates(dataset.w, spec.constant_only_gpi)
-        gm = fit_gpi_pairs(K, wg[t], wg[c], spec.link)
-        gamma = gm.gamma
-        diagnostics["gamma_iterations"] = gm.iterations
-        diagnostics["gamma_score_norm"] = gm.score_norm
+        gamma = gamma_fit.gamma
+        diagnostics["gamma_iterations"] = gamma_fit.iterations
+        diagnostics["gamma_score_norm"] = gamma_fit.score_norm
 
-    ws = _Workspace(dataset, spec, eta, gamma, K)
+    ws = _Workspace(dataset, spec, eta, gamma, K, eta_block)
     delta = ws.solve_delta()
     theta = np.zeros(layout.q)
     if layout.eta_dim:
@@ -560,7 +630,7 @@ def solve_ugee(dataset, spec: FrmSpec, init=None):
 
     return UgeeFit(spec, layout.names, theta, se, Sigma, B, Sigma_theta,
                    vhat, pair_mean(ws.F3), residual, dataset.n, diagnostics,
-                   plugin_eta=None if plugin is None else plugin.eta)
+                   plugin)
 
 
 # ---------------------------------------------------------------------------

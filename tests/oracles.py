@@ -185,3 +185,35 @@ def brute_ugee_residual(z, y, w, theta, family="dr", link="probit",
             U[q - 1] += wdel * (f3 - delta)
     npairs = n * (n - 1) / 2.0
     return [u / npairs for u in U]
+
+
+def brute_eta_block(z, w, eta, intercept_only=False, clip_eps=1e-6):
+    """Treatment block, one explicit loop over unordered pairs: the score
+    sum d1 V1^-1 (f1 - h1), the expected Jacobian -sum d1 V1^-1 d1', and
+    each subject's sum of its pair scores."""
+    n = len(z)
+    k = len(eta)
+    pi, x = [], []
+    for i in range(n):
+        x_i = [1.0] if intercept_only else [1.0, *w[i]]
+        lin = sum(e * v for e, v in zip(eta, x_i))
+        pi.append(min(max(inv_logit(lin), clip_eps), 1.0 - clip_eps))
+        x.append(x_i)
+    score = [0.0] * k
+    jac = [[0.0] * k for _ in range(k)]
+    proj = [[0.0] * k for _ in range(n)]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            pp_i, pp_j = pi[i] * (1 - pi[i]), pi[j] * (1 - pi[j])
+            f1 = 0.5 * (z[i] + z[j])
+            h1 = 0.5 * (pi[i] + pi[j])
+            V1 = 0.25 * (pp_i + pp_j)
+            d1 = [0.5 * (pp_i * a + pp_j * b) for a, b in zip(x[i], x[j])]
+            for a in range(k):
+                s = d1[a] * (f1 - h1) / V1
+                score[a] += s
+                proj[i][a] += s
+                proj[j][a] += s
+                for b in range(k):
+                    jac[a][b] -= d1[a] * d1[b] / V1
+    return score, jac, proj

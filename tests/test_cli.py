@@ -99,6 +99,39 @@ class TestEstimate:
         assert rep["estimates"]["mww"]["notes"]["ties"] is True
 
 
+    def test_hajek_uses_the_propensity_mle(self, tmp_path):
+        from mwwdr.data import CsvSchema, load_csv
+        from mwwdr.estimators import ipw_estimate
+        from mwwdr.propensity import fit_propensity
+
+        out = tmp_path / "report.json"
+        code = run(["estimate", "--input", FIXTURES / "simulated_n120.csv",
+                    "--z-col", "z", "--y-col", "y", "--w-cols", "w1",
+                    "--estimator", "ipw", "--hajek", "--output", out])
+        assert code == 0
+        ds = load_csv(FIXTURES / "simulated_n120.csv", CsvSchema("z", "y", ("w1",)))
+        expected = ipw_estimate(ds, fit_propensity(ds), hajek=True).delta_hat
+        assert json.loads(out.read_text())["estimates"]["ipw"]["delta_hajek"] \
+            == expected
+
+    def test_all_reports_the_first_failing_block(self, tmp_path, capsys):
+        # every treated outcome lies below every control outcome: the ipw fit
+        # succeeds, and the outcome model that msi fits next must fail with
+        # its separation message
+        rng = np.random.default_rng(8)
+        w = rng.normal(0, 1, 40)
+        z = (rng.random(40) < 1 / (1 + np.exp(-w))).astype(int)
+        y = np.where(z == 1, rng.uniform(0, 1, 40), rng.uniform(2, 3, 40))
+        path = tmp_path / "separated.csv"
+        path.write_text("z,y,w1\n" + "".join(
+            f"{a},{b!r},{c!r}\n" for a, b, c in zip(z, y.tolist(), w.tolist())))
+        code = run(["estimate", "--input", path, "--z-col", "z",
+                    "--y-col", "y", "--w-cols", "w1", "--estimator", "all"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "all observed pair indicators equal 1" in err
+
+
 class TestSimulate:
     def test_seed_required(self, capsys):
         code = run(["simulate", "--preset", "table2", "--n", "40", "--reps", "2"])

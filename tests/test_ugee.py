@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from mwwdr import ugee
 from mwwdr.data import Dataset
 from mwwdr.errors import ConvergenceError, ValidationError
+from mwwdr.propensity import design_matrix
 from mwwdr.simstudy import ScenarioConfig, generate_dataset
 from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit, build_pair_response,
                         check_residual_derivatives, sandwich_covariance,
-                        solve_ugee, stacked_residual, wald_test)
+                        solve_families, solve_ugee, stacked_residual,
+                        wald_test)
 
 from conftest import random_dataset
-from oracles import brute_ugee_residual
+from oracles import brute_eta_block, brute_ugee_residual
 
 
 def small_sim_dataset(n=60, seed=4):
@@ -169,6 +172,75 @@ class TestSolve:
         base = solve_ugee(ds, FrmSpec())
         again = solve_ugee(ds, FrmSpec(), init=base.theta)
         assert np.allclose(base.theta, again.theta, atol=1e-9)
+
+
+class TestEtaBlock:
+    @pytest.mark.parametrize("p, intercept_only, clip_eps", [
+        (1, True, 1e-6), (1, False, 1e-6), (2, False, 1e-6), (2, False, 0.2)],
+        ids=["intercept-only", "p1", "p2", "p2-clipped"])
+    def test_matches_brute_force(self, p, intercept_only, clip_eps):
+        rng = np.random.default_rng(41 + p)
+        spec = FrmSpec(intercept_only_propensity=intercept_only,
+                       clip_eps=clip_eps)
+        clipped = 0
+        for _ in range(10):
+            ds = random_dataset(rng, n=int(rng.integers(4, 12)), p=p)
+            X = design_matrix(ds, intercept_only)
+            eta = rng.normal(0, 1.5, X.shape[1])
+            pi = ugee._propensities(X, eta, spec)
+            clipped += int(np.sum((pi <= clip_eps) | (pi >= 1 - clip_eps)))
+            ours = ugee._eta_block(X, ds.z.astype(float), pi)
+            brute = brute_eta_block(list(ds.z), [list(r) for r in ds.w],
+                                    list(eta), intercept_only, clip_eps)
+            for got, want in zip(ours, brute):
+                want = np.asarray(want)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert (clipped > 0) == (clip_eps == 0.2)
+
+
+class TestSolveFamilies:
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    @pytest.mark.parametrize("constant_only_gpi", [False, True])
+    @pytest.mark.parametrize("intercept_only_propensity", [False, True])
+    def test_matches_per_family_solve(self, intercept_only_propensity,
+                                      constant_only_gpi, link):
+        ds = small_sim_dataset(60, seed=5)
+        spec = FrmSpec(link=link,
+                       intercept_only_propensity=intercept_only_propensity,
+                       constant_only_gpi=constant_only_gpi)
+        shared = list(solve_families(ds, spec, ("ipw", "msi", "dr")))
+        assert [fit.spec.family for fit in shared] == ["ipw", "msi", "dr"]
+        for fit in shared:
+            alone = solve_ugee(ds, FrmSpec(
+                family=fit.spec.family, link=link,
+                intercept_only_propensity=intercept_only_propensity,
+                constant_only_gpi=constant_only_gpi))
+            assert np.array_equal(fit.theta, alone.theta)
+            assert np.array_equal(fit.se, alone.se)
+            assert np.array_equal(fit.Sigma_theta, alone.Sigma_theta)
+            assert fit.delta_plain == alone.delta_plain
+            assert fit.diagnostics == alone.diagnostics
+
+    def test_each_block_fitted_once(self, monkeypatch):
+        calls = {"fit_propensity": 0, "fit_gpi_pairs": 0, "_eta_block": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(ugee, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(ugee, name, counted)
+        ds = small_sim_dataset()
+        fits = list(solve_families(ds, FrmSpec(), ("ipw", "msi", "dr")))
+        # one Newton evaluation per iteration plus the one at the root,
+        # which both workspaces reuse
+        assert calls == {"fit_propensity": 1, "fit_gpi_pairs": 1,
+                         "_eta_block": fits[0].diagnostics["eta_iterations"] + 1}
+        for name in calls:
+            calls[name] = 0
+        list(solve_families(ds, FrmSpec(), ("msi",)))
+        assert calls == {"fit_propensity": 0, "fit_gpi_pairs": 1,
+                         "_eta_block": 0}
 
 
 class TestSandwich:
