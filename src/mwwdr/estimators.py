@@ -67,29 +67,23 @@ def resolve_propensities(dataset, propensity):
     return pi, 0
 
 
-def pair_response(family, t, c, K, PT=None, G=None):
-    """Symmetric n x n matrix of the per-pair responses f3 of a family: the
-    average of the two orientations of the ordered response
+def pair_response(t, c, K, PT=None, G=None):
+    """Symmetric n x n matrix of the per-pair responses f3 of the delta row:
+    the average of the two orientations of the ordered response
 
-      ipw  r_ij K_ij / PT_ij
-      msi  r_ij K_ij + (1 - r_ij) G_ij
-      dr   R_ij K_ij + (1 - R_ij) G_ij,   R_ij = r_ij / PT_ij,
+      R_ij K_ij + (1 - R_ij) G_ij,   R_ij = r_ij / PT_ij,
 
-    with r_ij = z_i (1 - z_j) and PT_ij = pi_i (1 - pi_j). r_ij is 1 exactly
-    on the treated x control block (rows t, columns c), so K and PT are given
-    on that n1 x n0 block; G is the n x n matrix g(w_i, w_j).
+    with r_ij = z_i (1 - z_j) and PT_ij = pi_i (1 - pi_j). This is the doubly
+    robust response; without PT (PT = 1, so R = r) it is the mean-score
+    imputed one, and without G (G = 0) the inverse-probability weighted one.
+    r_ij is 1 exactly on the treated x control block (rows t, columns c), so
+    K and PT are given on that n1 x n0 block; G is the n x n matrix
+    g(w_i, w_j).
     """
     block = np.ix_(t, c)
-    if family == "ipw":
-        F = np.zeros((len(t) + len(c),) * 2)
-        F[block] = 1.0 / PT * K
-    else:
-        F = G.copy()
-        if family == "msi":
-            F[block] = K
-        else:
-            R = 1.0 / PT
-            F[block] = R * K + (1.0 - R) * G[block]
+    F = np.zeros((len(t) + len(c),) * 2) if G is None else G.copy()
+    R = 1.0 if PT is None else 1.0 / PT
+    F[block] = R * K + (1.0 - R) * F[block]
     F = F + F.T
     F *= 0.5
     return F
@@ -128,7 +122,7 @@ def ipw_estimate(dataset, propensity, hajek=False) -> EstimateResult:
     t, c = treated_control(dataset)
     PT = np.outer(pi[t], 1.0 - pi[c])
     total = _offdiag_sum(pair_response(
-        "ipw", t, c, discordant_kernel(dataset, dataset.ties), PT))
+        t, c, discordant_kernel(dataset, dataset.ties), PT))
     if hajek:
         delta = total / float((1.0 / PT).sum())
     else:
@@ -148,7 +142,7 @@ def msi_estimate(dataset, gpi) -> EstimateResult:
     both-arms requirement.
     """
     t, c = treated_control(dataset)
-    f = pair_response("msi", t, c, discordant_kernel(dataset, dataset.ties),
+    f = pair_response(t, c, discordant_kernel(dataset, dataset.ties),
                       G=g_matrix(gpi, dataset.w))
     return EstimateResult("MSI", pair_mean(f), None, dataset.n,
                           dataset.n1, dataset.n0, {"ties": dataset.ties})
@@ -160,7 +154,7 @@ def dr_estimate(dataset, propensity, gpi) -> EstimateResult:
     dataset.require_both_arms()
     pi, clipped = resolve_propensities(dataset, propensity)
     t, c = treated_control(dataset)
-    f = pair_response("dr", t, c, discordant_kernel(dataset, dataset.ties),
+    f = pair_response(t, c, discordant_kernel(dataset, dataset.ties),
                       np.outer(pi[t], 1.0 - pi[c]), g_matrix(gpi, dataset.w))
     delta = pair_mean(f)
     notes = {"ties": dataset.ties, "clipped_propensities": clipped}

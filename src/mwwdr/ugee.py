@@ -5,12 +5,18 @@ pairs, with identity working correlation. Response rows per pair:
 
   * a treatment row  f1 = (z_i + z_j)/2        with mean (pi_i + pi_j)/2
   * the observed pair indicator (discordant pairs only) with mean g
-  * the estimator row f3 (family-specific)     with mean delta
+  * the delta row    f3 = R K + (1 - R) g      with mean delta
+
+where R = r / (pi_i (1 - pi_j)) weights the observed indicator K. The delta
+row is the doubly robust one for every family: ipw is dr with g = 0 (no
+outcome block), and msi is dr with pi_i (1 - pi_j) = 1 (no treatment
+block), so R = r.
 
 Unobserved indicator components are dropped from the system together with
 the matching rows of the gradient and working variance, so the treatment
 and outcome blocks reproduce the standalone propensity and pairwise-outcome
-fits, and the delta equation is linear given the other blocks.
+fits, and the delta equation is linear given the other blocks. One
+workspace per dataset holds the blocks every family shares.
 
 The covariance of the stacked root is the U-statistic sandwich
 4 B^{-1} Sigma B^{-T}, with Sigma estimated from per-subject projections
@@ -40,10 +46,10 @@ FAMILIES = ("dr", "ipw", "msi")
 class FrmSpec:
     """Configuration of the joint system.
 
-    family selects the estimator row: "dr" (doubly robust), "ipw"
-    (weighting only; no outcome block), "msi" (imputation only; no
-    propensity block). The misspecification switches force intercept-only
-    propensity or a constant outcome model.
+    family selects the blocks beside the delta row: "dr" (doubly robust)
+    has both, "ipw" (weighting only) no outcome block, "msi" (imputation
+    only) no propensity block. The misspecification switches force
+    intercept-only propensity or a constant outcome model.
     """
 
     family: str = "dr"
@@ -184,14 +190,12 @@ def build_pair_response(dataset, pair, theta, spec: FrmSpec) -> PairResponse:
     f1 = 0.5 * (z_i + z_j)
     f2 = ((r_ij == 1, k_ij if r_ij == 1 else None),
           (r_ji == 1, k_ji if r_ji == 1 else None))
-    if spec.family == "ipw":
-        f3 = 0.5 * (r_ij / pt_ij * k_ij + r_ji / pt_ji * k_ji)
-    elif spec.family == "msi":
-        f3 = 0.5 * (r_ij * k_ij + (1.0 - r_ij) * g_ij
-                    + r_ji * k_ji + (1.0 - r_ji) * g_ji)
-    else:
-        f3 = 0.5 * (r_ij / pt_ij * k_ij + (1.0 - r_ij / pt_ij) * g_ij
-                    + r_ji / pt_ji * k_ji + (1.0 - r_ji / pt_ji) * g_ji)
+    # the dr response, with pi_i (1 - pi_j) = 1 without a treatment block
+    # and g = 0 without an outcome block
+    R_ij, R_ji = (r_ij / pt_ij, r_ji / pt_ji) if layout.eta_dim else (r_ij, r_ji)
+    m_ij, m_ji = (g_ij, g_ji) if layout.gamma_dim else (0.0, 0.0)
+    f3 = 0.5 * (R_ij * k_ij + (1.0 - R_ij) * m_ij
+                + R_ji * k_ji + (1.0 - R_ji) * m_ji)
 
     h1 = 0.5 * (pi_i + pi_j)
     h2 = 0.5 * (g_ij + g_ji)
@@ -237,58 +241,64 @@ def _eta_block(X, z, pi):
 
 
 class _Workspace:
-    """Every pair quantity of the stacked system at one (eta, gamma): the
-    eta and gamma blocks' scores, Jacobians and per-subject scores, the
-    delta row's n x n response and weights, and the treated x control
-    blocks the delta row's derivatives read. K is the n1 x n0 matrix of
-    observed indicators; eta_block, if given, is _eta_block's value at eta.
+    """One dataset's pair quantities, shared by every family's delta row:
+    the n1 x n0 observed indicators K, and two parts filled when a family
+    first needs them. set_eta: the propensities, their clip count, the
+    n1 x n0 PT = pi_i (1 - pi_j) and _eta_block's value. set_gamma: g and
+    its derivative DG on every ordered pair (DG with a zero diagonal), G's
+    treated x control block G_tc, and the outcome block's score,
+    information and per-subject scores."""
 
-    The delta row's n x n arrays have a zero diagonal. Its pair weights
-    wdelta are None when the row is unweighted (every weight 1); f3_rows and
-    w_rows hold each subject's weighted sum of f3 and of the weights over
-    its partners."""
-
-    def __init__(self, dataset, spec, eta, gamma, K, eta_block=None):
-        n = dataset.n
-        self.n = n
-        self.npairs = n * (n - 1) // 2
+    def __init__(self, dataset, spec):
+        self.dataset, self.spec = dataset, spec
+        self.n = dataset.n
+        self.npairs = self.n * (self.n - 1) // 2
         self.t, self.c = treated_control(dataset)
-        self.K = K
-        block = np.ix_(self.t, self.c)
+        self.block = np.ix_(self.t, self.c)
+        self.K = discordant_kernel(dataset, _ties(dataset, spec))
+        self.wg = model_covariates(dataset.w, spec.constant_only_gpi)
 
-        self.clip_count = 0
-        self.PT = None
-        if spec.has_eta:
-            self.X = design_matrix(dataset, spec.intercept_only_propensity)
-            self.pi = _propensities(self.X, eta, spec)
-            self.clip_count = int(np.sum((self.pi <= spec.clip_eps)
-                                         | (self.pi >= 1.0 - spec.clip_eps)))
-            self.PT = np.outer(self.pi[self.t], 1.0 - self.pi[self.c])
-            if eta_block is None:
-                eta_block = _eta_block(self.X, dataset.z.astype(float), self.pi)
-            self.eta_score, self.eta_jac, self.eta_proj = eta_block
+    def set_eta(self, eta):
+        eps = self.spec.clip_eps
+        self.eta = eta
+        self.X = design_matrix(self.dataset, self.spec.intercept_only_propensity)
+        self.pi = _propensities(self.X, eta, self.spec)
+        self.clip_count = int(np.sum((self.pi <= eps) | (self.pi >= 1.0 - eps)))
+        self.PT = np.outer(self.pi[self.t], 1.0 - self.pi[self.c])
+        self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
+            self.X, self.dataset.z.astype(float), self.pi)
 
-        G = None
-        if spec.has_gamma:
-            self.wg = model_covariates(dataset.w, spec.constant_only_gpi)
-            A = pair_predictor(gamma, self.wg, self.wg)
-            G = link_inverse(spec.link, A)
-            self.DG = link_derivative(spec.link, A)
-            np.fill_diagonal(self.DG, 0.0)
-            self.G_tc = G[block]
-            self.gamma_score, self.gamma_info, rows1, rows0 = gamma_block(
-                K, self.G_tc, self.DG[block], self.wg[self.t], self.wg[self.c])
-            self.gamma_proj = np.empty((n, len(gamma)))
-            self.gamma_proj[self.t] = rows1
-            self.gamma_proj[self.c] = rows0
+    def set_gamma(self, gamma):
+        A = pair_predictor(gamma, self.wg, self.wg)
+        self.G = link_inverse(self.spec.link, A)
+        self.DG = link_derivative(self.spec.link, A)
+        np.fill_diagonal(self.DG, 0.0)
+        self.G_tc = self.G[self.block]
+        self.gamma_score, self.gamma_info, rows1, rows0 = gamma_block(
+            self.K, self.G_tc, self.DG[self.block], self.wg[self.t],
+            self.wg[self.c])
+        self.gamma_proj = np.empty((self.n, len(gamma)))
+        self.gamma_proj[self.t] = rows1
+        self.gamma_proj[self.c] = rows0
 
-        self.F3 = pair_response(spec.family, self.t, self.c, K, self.PT, G)
+
+class _DeltaRow:
+    """One family's delta row on a workspace, reading only the blocks spec
+    has: the n x n responses F3 and pair weights wdelta, both with a zero
+    diagonal (wdelta is None when every weight is 1), and each subject's
+    weighted sums of f3 and of the weights over its partners (f3_rows,
+    w_rows)."""
+
+    def __init__(self, ws, spec):
+        self.F3 = pair_response(ws.t, ws.c, ws.K,
+                                ws.PT if spec.has_eta else None,
+                                ws.G if spec.has_gamma else None)
         np.fill_diagonal(self.F3, 0.0)
         self.wdelta = None
         if spec.family == "dr" and spec.weighted_delta:
             # 1 / V3 built in place: G, DG and F3 are alive here
-            V3 = G * (1.0 - G)
-            V3 /= np.outer(self.pi, 1.0 - self.pi)
+            V3 = ws.G * (1.0 - ws.G)
+            V3 /= np.outer(ws.pi, 1.0 - ws.pi)
             V3 = V3 + V3.T
             V3 *= 0.25
             self.wdelta = np.divide(1.0, V3, out=V3)
@@ -297,7 +307,7 @@ class _Workspace:
             self.w_rows = self.wdelta.sum(axis=1)
         else:
             self.f3_rows = self.F3.sum(axis=1)
-            self.w_rows = np.full(n, n - 1.0)
+            self.w_rows = np.full(ws.n, ws.n - 1.0)
 
     def solve_delta(self):
         return float(self.f3_rows.sum() / self.w_rows.sum())
@@ -308,36 +318,30 @@ class _Workspace:
 
 
 class _EtaFit(NamedTuple):
-    """The treatment block's root, the maximum-likelihood fit its Newton
-    started from, the Newton's iterations and score norm, and _eta_block's
-    value at the root."""
+    """The maximum-likelihood fit the treatment-block Newton started from,
+    and the Newton's iterations and score norm."""
 
-    eta: np.ndarray
     mle: PropensityModel
     iterations: int
     score_norm: float
-    block: tuple
 
 
-def _fit_eta_pairwise(dataset, spec, init=None):
-    """Newton solve of the treatment-row block; initialized at the
-    maximum-likelihood logistic fit."""
-    mle = fit_propensity(dataset, intercept_only=spec.intercept_only_propensity,
+def _fit_eta_pairwise(ws, init=None):
+    """Newton solve of the treatment-row block, initialized at the
+    maximum-likelihood logistic fit. Every evaluation fills the workspace's
+    treatment part, so on return it holds the block at the root."""
+    spec = ws.spec
+    mle = fit_propensity(ws.dataset, intercept_only=spec.intercept_only_propensity,
                          clip_eps=spec.clip_eps)
     eta = mle.eta.copy() if init is None else np.asarray(init, dtype=float).copy()
-    X = design_matrix(dataset, spec.intercept_only_propensity)
-    n = dataset.n
-    npairs = n * (n - 1) / 2.0
-    z = dataset.z.astype(float)
     score_norm = np.inf
     for it in range(1, spec.max_iter + 1):
-        block = _eta_block(X, z, _propensities(X, eta, spec))
-        score, J, _ = block
-        score_norm = float(np.max(np.abs(score))) / npairs
+        ws.set_eta(eta)
+        score_norm = float(np.max(np.abs(ws.eta_score))) / ws.npairs
         if score_norm <= 0.01 * spec.tol:
-            return _EtaFit(eta, mle, it - 1, score_norm, block)
+            return _EtaFit(mle, it - 1, score_norm)
         try:
-            step = np.linalg.solve(J, -score)
+            step = np.linalg.solve(ws.eta_jac, -ws.eta_score)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Jacobian in the treatment block; "
                                    "consider intercept_only_propensity",
@@ -345,8 +349,8 @@ def _fit_eta_pairwise(dataset, spec, init=None):
                                    iterations=it) from None
         eta = eta + step
     if score_norm <= spec.tol:
-        return _EtaFit(eta, mle, spec.max_iter, score_norm,
-                       _eta_block(X, z, _propensities(X, eta, spec)))
+        ws.set_eta(eta)
+        return _EtaFit(mle, spec.max_iter, score_norm)
     raise ConvergenceError("treatment-block Newton did not converge",
                            last_iterate=eta, residual=score_norm,
                            iterations=spec.max_iter)
@@ -447,20 +451,22 @@ def wald_test(fit, component="delta", null_value=0.5, alpha=0.05) -> WaldResult:
 # sandwich machinery
 
 
-def _projections(ws, layout, delta):
+def _projections(ws, row, layout, delta):
     vhat = np.zeros((ws.n, layout.q))
     if layout.eta_dim:
         vhat[:, layout.eta_slice] = ws.eta_proj
     if layout.gamma_dim:
         vhat[:, layout.gamma_slice] = ws.gamma_proj
-    vhat[:, layout.delta_index] = ws.delta_rows(delta)
+    vhat[:, layout.delta_index] = row.delta_rows(delta)
     return vhat / (ws.n - 1)
 
 
-def _bread(ws, layout, spec):
+def _bread(ws, row, layout):
     """Pair-averaged Jacobian of the stacked system. Block lower-triangular:
     the eta and gamma blocks' own Jacobians, then the delta row, whose
-    derivatives in eta read only the treated x control pairs."""
+    derivatives in eta read only the treated x control pairs. The delta row
+    is the dr row, with g = 0 without an outcome block and pi_i (1 - pi_j)
+    = 1 without a treatment block."""
     q = layout.q
     B = np.zeros((q, q))
     if layout.eta_dim:
@@ -469,31 +475,30 @@ def _bread(ws, layout, spec):
         B[layout.gamma_slice, layout.gamma_slice] = -ws.gamma_info
 
     d = layout.delta_index
-    t, c, block = ws.t, ws.c, np.ix_(ws.t, ws.c)
+    t, c = ws.t, ws.c
     if layout.eta_dim:
-        KK = ws.K - ws.G_tc if spec.family == "dr" else ws.K
-        T = -0.5 * KK / ws.PT ** 2
-        if ws.wdelta is not None:
-            T *= ws.wdelta[block]
+        T = -0.5 * (ws.K - (ws.G_tc if layout.gamma_dim else 0.0)) / ws.PT ** 2
+        if row.wdelta is not None:
+            T *= row.wdelta[ws.block]
         pp = ws.pi * (1.0 - ws.pi)
         B[d, layout.eta_slice] = \
             ws.X[t].T @ (pp[t] * (T @ (1.0 - ws.pi[c]))) \
             - ws.X[c].T @ (pp[c] * (T.T @ ws.pi[t]))
     if layout.gamma_dim:
         W = 0.5 * ws.DG
-        if ws.wdelta is not None:
-            W *= ws.wdelta
-        W[block] *= (1.0 - 1.0 / ws.PT) if spec.family == "dr" else 0.0
+        if row.wdelta is not None:
+            W *= row.wdelta
+        W[ws.block] *= 1.0 - 1.0 / (ws.PT if layout.eta_dim else 1.0)
         B[d, layout.gamma_slice] = np.concatenate(
             [[W.sum()], ws.wg.T @ W.sum(axis=1), ws.wg.T @ W.sum(axis=0)])
-    B[d, d] = -0.5 * ws.w_rows.sum()
+    B[d, d] = -0.5 * row.w_rows.sum()
     return B / ws.npairs
 
 
-def _covariance_from_workspace(ws, layout, spec, delta):
-    vhat = _projections(ws, layout, delta)
+def _covariance(ws, row, layout, delta):
+    vhat = _projections(ws, row, layout, delta)
     Sigma = vhat.T @ vhat / ws.n
-    B = _bread(ws, layout, spec)
+    B = _bread(ws, row, layout)
     try:
         Binv = np.linalg.inv(B)
     except np.linalg.LinAlgError:
@@ -509,22 +514,7 @@ def _covariance_from_workspace(ws, layout, spec, delta):
     return vhat, Sigma, B, Sigma_theta, se, int(floored.sum())
 
 
-def _make_workspace(dataset, spec, theta, layout):
-    eta, gamma, _ = layout.unpack(theta)
-    return _Workspace(dataset, spec, eta, gamma,
-                      discordant_kernel(dataset, _ties(dataset, spec)))
-
-
-def sandwich_covariance(dataset, theta_hat, spec: FrmSpec):
-    """Sandwich pieces at a given root: (Sigma_hat, B_hat, Sigma_theta, se_delta)."""
-    layout = ThetaLayout(dataset.p, spec)
-    ws = _make_workspace(dataset, spec, theta_hat, layout)
-    _, _, delta = layout.unpack(theta_hat)
-    _, Sigma, B, Sigma_theta, se, _ = _covariance_from_workspace(ws, layout, spec, delta)
-    return Sigma, B, Sigma_theta, float(se[layout.delta_index])
-
-
-def _stacked_u(ws, layout, delta):
+def _stacked_u(ws, row, layout, delta):
     """The stacked estimating-function vector at the workspace's parameters,
     normalized by the pair count."""
     parts = []
@@ -532,16 +522,32 @@ def _stacked_u(ws, layout, delta):
         parts.append(ws.eta_score)
     if layout.gamma_dim:
         parts.append(ws.gamma_score)
-    parts.append([0.5 * ws.delta_rows(delta).sum()])
+    parts.append([0.5 * row.delta_rows(delta).sum()])
     return np.concatenate(parts) / ws.npairs
+
+
+def _at(dataset, spec, theta):
+    """The workspace, spec's delta row, the layout and delta at theta."""
+    layout = ThetaLayout(dataset.p, spec)
+    eta, gamma, delta = layout.unpack(theta)
+    ws = _Workspace(dataset, spec)
+    if layout.eta_dim:
+        ws.set_eta(eta)
+    if layout.gamma_dim:
+        ws.set_gamma(gamma)
+    return ws, _DeltaRow(ws, spec), layout, delta
+
+
+def sandwich_covariance(dataset, theta_hat, spec: FrmSpec):
+    """Sandwich pieces at a given root: (Sigma_hat, B_hat, Sigma_theta, se_delta)."""
+    ws, row, layout, delta = _at(dataset, spec, theta_hat)
+    _, Sigma, B, Sigma_theta, se, _ = _covariance(ws, row, layout, delta)
+    return Sigma, B, Sigma_theta, float(se[layout.delta_index])
 
 
 def stacked_residual(dataset, theta, spec: FrmSpec):
     """Evaluate the normalized stacked estimating function at any theta."""
-    layout = ThetaLayout(dataset.p, spec)
-    ws = _make_workspace(dataset, spec, theta, layout)
-    _, _, delta = layout.unpack(theta)
-    return _stacked_u(ws, layout, delta)
+    return _stacked_u(*_at(dataset, spec, theta))
 
 
 def solve_ugee(dataset, spec: FrmSpec, init=None):
@@ -561,62 +567,58 @@ def solve_ugee(dataset, spec: FrmSpec, init=None):
 def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
     """Fit the joint system of each family in turn and yield its UgeeFit.
 
-    spec sets everything but the family. The families share one fit of
-    each block: the treatment block (maximum-likelihood start, pairwise
-    Newton, and its score, Jacobian and projections at the root) and the
-    outcome block are fitted the first time a family needs them, and the
-    observed indicators are built once. Every family still gets its own
-    workspace, residual check, sandwich and finite-difference check, one
-    family at a time. eta_init starts the treatment-block Newton.
+    spec sets everything but the family. The families share one workspace:
+    the observed indicators are built once, and the treatment block
+    (maximum-likelihood start, pairwise Newton, and its score, Jacobian and
+    projections at the root) and the outcome block are fitted and evaluated
+    the first time a family needs them. Each family gets its own delta row,
+    freed before the next family's is built, and its own residual check,
+    sandwich and finite-difference check. eta_init starts the
+    treatment-block Newton.
     """
     dataset.require_both_arms()
-    K = discordant_kernel(dataset, _ties(dataset, spec))
+    ws = _Workspace(dataset, spec)
     eta_fit = gamma_fit = None
     for family in families:
         fspec = replace(spec, family=family)
         if fspec.has_eta and eta_fit is None:
-            eta_fit = _fit_eta_pairwise(dataset, fspec, eta_init)
+            eta_fit = _fit_eta_pairwise(ws, eta_init)
         if fspec.has_gamma and gamma_fit is None:
-            t, c = treated_control(dataset)
-            wg = model_covariates(dataset.w, spec.constant_only_gpi)
-            gamma_fit = fit_gpi_pairs(K, wg[t], wg[c], spec.link)
-        yield _solve_family(dataset, fspec, K, eta_fit, gamma_fit)
+            gamma_fit = fit_gpi_pairs(ws.K, ws.wg[ws.t], ws.wg[ws.c], spec.link)
+            ws.set_gamma(gamma_fit.gamma)
+        yield _solve_family(dataset, fspec, ws, eta_fit, gamma_fit)
 
 
-def _solve_family(dataset, spec, K, eta_fit, gamma_fit):
-    """One family's UgeeFit from the fitted blocks it has: the delta root,
-    the stacked-residual check, the sandwich and the finite-difference
-    check."""
+def _solve_family(dataset, spec, ws, eta_fit, gamma_fit):
+    """One family's UgeeFit from the workspace's fitted blocks: the delta
+    root, the stacked-residual check, the sandwich and the
+    finite-difference check."""
     layout = ThetaLayout(dataset.p, spec)
     diagnostics = {}
-    eta = gamma = eta_block = plugin = None
-    if spec.has_eta:
-        eta, plugin, eta_block = eta_fit.eta, eta_fit.mle, eta_fit.block
+    theta = np.zeros(layout.q)
+    plugin = None
+    if layout.eta_dim:
+        theta[layout.eta_slice] = ws.eta
+        plugin = eta_fit.mle
         diagnostics["eta_iterations"] = eta_fit.iterations
         diagnostics["eta_score_norm"] = eta_fit.score_norm
-    if spec.has_gamma:
-        gamma = gamma_fit.gamma
+    if layout.gamma_dim:
+        theta[layout.gamma_slice] = gamma_fit.gamma
         diagnostics["gamma_iterations"] = gamma_fit.iterations
         diagnostics["gamma_score_norm"] = gamma_fit.score_norm
 
-    ws = _Workspace(dataset, spec, eta, gamma, K, eta_block)
-    delta = ws.solve_delta()
-    theta = np.zeros(layout.q)
-    if layout.eta_dim:
-        theta[layout.eta_slice] = eta
-    if layout.gamma_dim:
-        theta[layout.gamma_slice] = gamma
+    row = _DeltaRow(ws, spec)
+    delta = row.solve_delta()
     theta[layout.delta_index] = delta
 
-    residual = float(np.max(np.abs(_stacked_u(ws, layout, delta))))
+    residual = float(np.max(np.abs(_stacked_u(ws, row, layout, delta))))
     if residual > spec.tol:
         raise ConvergenceError("stacked system residual above tolerance",
                                last_iterate=theta, residual=residual)
 
-    vhat, Sigma, B, Sigma_theta, se, floored = _covariance_from_workspace(
-        ws, layout, spec, delta)
+    vhat, Sigma, B, Sigma_theta, se, floored = _covariance(ws, row, layout, delta)
     diagnostics["residual_norm"] = residual
-    diagnostics["clipped_propensities"] = ws.clip_count
+    diagnostics["clipped_propensities"] = ws.clip_count if layout.eta_dim else 0
     if floored:
         diagnostics["negative_variances_floored"] = floored
 
@@ -629,7 +631,7 @@ def _solve_family(dataset, spec, K, eta_fit, gamma_fit):
                 f"analytic pair-gradient check failed (max rel err {worst:.2e})")
 
     return UgeeFit(spec, layout.names, theta, se, Sigma, B, Sigma_theta,
-                   vhat, pair_mean(ws.F3), residual, dataset.n, diagnostics,
+                   vhat, pair_mean(row.F3), residual, dataset.n, diagnostics,
                    plugin)
 
 
@@ -659,7 +661,8 @@ def pair_residual_rows(dataset, i, j, theta, spec: FrmSpec):
 
 
 def pair_residual_gradient(dataset, i, j, theta, spec: FrmSpec):
-    """Analytic d(f - h)/d theta for the retained rows of one pair."""
+    """Analytic d(f - h)/d theta for the retained rows of one pair. A clipped
+    propensity does not move with eta: its derivative pp is 0."""
     layout = ThetaLayout(dataset.p, spec)
     eta, gamma, _ = layout.unpack(theta)
     z_i, z_j = int(dataset.z[i]), int(dataset.z[j])
@@ -679,9 +682,14 @@ def pair_residual_gradient(dataset, i, j, theta, spec: FrmSpec):
             return np.ones(1)
         return np.concatenate([[1.0], wf, wsec])
 
+    # the dr delta row, with pi_i (1 - pi_j) = 1 without a treatment block
+    # and g = 0 without an outcome block
+    pt_ij = pt_ji = 1.0
+    g_ij = g_ji = 0.0
     if spec.has_eta:
         pi_i, pi_j = _pair_pi(eta, w_i, spec), _pair_pi(eta, w_j, spec)
-        pp_i, pp_j = pi_i * (1 - pi_i), pi_j * (1 - pi_j)
+        pp_i, pp_j = [0.0 if pi <= spec.clip_eps or pi >= 1.0 - spec.clip_eps
+                      else pi * (1 - pi) for pi in (pi_i, pi_j)]
         pt_ij, pt_ji = pi_i * (1 - pi_j), pi_j * (1 - pi_i)
         dpt_ij = pp_i * (1 - pi_j) * x_vec(w_i) - pi_i * pp_j * x_vec(w_j)
         dpt_ji = pp_j * (1 - pi_i) * x_vec(w_j) - pi_j * pp_i * x_vec(w_i)
@@ -702,16 +710,11 @@ def pair_residual_gradient(dataset, i, j, theta, spec: FrmSpec):
         rows.append(row)
 
     row = np.zeros(layout.q)
-    if spec.family == "ipw":
-        row[layout.eta_slice] = -0.5 * (r_ij * k_ij / pt_ij ** 2 * dpt_ij
-                                        + r_ji * k_ji / pt_ji ** 2 * dpt_ji)
-    elif spec.family == "msi":
-        row[layout.gamma_slice] = 0.5 * ((1.0 - r_ij) * dg_ij
-                                         + (1.0 - r_ji) * dg_ji)
-    else:
+    if spec.has_eta:
         row[layout.eta_slice] = -0.5 * (
             r_ij * (k_ij - g_ij) / pt_ij ** 2 * dpt_ij
             + r_ji * (k_ji - g_ji) / pt_ji ** 2 * dpt_ji)
+    if spec.has_gamma:
         row[layout.gamma_slice] = 0.5 * ((1.0 - r_ij / pt_ij) * dg_ij
                                          + (1.0 - r_ji / pt_ji) * dg_ji)
     row[layout.delta_index] = -1.0

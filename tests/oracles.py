@@ -88,12 +88,12 @@ def brute_dr(z, y, pi, gfun, ties=False):
     return total / (n * (n - 1) / 2.0)
 
 
-def _pi_of(eta, w_row, intercept_only):
+def _pi_of(eta, w_row, intercept_only, clip_eps=1e-6):
     if intercept_only:
         lin = eta[0]
     else:
         lin = eta[0] + sum(e * v for e, v in zip(eta[1:], w_row))
-    return min(max(inv_logit(lin), 1e-6), 1.0 - 1e-6)
+    return min(max(inv_logit(lin), clip_eps), 1.0 - clip_eps)
 
 
 def _g_of(gamma, w_first, w_second, link, constant_only):
@@ -116,7 +116,7 @@ def _dg_of(a, link):
 
 def brute_ugee_residual(z, y, w, theta, family="dr", link="probit",
                         intercept_only=False, constant_only=False,
-                        ties=False, weighted_delta=True):
+                        ties=False, weighted_delta=True, clip_eps=1e-6):
     """Stacked estimating function, one explicit loop over unordered pairs,
     normalized by the pair count. Parameter order matches the package:
     (eta block | gamma block | delta)."""
@@ -133,8 +133,8 @@ def brute_ugee_residual(z, y, w, theta, family="dr", link="probit",
     for i in range(n - 1):
         for j in range(i + 1, n):
             if eta_dim:
-                pi_i = _pi_of(eta, w[i], intercept_only)
-                pi_j = _pi_of(eta, w[j], intercept_only)
+                pi_i = _pi_of(eta, w[i], intercept_only, clip_eps)
+                pi_j = _pi_of(eta, w[j], intercept_only, clip_eps)
                 x_i = [1.0] if (intercept_only or p == 0) else [1.0, *w[i]]
                 x_j = [1.0] if (intercept_only or p == 0) else [1.0, *w[j]]
                 f1 = 0.5 * (z[i] + z[j])
@@ -185,6 +185,90 @@ def brute_ugee_residual(z, y, w, theta, family="dr", link="probit",
             U[q - 1] += wdel * (f3 - delta)
     npairs = n * (n - 1) / 2.0
     return [u / npairs for u in U]
+
+
+def brute_bread(z, y, w, theta, family="dr", link="probit",
+                intercept_only=False, constant_only=False, ties=False,
+                weighted_delta=True):
+    """Pair-averaged expected Jacobian of the stacked system: one explicit
+    loop over unordered pairs of D' V^-1 dS/dtheta, divided by the pair
+    count. D holds the gradients of the pair means (h1 in eta, the observed
+    orientation's g in gamma, h3 = delta in delta), V the working variances
+    (V1, g(1 - g), and V3 or 1 for the delta row), and S = f - h the
+    residual rows. Propensities are differentiated unclipped, so theta must
+    clip none."""
+    n = len(z)
+    p = len(w[0]) if w and len(w[0]) else 0
+    const = constant_only or p == 0
+    eta_dim = (1 if (intercept_only or p == 0) else 1 + p) if family in ("dr", "ipw") else 0
+    gamma_dim = (1 if const else 1 + 2 * p) if family in ("dr", "msi") else 0
+    q = eta_dim + gamma_dim + 1
+    eta = theta[:eta_dim]
+    gamma = theta[eta_dim:eta_dim + gamma_dim]
+    es = range(eta_dim)
+    gs = range(eta_dim, eta_dim + gamma_dim)
+
+    def x_of(k):
+        return [1.0] if (intercept_only or p == 0) else [1.0, *w[k]]
+
+    def u_of(a, b):
+        return [1.0] if const else [1.0, *w[a], *w[b]]
+
+    B = [[0.0] * q for _ in range(q)]
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            k_ij, k_ji = ind(y[i], y[j], ties), ind(y[j], y[i], ties)
+            rij, rji = z[i] * (1 - z[j]), z[j] * (1 - z[i])
+            dS3 = [0.0] * q
+            dS3[q - 1] = -1.0
+            if eta_dim:
+                pi_i = _pi_of(eta, w[i], intercept_only)
+                pi_j = _pi_of(eta, w[j], intercept_only)
+                pp_i, pp_j = pi_i * (1 - pi_i), pi_j * (1 - pi_j)
+                x_i, x_j = x_of(i), x_of(j)
+                d1 = [0.5 * (pp_i * a + pp_j * b) for a, b in zip(x_i, x_j)]
+                V1 = 0.25 * (pp_i + pp_j)
+                for a in es:
+                    for b in es:
+                        B[a][b] -= d1[a] * d1[b] / V1
+                pt_ij, pt_ji = pi_i * (1 - pi_j), pi_j * (1 - pi_i)
+                dpt_ij = [pp_i * (1 - pi_j) * a - pi_i * pp_j * b
+                          for a, b in zip(x_i, x_j)]
+                dpt_ji = [pp_j * (1 - pi_i) * b - pi_j * pp_i * a
+                          for a, b in zip(x_i, x_j)]
+            if gamma_dim:
+                u_ij, u_ji = u_of(i, j), u_of(j, i)
+                g_ij, a_ij = _g_of(gamma, w[i], w[j], link, const)
+                g_ji, a_ji = _g_of(gamma, w[j], w[i], link, const)
+                dg_ij, dg_ji = _dg_of(a_ij, link), _dg_of(a_ji, link)
+                if z[i] != z[j]:
+                    g, dg, u = (g_ij, dg_ij, u_ij) if z[i] == 1 else (g_ji, dg_ji, u_ji)
+                    for a in range(gamma_dim):
+                        for b in range(gamma_dim):
+                            B[gs[a]][gs[b]] -= dg * u[a] * dg * u[b] / (g * (1 - g))
+            wdel = 1.0
+            if family == "ipw":
+                for a in es:
+                    dS3[a] = -0.5 * (rij * k_ij / pt_ij ** 2 * dpt_ij[a]
+                                     + rji * k_ji / pt_ji ** 2 * dpt_ji[a])
+            elif family == "msi":
+                for a in range(gamma_dim):
+                    dS3[gs[a]] = 0.5 * ((1 - rij) * dg_ij * u_ij[a]
+                                        + (1 - rji) * dg_ji * u_ji[a])
+            else:
+                for a in es:
+                    dS3[a] = -0.5 * (rij * (k_ij - g_ij) / pt_ij ** 2 * dpt_ij[a]
+                                     + rji * (k_ji - g_ji) / pt_ji ** 2 * dpt_ji[a])
+                for a in range(gamma_dim):
+                    dS3[gs[a]] = 0.5 * ((1 - rij / pt_ij) * dg_ij * u_ij[a]
+                                        + (1 - rji / pt_ji) * dg_ji * u_ji[a])
+                if weighted_delta:
+                    wdel = 1.0 / (0.25 * (g_ij * (1 - g_ij) / pt_ij
+                                          + g_ji * (1 - g_ji) / pt_ji))
+            for b in range(q):
+                B[q - 1][b] += wdel * dS3[b]
+    npairs = n * (n - 1) / 2.0
+    return [[v / npairs for v in row] for row in B]
 
 
 def brute_eta_block(z, w, eta, intercept_only=False, clip_eps=1e-6):

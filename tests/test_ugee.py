@@ -14,7 +14,7 @@ from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit, build_pair_response,
                         wald_test)
 
 from conftest import random_dataset
-from oracles import brute_eta_block, brute_ugee_residual
+from oracles import brute_bread, brute_eta_block, brute_ugee_residual
 
 
 def small_sim_dataset(n=60, seed=4):
@@ -82,18 +82,26 @@ class TestSolve:
 
     def test_brute_force_residual_agreement(self):
         rng = np.random.default_rng(32)
-        for _ in range(25):
-            ds = random_dataset(rng, p=1)
-            for fam in ("dr", "ipw", "msi"):
-                spec = FrmSpec(family=fam, fd_check_pairs=0)
-                layout = ThetaLayout(ds.p, spec)
-                theta = rng.normal(0, 0.5, layout.q)
-                theta[-1] = rng.uniform(0.2, 0.8)
-                ours = stacked_residual(ds, theta, spec)
-                brute = brute_ugee_residual(
-                    list(ds.z), list(ds.y), [list(r) for r in ds.w], list(theta),
-                    family=fam)
-                assert np.max(np.abs(ours - np.asarray(brute))) < 1e-12
+        for clip_eps in (1e-6, 0.2):
+            clipped = {"dr": 0, "ipw": 0}
+            for _ in range(25):
+                ds = random_dataset(rng, p=1)
+                for fam in ("dr", "ipw", "msi"):
+                    spec = FrmSpec(family=fam, fd_check_pairs=0, clip_eps=clip_eps)
+                    layout = ThetaLayout(ds.p, spec)
+                    theta = rng.normal(0, 0.5, layout.q)
+                    theta[-1] = rng.uniform(0.2, 0.8)
+                    ours = stacked_residual(ds, theta, spec)
+                    brute = brute_ugee_residual(
+                        list(ds.z), list(ds.y), [list(r) for r in ds.w],
+                        list(theta), family=fam, clip_eps=clip_eps)
+                    assert np.max(np.abs(ours - np.asarray(brute))) < 1e-12
+                    if layout.eta_dim:
+                        pi = ugee._propensities(design_matrix(ds, False),
+                                                theta[layout.eta_slice], spec)
+                        clipped[fam] += int(np.sum((pi <= clip_eps)
+                                                   | (pi >= 1 - clip_eps)))
+            assert all((c > 0) == (clip_eps == 0.2) for c in clipped.values())
 
     @pytest.mark.parametrize("link", ["probit", "logit"])
     @pytest.mark.parametrize("constant_only_gpi", [False, True])
@@ -224,7 +232,8 @@ class TestSolveFamilies:
             assert fit.diagnostics == alone.diagnostics
 
     def test_each_block_fitted_once(self, monkeypatch):
-        calls = {"fit_propensity": 0, "fit_gpi_pairs": 0, "_eta_block": 0}
+        calls = {"fit_propensity": 0, "fit_gpi_pairs": 0, "_eta_block": 0,
+                 "_propensities": 0, "gamma_block": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(ugee, name), **kwargs):
                 calls[_name] += 1
@@ -232,15 +241,18 @@ class TestSolveFamilies:
             monkeypatch.setattr(ugee, name, counted)
         ds = small_sim_dataset()
         fits = list(solve_families(ds, FrmSpec(), ("ipw", "msi", "dr")))
-        # one Newton evaluation per iteration plus the one at the root,
-        # which both workspaces reuse
+        # the Newton evaluates the treatment block into the workspace once
+        # per iteration plus once at the root, and every family reads that;
+        # the workspace evaluates the outcome block once
+        newton = fits[0].diagnostics["eta_iterations"] + 1
         assert calls == {"fit_propensity": 1, "fit_gpi_pairs": 1,
-                         "_eta_block": fits[0].diagnostics["eta_iterations"] + 1}
+                         "_eta_block": newton, "_propensities": newton,
+                         "gamma_block": 1}
         for name in calls:
             calls[name] = 0
         list(solve_families(ds, FrmSpec(), ("msi",)))
         assert calls == {"fit_propensity": 0, "fit_gpi_pairs": 1,
-                         "_eta_block": 0}
+                         "_eta_block": 0, "_propensities": 0, "gamma_block": 1}
 
 
 class TestSandwich:
@@ -262,6 +274,35 @@ class TestSandwich:
         assert np.allclose(B, fit.B_hat, atol=1e-12)
         assert abs(se_delta - fit.se[-1]) < 1e-12
 
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    @pytest.mark.parametrize("constant_only_gpi", [False, True])
+    @pytest.mark.parametrize("intercept_only_propensity", [False, True])
+    @pytest.mark.parametrize("family, weighted_delta", [
+        ("dr", True), ("dr", False), ("ipw", True), ("msi", True)])
+    def test_bread_matches_brute_force(self, family, weighted_delta,
+                                       intercept_only_propensity,
+                                       constant_only_gpi, link):
+        rng = np.random.default_rng(51)
+        spec = FrmSpec(family=family, link=link, weighted_delta=weighted_delta,
+                       intercept_only_propensity=intercept_only_propensity,
+                       constant_only_gpi=constant_only_gpi, fd_check_pairs=0)
+        for _ in range(6):
+            ds = random_dataset(rng, n=int(rng.integers(8, 13)), p=2)
+            layout = ThetaLayout(ds.p, spec)
+            theta = rng.normal(0, 0.5, layout.q)
+            theta[-1] = rng.uniform(0.2, 0.8)
+            if layout.eta_dim:
+                X = design_matrix(ds, intercept_only_propensity)
+                pi = 1.0 / (1.0 + np.exp(-X @ theta[layout.eta_slice]))
+                assert np.all((pi > spec.clip_eps) & (pi < 1 - spec.clip_eps))
+            _, B, _, _ = sandwich_covariance(ds, theta, spec)
+            brute = np.asarray(brute_bread(
+                list(ds.z), list(ds.y), [list(r) for r in ds.w], list(theta),
+                family=family, link=link, intercept_only=intercept_only_propensity,
+                constant_only=constant_only_gpi, weighted_delta=weighted_delta))
+            assert B.shape == brute.shape
+            assert np.max(np.abs(B - brute)) <= 1e-10 * max(1.0, np.max(np.abs(brute)))
+
     def test_analytic_gradient_vs_finite_differences(self):
         ds = small_sim_dataset(80, seed=14)
         for fam in ("dr", "ipw", "msi"):
@@ -270,6 +311,22 @@ class TestSandwich:
                                                FrmSpec(family=fam),
                                                n_pairs=100, seed=1)
             assert worst <= 1e-5
+
+    @pytest.mark.parametrize("clip_eps", [0.05, 0.1])
+    @pytest.mark.parametrize("family", ["ipw", "dr"])
+    def test_fd_check_with_clipped_propensities(self, family, clip_eps):
+        # a clipped propensity is constant in eta; the analytic pair gradient
+        # must treat it so, or the per-fit check fails the fit at random
+        rng = np.random.default_rng(3)
+        w = rng.normal(0, 1, 60)
+        z = (rng.random(60) < 1 / (1 + np.exp(-(0.3 + w)))).astype(int)
+        y = rng.normal(0, 1, 60) + 0.5 * z + w
+        ds = Dataset(z, y, w[:, None])
+        spec = FrmSpec(family=family, clip_eps=clip_eps)
+        fit = solve_ugee(ds, spec)
+        assert fit.diagnostics["clipped_propensities"] > 0
+        assert check_residual_derivatives(ds, fit.theta, spec,
+                                          n_pairs=500, seed=1) <= 1e-5
 
     def test_se_positive(self):
         ds = small_sim_dataset()
