@@ -22,9 +22,8 @@ from .simstudy import (ScenarioConfig, StudySummary, generate_dataset,
 from .special import expit, std_normal_cdf
 from .streams import RngStream, sample_bernoulli, sample_centered_chisq, \
     sample_normal
-from .ugee import (FrmSpec, PairResponse, UgeeFit, WaldResult,
-                   build_pair_response, sandwich_covariance, solve_families,
-                   solve_ugee, wald_test)
+from .ugee import (FrmSpec, UgeeFit, WaldResult, sandwich_covariance,
+                   solve_families, solve_ugee, wald_test)
 
 __version__ = "0.1.0"
 
@@ -41,8 +40,7 @@ __all__ = [
     "true_delta", "run_study", "synthetic_confounded_trial",
     "expit", "std_normal_cdf",
     "RngStream", "sample_normal", "sample_bernoulli", "sample_centered_chisq",
-    "FrmSpec", "PairResponse", "UgeeFit", "WaldResult",
-    "build_pair_response", "solve_ugee", "solve_families",
+    "FrmSpec", "UgeeFit", "WaldResult", "solve_ugee", "solve_families",
     "sandwich_covariance", "wald_test",
     "__version__",
 ]

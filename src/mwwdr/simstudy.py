@@ -260,7 +260,7 @@ def _aggregate(config, records, true_d):
     return out
 
 
-def run_study(config, threads=1, executor=None) -> StudySummary:
+def run_study(config, threads=1) -> StudySummary:
     """Run all replications and aggregate.
 
     Replications are independent streamed jobs; the summary is identical for
@@ -268,9 +268,7 @@ def run_study(config, threads=1, executor=None) -> StudySummary:
     (seed, rep_index) and aggregation walks replications in index order.
     """
     jobs = [(config, rep) for rep in range(config.reps)]
-    if executor is not None:
-        results = list(executor.map(_worker, jobs, chunksize=max(1, config.reps // 64)))
-    elif threads and threads > 1:
+    if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_worker, jobs, chunksize=max(1, config.reps // (8 * threads))))
     else:

@@ -30,9 +30,9 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import PairIndex, discordant_kernel, treated_control
+from .data import Dataset, discordant_kernel, treated_control
 from .errors import ConvergenceError, MwwdrError, ValidationError
-from .estimators import kernel, pair_mean, pair_response
+from .estimators import pair_mean, pair_response
 from .gpi import (fit_gpi_pairs, gamma_block, link_derivative, link_inverse,
                   model_covariates, pair_predictor)
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel, design_matrix,
@@ -113,96 +113,8 @@ class ThetaLayout:
                 float(theta[self.delta_index]))
 
 
-@dataclass
-class PairResponse:
-    """Per-pair functional response, means, and working variances.
-
-    f2_components holds the two indicator orientations in order
-    (first treated vs second control, then the swap); each entry is
-    (observed, value) with value None when unobserved. V1-V3 follow the
-    working-variance formulas of the doubly robust system.
-    """
-
-    f1: float
-    f2_components: Tuple[Tuple[bool, Optional[float]], Tuple[bool, Optional[float]]]
-    f3: float
-    h1: float
-    h2: float
-    h3: float
-    V1: float
-    V2: float
-    V3: float
-
-
-def _pair_pi(eta, w_vec, spec):
-    if spec.intercept_only_propensity or len(eta) == 1:
-        lin = eta[0]
-    else:
-        lin = eta[0] + float(np.dot(eta[1:], w_vec))
-    return float(np.clip(expit(lin), spec.clip_eps, 1.0 - spec.clip_eps))
-
-
-def _pair_g(gamma, w_first, w_second, spec, p):
-    if spec.constant_only_gpi or p == 0 or len(gamma) == 1:
-        a = gamma[0]
-    else:
-        a = gamma[0] + float(np.dot(gamma[1:1 + p], w_first)) \
-            + float(np.dot(gamma[1 + p:], w_second))
-    return float(link_inverse(spec.link, a)), float(a)
-
-
 def _ties(dataset, spec):
     return dataset.ties if spec.ties is None else spec.ties
-
-
-def build_pair_response(dataset, pair, theta, spec: FrmSpec) -> PairResponse:
-    """Evaluate one pair's responses, means, and working variances at theta."""
-    if isinstance(pair, PairIndex):
-        i, j = pair.i, pair.j
-    else:
-        i, j = pair
-    layout = ThetaLayout(dataset.p, spec)
-    eta, gamma, delta = layout.unpack(theta)
-    ties = _ties(dataset, spec)
-    z_i, z_j = int(dataset.z[i]), int(dataset.z[j])
-    w_i, w_j = dataset.w[i], dataset.w[j]
-
-    # propensity pieces: for the MSI family no eta block exists, but the
-    # reported working variances still need a propensity; use 1/2.
-    if layout.eta_dim:
-        pi_i = _pair_pi(eta, w_i, spec)
-        pi_j = _pair_pi(eta, w_j, spec)
-    else:
-        pi_i = pi_j = 0.5
-    if layout.gamma_dim:
-        g_ij, _ = _pair_g(gamma, w_i, w_j, spec, dataset.p)
-        g_ji, _ = _pair_g(gamma, w_j, w_i, spec, dataset.p)
-    else:
-        g_ij = g_ji = 0.5
-
-    r_ij = z_i * (1 - z_j)
-    r_ji = z_j * (1 - z_i)
-    pt_ij = pi_i * (1.0 - pi_j)
-    pt_ji = pi_j * (1.0 - pi_i)
-    k_ij = kernel(dataset.y[i], dataset.y[j], ties)
-    k_ji = kernel(dataset.y[j], dataset.y[i], ties)
-
-    f1 = 0.5 * (z_i + z_j)
-    f2 = ((r_ij == 1, k_ij if r_ij == 1 else None),
-          (r_ji == 1, k_ji if r_ji == 1 else None))
-    # the dr response, with pi_i (1 - pi_j) = 1 without a treatment block
-    # and g = 0 without an outcome block
-    R_ij, R_ji = (r_ij / pt_ij, r_ji / pt_ji) if layout.eta_dim else (r_ij, r_ji)
-    m_ij, m_ji = (g_ij, g_ji) if layout.gamma_dim else (0.0, 0.0)
-    f3 = 0.5 * (R_ij * k_ij + (1.0 - R_ij) * m_ij
-                + R_ji * k_ji + (1.0 - R_ji) * m_ji)
-
-    h1 = 0.5 * (pi_i + pi_j)
-    h2 = 0.5 * (g_ij + g_ji)
-    V1 = 0.25 * (pi_i * (1.0 - pi_i) + pi_j * (1.0 - pi_j))
-    V2 = 0.25 * (g_ij * (1.0 - g_ij) + g_ji * (1.0 - g_ji))
-    V3 = 0.25 * (g_ij * (1.0 - g_ij) / pt_ij + g_ji * (1.0 - g_ji) / pt_ji)
-    return PairResponse(f1, f2, f3, h1, h2, float(delta), V1, V2, V3)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +155,11 @@ def _eta_block(X, z, pi):
 class _Workspace:
     """One dataset's pair quantities, shared by every family's delta row:
     the n1 x n0 observed indicators K, and two parts filled when a family
-    first needs them. set_eta: the propensities, their clip count, the
-    n1 x n0 PT = pi_i (1 - pi_j) and _eta_block's value. set_gamma: g and
-    its derivative DG on every ordered pair (DG with a zero diagonal), G's
-    treated x control block G_tc, and the outcome block's score,
-    information and per-subject scores."""
+    first needs them. set_eta: the propensities, which of them are
+    clipped, the n1 x n0 PT = pi_i (1 - pi_j) and _eta_block's value.
+    set_gamma: g and its derivative DG on every ordered pair (DG with a
+    zero diagonal), G's treated x control block G_tc, and the outcome
+    block's score, information and per-subject scores."""
 
     def __init__(self, dataset, spec):
         self.dataset, self.spec = dataset, spec
@@ -263,7 +175,8 @@ class _Workspace:
         self.eta = eta
         self.X = design_matrix(self.dataset, self.spec.intercept_only_propensity)
         self.pi = _propensities(self.X, eta, self.spec)
-        self.clip_count = int(np.sum((self.pi <= eps) | (self.pi >= 1.0 - eps)))
+        self.clipped = (self.pi <= eps) | (self.pi >= 1.0 - eps)
+        self.clip_count = int(self.clipped.sum())
         self.PT = np.outer(self.pi[self.t], 1.0 - self.pi[self.c])
         self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
             self.X, self.dataset.z.astype(float), self.pi)
@@ -334,22 +247,22 @@ def _fit_eta_pairwise(ws, init=None):
     mle = fit_propensity(ws.dataset, intercept_only=spec.intercept_only_propensity,
                          clip_eps=spec.clip_eps)
     eta = mle.eta.copy() if init is None else np.asarray(init, dtype=float).copy()
-    score_norm = np.inf
-    for it in range(1, spec.max_iter + 1):
+    for it in range(spec.max_iter + 1):
         ws.set_eta(eta)
         score_norm = float(np.max(np.abs(ws.eta_score))) / ws.npairs
         if score_norm <= 0.01 * spec.tol:
-            return _EtaFit(mle, it - 1, score_norm)
+            return _EtaFit(mle, it, score_norm)
+        if it == spec.max_iter:
+            break
         try:
             step = np.linalg.solve(ws.eta_jac, -ws.eta_score)
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular Jacobian in the treatment block; "
                                    "consider intercept_only_propensity",
                                    last_iterate=eta, residual=score_norm,
-                                   iterations=it) from None
+                                   iterations=it + 1) from None
         eta = eta + step
     if score_norm <= spec.tol:
-        ws.set_eta(eta)
         return _EtaFit(mle, spec.max_iter, score_norm)
     raise ConvergenceError("treatment-block Newton did not converge",
                            last_iterate=eta, residual=score_norm,
@@ -480,7 +393,9 @@ def _bread(ws, row, layout):
         T = -0.5 * (ws.K - (ws.G_tc if layout.gamma_dim else 0.0)) / ws.PT ** 2
         if row.wdelta is not None:
             T *= row.wdelta[ws.block]
-        pp = ws.pi * (1.0 - ws.pi)
+        # a clipped propensity is held at the bound, so it does not move
+        # with eta
+        pp = np.where(ws.clipped, 0.0, ws.pi * (1.0 - ws.pi))
         B[d, layout.eta_slice] = \
             ws.X[t].T @ (pp[t] * (T @ (1.0 - ws.pi[c]))) \
             - ws.X[c].T @ (pp[c] * (T.T @ ws.pi[t]))
@@ -628,7 +543,8 @@ def _solve_family(dataset, spec, ws, eta_fit, gamma_fit):
         diagnostics["fd_check_max_err"] = worst
         if worst > 1e-5:
             raise MwwdrError(
-                f"analytic pair-gradient check failed (max rel err {worst:.2e})")
+                f"finite-difference check of the bread's delta row failed "
+                f"(max scaled err {worst:.2e})")
 
     return UgeeFit(spec, layout.names, theta, se, Sigma, B, Sigma_theta,
                    vhat, pair_mean(row.F3), residual, dataset.n, diagnostics,
@@ -636,112 +552,51 @@ def _solve_family(dataset, spec, ws, eta_fit, gamma_fit):
 
 
 # ---------------------------------------------------------------------------
-# per-pair residual rows: analytic gradient and finite-difference check
-
-
-def pair_residual_rows(dataset, i, j, theta, spec: FrmSpec):
-    """Retained residual rows S_i = f - h for one pair, at theta."""
-    layout = ThetaLayout(dataset.p, spec)
-    pr = build_pair_response(dataset, (i, j), theta, spec)
-    z_i, z_j = int(dataset.z[i]), int(dataset.z[j])
-    rows = []
-    if spec.has_eta:
-        rows.append(pr.f1 - pr.h1)
-    if spec.has_gamma and z_i != z_j:
-        (obs_ij, v_ij), (obs_ji, v_ji) = pr.f2_components
-        eta, gamma, _ = layout.unpack(theta)
-        if obs_ij:
-            g_obs, _ = _pair_g(gamma, dataset.w[i], dataset.w[j], spec, dataset.p)
-            rows.append(v_ij - g_obs)
-        else:
-            g_obs, _ = _pair_g(gamma, dataset.w[j], dataset.w[i], spec, dataset.p)
-            rows.append(v_ji - g_obs)
-    rows.append(pr.f3 - pr.h3)
-    return np.asarray(rows)
-
-
-def pair_residual_gradient(dataset, i, j, theta, spec: FrmSpec):
-    """Analytic d(f - h)/d theta for the retained rows of one pair. A clipped
-    propensity does not move with eta: its derivative pp is 0."""
-    layout = ThetaLayout(dataset.p, spec)
-    eta, gamma, _ = layout.unpack(theta)
-    z_i, z_j = int(dataset.z[i]), int(dataset.z[j])
-    w_i, w_j = dataset.w[i], dataset.w[j]
-    ties = _ties(dataset, spec)
-    k_ij = kernel(dataset.y[i], dataset.y[j], ties)
-    k_ji = kernel(dataset.y[j], dataset.y[i], ties)
-    r_ij, r_ji = z_i * (1 - z_j), z_j * (1 - z_i)
-
-    def x_vec(wv):
-        if spec.intercept_only_propensity or layout.eta_dim == 1:
-            return np.ones(1)
-        return np.concatenate([[1.0], wv])
-
-    def u_vec(wf, wsec):
-        if spec.constant_only_gpi or layout.gamma_dim == 1:
-            return np.ones(1)
-        return np.concatenate([[1.0], wf, wsec])
-
-    # the dr delta row, with pi_i (1 - pi_j) = 1 without a treatment block
-    # and g = 0 without an outcome block
-    pt_ij = pt_ji = 1.0
-    g_ij = g_ji = 0.0
-    if spec.has_eta:
-        pi_i, pi_j = _pair_pi(eta, w_i, spec), _pair_pi(eta, w_j, spec)
-        pp_i, pp_j = [0.0 if pi <= spec.clip_eps or pi >= 1.0 - spec.clip_eps
-                      else pi * (1 - pi) for pi in (pi_i, pi_j)]
-        pt_ij, pt_ji = pi_i * (1 - pi_j), pi_j * (1 - pi_i)
-        dpt_ij = pp_i * (1 - pi_j) * x_vec(w_i) - pi_i * pp_j * x_vec(w_j)
-        dpt_ji = pp_j * (1 - pi_i) * x_vec(w_j) - pi_j * pp_i * x_vec(w_i)
-    if spec.has_gamma:
-        g_ij, a_ij = _pair_g(gamma, w_i, w_j, spec, dataset.p)
-        g_ji, a_ji = _pair_g(gamma, w_j, w_i, spec, dataset.p)
-        dg_ij = link_derivative(spec.link, a_ij) * u_vec(w_i, w_j)
-        dg_ji = link_derivative(spec.link, a_ji) * u_vec(w_j, w_i)
-
-    rows = []
-    if spec.has_eta:
-        row = np.zeros(layout.q)
-        row[layout.eta_slice] = -0.5 * (pp_i * x_vec(w_i) + pp_j * x_vec(w_j))
-        rows.append(row)
-    if spec.has_gamma and z_i != z_j:
-        row = np.zeros(layout.q)
-        row[layout.gamma_slice] = -(dg_ij if r_ij == 1 else dg_ji)
-        rows.append(row)
-
-    row = np.zeros(layout.q)
-    if spec.has_eta:
-        row[layout.eta_slice] = -0.5 * (
-            r_ij * (k_ij - g_ij) / pt_ij ** 2 * dpt_ij
-            + r_ji * (k_ji - g_ji) / pt_ji ** 2 * dpt_ji)
-    if spec.has_gamma:
-        row[layout.gamma_slice] = 0.5 * ((1.0 - r_ij / pt_ij) * dg_ij
-                                         + (1.0 - r_ji / pt_ji) * dg_ji)
-    row[layout.delta_index] = -1.0
-    rows.append(row)
-    return np.vstack(rows)
+# finite-difference check of the bread's delta row
 
 
 def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0,
                                step=1e-6):
-    """Compare analytic pair gradients with central finite differences on a
-    random sample of pairs; returns the worst scaled discrepancy."""
+    """Compare the bread's delta row with central finite differences.
+
+    The n_pairs random pairs pick the subjects they touch; on the
+    sub-dataset of those subjects, _bread's delta row is compared, in each
+    coordinate of theta, with the central difference of the normalized
+    delta residual sum_ij w_ij (f3_ij - delta) over its pairs, with f3
+    rebuilt through pair_response at the moved theta and the pair weights w
+    held at theta: with w fixed, that is exactly B's delta row. Returns the
+    worst scaled discrepancy.
+    """
     rng = np.random.default_rng(seed)
-    n = dataset.n
-    layout = ThetaLayout(dataset.p, spec)
-    worst = 0.0
+    picked = set()
     for _ in range(n_pairs):
-        i = int(rng.integers(0, n - 1))
-        j = int(rng.integers(i + 1, n))
-        analytic = pair_residual_gradient(dataset, i, j, theta, spec)
-        fd = np.zeros_like(analytic)
-        for k in range(layout.q):
-            h = step * max(1.0, abs(theta[k]))
-            tp, tm = np.array(theta, dtype=float), np.array(theta, dtype=float)
-            tp[k] += h
-            tm[k] -= h
-            fd[:, k] = (pair_residual_rows(dataset, i, j, tp, spec)
-                        - pair_residual_rows(dataset, i, j, tm, spec)) / (2 * h)
-        scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
-        worst = max(worst, float(np.max(np.abs(analytic - fd) / scale)))
-    return worst
+        i = int(rng.integers(0, dataset.n - 1))
+        picked.update((i, int(rng.integers(i + 1, dataset.n))))
+    if not picked:
+        return 0.0
+    idx = sorted(picked)
+    sub = Dataset(dataset.z[idx], dataset.y[idx], dataset.w[idx],
+                  outcome_kind=dataset.outcome_kind)
+    ws, row, layout, _ = _at(sub, spec, theta)
+    analytic = _bread(ws, row, layout)[layout.delta_index]
+    w = 1.0 - np.eye(ws.n) if row.wdelta is None else row.wdelta
+
+    def residual(th):
+        eta, gamma, delta = layout.unpack(th)
+        PT = G = None
+        if layout.eta_dim:
+            pi = _propensities(ws.X, eta, spec)
+            PT = np.outer(pi[ws.t], 1.0 - pi[ws.c])
+        if layout.gamma_dim:
+            G = link_inverse(spec.link, pair_predictor(gamma, ws.wg, ws.wg))
+        F3 = pair_response(ws.t, ws.c, ws.K, PT, G)
+        return 0.5 * np.sum(w * (F3 - delta)) / ws.npairs
+
+    theta = np.asarray(theta, dtype=float)
+    fd = np.empty(layout.q)
+    for k in range(layout.q):
+        h = np.zeros(layout.q)
+        h[k] = step * max(1.0, abs(theta[k]))
+        fd[k] = (residual(theta + h) - residual(theta - h)) / (2.0 * h[k])
+    scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
+    return float(np.max(np.abs(analytic - fd) / scale))

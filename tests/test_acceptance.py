@@ -25,9 +25,9 @@ from mwwdr.simstudy import (preset_misspecified_outcome,
                             preset_power, run_study, synthetic_confounded_trial,
                             true_delta)
 from mwwdr.special import std_normal_cdf
-from mwwdr.ugee import (FrmSpec, ThetaLayout, build_pair_response,
-                        check_residual_derivatives, solve_ugee,
-                        stacked_residual, wald_test)
+from mwwdr import ugee
+from mwwdr.ugee import (FrmSpec, ThetaLayout, check_residual_derivatives,
+                        solve_ugee, stacked_residual, wald_test)
 
 from conftest import random_dataset
 from oracles import (brute_dr, brute_ipw, brute_msi, brute_mww,
@@ -331,11 +331,13 @@ class TestCriterion4:
         ds = Dataset([1, 0], [1.0, 2.0], [[0.0], [0.0]])
         theta = np.zeros(6)
         theta[-1] = 0.5
-        pr = build_pair_response(ds, (0, 1), theta, FrmSpec())
-        ok = (abs(pr.V1 - 0.125) < 1e-12 and abs(pr.V2 - 0.125) < 1e-12
-              and abs(pr.V3 - 0.5) < 1e-12)
-        check("4/variance-spot", ok,
-              f"V1={pr.V1}, V2={pr.V2}, V3={pr.V3} vs (0.125, 0.125, 0.5)")
+        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
+        # the treatment block's Jacobian of this one pair is -0.25^2 / V1,
+        # and the dr delta row weighs it by 1 / V3
+        V1 = -0.25 ** 2 / ws.eta_jac[0, 0]
+        V3 = 1.0 / row.wdelta[0, 1]
+        ok = abs(V1 - 0.125) < 1e-12 and abs(V3 - 0.5) < 1e-12
+        check("4/variance-spot", ok, f"V1={V1}, V3={V3} vs (0.125, 0.5)")
 
     def test_analytic_gradients_vs_finite_differences(self):
         from mwwdr.simstudy import ScenarioConfig, generate_dataset

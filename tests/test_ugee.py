@@ -8,7 +8,7 @@ from mwwdr.data import Dataset
 from mwwdr.errors import ConvergenceError, ValidationError
 from mwwdr.propensity import design_matrix
 from mwwdr.simstudy import ScenarioConfig, generate_dataset
-from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit, build_pair_response,
+from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit,
                         check_residual_derivatives, sandwich_covariance,
                         solve_families, solve_ugee, stacked_residual,
                         wald_test)
@@ -23,24 +23,25 @@ def small_sim_dataset(n=60, seed=4):
 
 
 class TestBuildPairResponse:
+    """The per-pair responses and working variances, read off the workspace
+    and the delta row that the fits and the sandwich use."""
+
     def test_working_variance_spot_values(self):
         # pi = 0.5 everywhere, g = 0.5 everywhere
         ds = Dataset([1, 0], [1.0, 2.0], [[0.0], [0.0]])
         theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.4])
-        pr = build_pair_response(ds, (0, 1), theta, FrmSpec())
-        assert abs(pr.V1 - 0.125) < 1e-12
-        assert abs(pr.V2 - 0.125) < 1e-12
-        assert abs(pr.V3 - 0.5) < 1e-12
+        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
+        # one pair, whose h1 = (pi_i + pi_j)/2 has the intercept derivative
+        # pi (1 - pi) = 0.25: the treatment block's Jacobian is -0.25^2 / V1
+        assert abs(-0.25 ** 2 / ws.eta_jac[0, 0] - 0.125) < 1e-12
+        assert abs(1.0 / row.wdelta[0, 1] - 0.5) < 1e-12
 
     def test_concordant_pair_imputes_both(self):
         ds = Dataset([1, 1, 0], [1.0, 2.0, 3.0], [[0.1], [0.2], [0.3]])
         theta = np.array([0.2, 0.1, 0.3, -0.5, 0.5, 0.5])
-        pr = build_pair_response(ds, (0, 1), theta, FrmSpec())
-        assert pr.f1 == 1.0
-        assert pr.f2_components[0][0] is False
-        assert pr.f2_components[1][0] is False
+        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
         # both weighting terms vanish: f3 is the average of the two g values
-        assert abs(pr.f3 - pr.h2) < 1e-12
+        assert abs(row.F3[0, 1] - 0.5 * (ws.G[0, 1] + ws.G[1, 0])) < 1e-12
 
     def test_discordant_worked_example(self):
         # pi_i = 0.8, pi_j = 0.2, indicator = 1, g_ij = 0.6, g_ji = 0.4:
@@ -52,25 +53,25 @@ class TestBuildPairResponse:
         # with w = (+1, -1): linear predictor g11 - g10 for (i,j) and
         # -(g11 - g10) for (j,i); choose them so g_ij = 0.6, g_ji = 0.4
         theta = np.array([0.0, eta1, 0.0, g6 / 2.0, -g6 / 2.0, 0.5])
-        pr = build_pair_response(ds, (0, 1), theta, FrmSpec())
-        assert abs(pr.f3 - 0.8125) < 1e-9
-        assert pr.f2_components[0] == (True, 1.0)
-        assert pr.f2_components[1][0] is False
+        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
+        assert abs(row.F3[0, 1] - 0.8125) < 1e-9
+        assert ws.K.tolist() == [[1.0]]
 
-    def test_f1_range(self):
+    def test_working_variances_positive(self):
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, n=6)
         theta = np.zeros(ThetaLayout(ds.p, FrmSpec()).q)
         theta[-1] = 0.5
-        for i in range(5):
-            pr = build_pair_response(ds, (i, i + 1), theta, FrmSpec())
-            assert pr.f1 in (0.0, 0.5, 1.0)
-            assert pr.V1 > 0 and pr.V2 > 0 and pr.V3 > 0
+        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
+        # V1 > 0 on every pair makes the treatment block's expected
+        # Jacobian -sum d1 V1^-1 d1' negative definite
+        assert np.all(np.linalg.eigvalsh(ws.eta_jac) < 0)
+        assert np.all(row.wdelta[~np.eye(ds.n, dtype=bool)] > 0)
 
     def test_theta_length_checked(self):
         ds = Dataset([1, 0], [1.0, 2.0], [[0.0], [0.0]])
         with pytest.raises(ValidationError):
-            build_pair_response(ds, (0, 1), np.zeros(3), FrmSpec())
+            stacked_residual(ds, np.zeros(3), FrmSpec())
 
 
 class TestSolve:
@@ -181,6 +182,18 @@ class TestSolve:
         again = solve_ugee(ds, FrmSpec(), init=base.theta)
         assert np.allclose(base.theta, again.theta, atol=1e-9)
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-4])
+    def test_eta_score_norm_at_returned_theta(self, tol):
+        # one Newton step from the maximum-likelihood start meets either
+        # tolerance: the fit is accepted, and its score norm reported, at
+        # the iterate it returns
+        ds = small_sim_dataset()
+        spec = FrmSpec(family="ipw", tol=tol, max_iter=1)
+        fit = solve_ugee(ds, spec)
+        u = stacked_residual(ds, fit.theta, spec)
+        assert fit.diagnostics["eta_score_norm"] == pytest.approx(
+            np.max(np.abs(u[ThetaLayout(ds.p, spec).eta_slice])), rel=1e-12)
+
 
 class TestEtaBlock:
     @pytest.mark.parametrize("p, intercept_only, clip_eps", [
@@ -240,7 +253,10 @@ class TestSolveFamilies:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(ugee, name, counted)
         ds = small_sim_dataset()
-        fits = list(solve_families(ds, FrmSpec(), ("ipw", "msi", "dr")))
+        # the finite-difference check evaluates the blocks again on its own
+        # sub-dataset; it is off here, so that only the fit is counted
+        spec = FrmSpec(fd_check_pairs=0)
+        fits = list(solve_families(ds, spec, ("ipw", "msi", "dr")))
         # the Newton evaluates the treatment block into the workspace once
         # per iteration plus once at the root, and every family reads that;
         # the workspace evaluates the outcome block once
@@ -250,7 +266,7 @@ class TestSolveFamilies:
                          "gamma_block": 1}
         for name in calls:
             calls[name] = 0
-        list(solve_families(ds, FrmSpec(), ("msi",)))
+        list(solve_families(ds, spec, ("msi",)))
         assert calls == {"fit_propensity": 0, "fit_gpi_pairs": 1,
                          "_eta_block": 0, "_propensities": 0, "gamma_block": 1}
 
@@ -311,6 +327,25 @@ class TestSandwich:
                                                FrmSpec(family=fam),
                                                n_pairs=100, seed=1)
             assert worst <= 1e-5
+
+    @pytest.mark.parametrize("block", ["eta", "gamma"])
+    def test_fd_check_reads_the_bread(self, block, monkeypatch):
+        # the per-fit check differentiates the delta row the sandwich is
+        # built from, so one wrong entry of that row fails it
+        ds = small_sim_dataset()
+        spec = FrmSpec()
+        fit = solve_ugee(ds, spec)
+        col = getattr(ThetaLayout(ds.p, spec), f"{block}_slice").start
+        bread = ugee._bread
+
+        def perturbed(ws, row, layout):
+            B = bread(ws, row, layout)
+            B[layout.delta_index, col] *= 1.1
+            return B
+
+        assert check_residual_derivatives(ds, fit.theta, spec, n_pairs=8) <= 1e-5
+        monkeypatch.setattr(ugee, "_bread", perturbed)
+        assert check_residual_derivatives(ds, fit.theta, spec, n_pairs=8) > 1e-5
 
     @pytest.mark.parametrize("clip_eps", [0.05, 0.1])
     @pytest.mark.parametrize("family", ["ipw", "dr"])
