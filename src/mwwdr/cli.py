@@ -6,8 +6,8 @@ Subcommands:
   simulate  -- run a scenario file or a named preset bundle and report
                Monte Carlo summaries.
 
-Exit codes: 0 success, 2 validation, 3 estimability, 4 convergence/fitting,
-5 I/O.
+Exit codes: 0 success, 2 validation, 3 estimability (including data too
+large for the memory available), 4 convergence/fitting, 5 I/O.
 """
 
 import argparse
@@ -85,6 +85,35 @@ class _IoFailure(Exception):
     pass
 
 
+def _estimates(ds, args, wanted, ties_override):
+    """The report entry of each wanted estimator, in order."""
+    estimates = {}
+    fits = solve_families(ds, FrmSpec(link=args.link, clip_eps=args.clip_eps,
+                                      ties=ties_override),
+                          [name for name in wanted if name != "mww"])
+    for name in wanted:
+        if name == "mww":
+            est = mww_estimate(ds)
+            p = wald(est.delta_hat, est.se, 0.5, args.alpha).p_value \
+                if est.se else None
+            estimates["mww"] = {
+                "delta": est.delta_hat, "se": est.se, "p_value": p,
+                "notes": est.notes}
+            continue
+        fit = next(fits)
+        wt = wald_test(fit, "delta", 0.5, args.alpha)
+        entry = {"delta": fit.delta, "se": wt.se, "z": wt.z,
+                 "p_value": wt.p_value, "ci": [wt.ci_lo, wt.ci_hi],
+                 "reject": wt.reject, "fit": fit.to_report()}
+        if name == "dr":
+            entry["delta_plain"] = fit.delta_plain
+        if name == "ipw" and args.hajek:
+            entry["delta_hajek"] = ipw_estimate(ds, fit.plugin,
+                                                hajek=True).delta_hat
+        estimates[name] = entry
+    return estimates
+
+
 def cmd_estimate(args) -> int:
     if not os.path.exists(args.input):
         raise _IoFailure(f"input file not found: {args.input}")
@@ -99,31 +128,12 @@ def cmd_estimate(args) -> int:
     report = {"input": args.input,
               "data": {"n": ds.n, "n1": ds.n1, "n0": ds.n0, "p": ds.p,
                        "rejected_rows": ds.n_rejected_rows},
-              "alpha": args.alpha,
-              "estimates": {}}
-    fits = solve_families(ds, FrmSpec(link=args.link, clip_eps=args.clip_eps,
-                                      ties=ties_override),
-                          [name for name in wanted if name != "mww"])
-    for name in wanted:
-        if name == "mww":
-            est = mww_estimate(ds)
-            p = wald(est.delta_hat, est.se, 0.5, args.alpha).p_value \
-                if est.se else None
-            report["estimates"]["mww"] = {
-                "delta": est.delta_hat, "se": est.se, "p_value": p,
-                "notes": est.notes}
-            continue
-        fit = next(fits)
-        wt = wald_test(fit, "delta", 0.5, args.alpha)
-        entry = {"delta": fit.delta, "se": wt.se, "z": wt.z,
-                 "p_value": wt.p_value, "ci": [wt.ci_lo, wt.ci_hi],
-                 "reject": wt.reject, "fit": fit.to_report()}
-        if name == "dr":
-            entry["delta_plain"] = fit.delta_plain
-        if name == "ipw" and args.hajek:
-            entry["delta_hajek"] = ipw_estimate(ds, fit.plugin,
-                                                hajek=True).delta_hat
-        report["estimates"][name] = entry
+              "alpha": args.alpha}
+    try:
+        report["estimates"] = _estimates(ds, args, wanted, ties_override)
+    except MemoryError:
+        raise EstimabilityError(
+            f"not enough memory to fit n = {ds.n} subjects") from None
 
     if args.format == "json":
         _emit(json.dumps(report, sort_keys=True, indent=2), args.output)

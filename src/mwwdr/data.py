@@ -1,4 +1,4 @@
-"""Observed-data containers, pair enumeration, and CSV ingestion."""
+"""Observed-data containers, pair enumeration and tiling, and CSV ingestion."""
 
 import csv
 from dataclasses import dataclass, field
@@ -136,17 +136,49 @@ def discordant_pairs(dataset) -> Iterator[Tuple[int, int]]:
             yield int(t), int(c)
 
 
-def discordant_kernel(dataset, ties):
-    """n1 x n0 matrix of the observed pair indicators: K[a, b] is the kernel
-    I(y_t <= y_c), or I(<) + 0.5 I(=) when ties are scored, of the a-th
-    treated and the b-th control subject. Every pair term that reads the
-    outcomes is weighted by z_i (1 - z_j), so this block is all of it."""
-    treated, control = treated_control(dataset)
-    y1 = dataset.y[treated][:, None]
-    y0 = dataset.y[control][None, :]
+def outcome_kernel(y1, y0, ties):
+    """The observed pair indicators of the treated outcomes y1 and the
+    control outcomes y0: a len(y1) x len(y0) matrix of the kernel
+    I(y_t <= y_c), or I(<) + 0.5 I(=) when ties are scored. Every pair term
+    that reads the outcomes is weighted by z_i (1 - z_j), so the treated x
+    control pairs are all of it."""
+    y1 = y1[:, None]
+    y0 = y0[None, :]
     if ties:
         return (y1 < y0) + 0.5 * (y1 == y0)
     return (y1 <= y0).astype(float)
+
+
+# Subjects per block of the pair tiles above 2 * PAIR_TILE subjects: a
+# 256 x 256 float64 tile is 0.5 MB, cache-resident, and large enough that
+# the per-tile Python work stays small beside the arithmetic.
+PAIR_TILE = 256
+
+
+def _tile_size(n):
+    """Subjects per block of the pair tiles of n subjects: all of them up to
+    2 * PAIR_TILE, so that small data is one tile, else PAIR_TILE. A
+    function of n alone, so that the order of every pair sum, and with it
+    every reported number, does not depend on the machine."""
+    return n if n <= 2 * PAIR_TILE else PAIR_TILE
+
+
+def subject_blocks(n):
+    """Consecutive slices of _tile_size(n) subjects covering 0..n-1."""
+    b = _tile_size(n)
+    return [slice(s, min(s + b, n)) for s in range(0, n, b)]
+
+
+def pair_tiles(n, n1):
+    """The tiles of the ordered pairs of n subjects held treated first (the
+    first n1 are treated), in a fixed order: (I, J, rows, cols) for subject
+    blocks I <= J. Tile (I, J) holds the pairs (i, j), i in I, j in J, and,
+    for I < J, their reverses (j, i). rows x cols (subject slices, possibly
+    empty) are its treated x control pairs; a reverse (j, i) is never one,
+    since j > i is treated only when i is."""
+    blocks = subject_blocks(n)
+    return [(I, J, slice(I.start, min(I.stop, n1)), slice(max(J.start, n1), J.stop))
+            for k, I in enumerate(blocks) for J in blocks[k:]]
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
-"""The four point estimators of delta = P(treated outcome <= control outcome).
+"""The four point estimators of delta = P(treated outcome <= control outcome),
+and the tiled pair engine that every pair sum of them and of ugee.py runs on.
 
-All pair sums are vectorized. Terms that read the outcomes live on the
-n1 x n0 treated x control block; the other terms are n x n matrices indexed
-by ordered pairs (i, j), and unordered-pair sums take half the off-diagonal
-total of a symmetric matrix.
+The engine holds a dataset's subjects treated first (PairSet) and streams
+over the fixed tiles of data.pair_tiles; PairTile, the one tile kernel,
+evaluates a tile's pair quantities from O(n) vectors, and DeltaRow sums a
+delta row over the tiles. No pair array larger than a tile is built.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .data import discordant_kernel, treated_control
+from .data import outcome_kernel, pair_tiles, treated_control
 from .errors import ValidationError
-from .gpi import g_matrix
+from .gpi import link_derivative, link_inverse, model_covariates
 from .propensity import predict_pi_dataset
 
 
@@ -42,16 +44,6 @@ class EstimateResult:
     notes: dict = field(default_factory=dict)
 
 
-def _offdiag_sum(m):
-    return float(m.sum() - np.trace(m))
-
-
-def pair_mean(m):
-    """Mean over unordered pairs of a symmetric pair matrix."""
-    n = m.shape[0]
-    return _offdiag_sum(m) / (n * (n - 1))
-
-
 def resolve_propensities(dataset, propensity):
     """Accept a fitted PropensityModel, an array of known propensities, or a
     single known constant; return (pi vector, clipped-count)."""
@@ -67,43 +59,215 @@ def resolve_propensities(dataset, propensity):
     return pi, 0
 
 
-def pair_response(t, c, K, PT=None, G=None):
-    """Symmetric n x n matrix of the per-pair responses f3 of the delta row:
-    the average of the two orientations of the ordered response
+class PairSet:
+    """A dataset's subjects held treated first, and the O(n) vectors its
+    pair tiles are evaluated from: the outcomes and, once set, the
+    propensities pi and the outcome model's linear predictors, a1 on a
+    subject's treated side (with the intercept) and a0 on its control side,
+    so that g of the ordered pair (i, j) is link_inv(a1_i + a0_j). order[k]
+    is the dataset position of held subject k."""
 
-      R_ij K_ij + (1 - R_ij) G_ij,   R_ij = r_ij / PT_ij,
+    def __init__(self, dataset, ties, link=None):
+        t, c = treated_control(dataset)
+        self.order = np.concatenate([t, c])
+        self.n, self.n1 = dataset.n, len(t)
+        self.y = dataset.y[self.order]
+        self.ties, self.link = ties, link
+        self.pi = self.a1 = self.a0 = None
 
-    with r_ij = z_i (1 - z_j) and PT_ij = pi_i (1 - pi_j). This is the doubly
-    robust response; without PT (PT = 1, so R = r) it is the mean-score
-    imputed one, and without G (G = 0) the inverse-probability weighted one.
-    r_ij is 1 exactly on the treated x control block (rows t, columns c), so
-    K and PT are given on that n1 x n0 block; G is the n x n matrix
-    g(w_i, w_j).
+    def set_gamma(self, gamma, wg):
+        """The outcome model's predictors at gamma, from its covariate rows
+        wg in held order (zero columns for the constant model)."""
+        p = wg.shape[1]
+        self.a1 = gamma[0] + wg @ gamma[1:1 + p]
+        self.a0 = wg @ gamma[1 + p:]
+
+    def tiles(self):
+        """The pass: every tile of data.pair_tiles, in its fixed order."""
+        for I, J, rows, cols in pair_tiles(self.n, self.n1):
+            yield PairTile(self, I, J, rows, cols)
+
+    def tile(self):
+        """All the subjects as one diagonal tile."""
+        every = slice(0, self.n)
+        return PairTile(self, every, every, slice(0, self.n1),
+                        slice(self.n1, self.n))
+
+
+class PairTile:
+    """The tile kernel: one tile of a PairSet's ordered pairs (see
+    data.pair_tiles), evaluated from its O(n) vectors.
+
+    Arrays span I x J. Forward ones hold the pair (i, j), backward ones
+    (suffix b) its reverse (j, i); on a diagonal tile (I = J) the forward
+    arrays already hold every ordered pair, and the backward ones are not
+    read. The treated x control pairs are the block tc of the forward
+    arrays, with subjects rows x cols; K and PT = pi_i (1 - pi_j) hold only
+    that block. Each array is evaluated once, when first read, and never
+    written to afterwards.
     """
-    block = np.ix_(t, c)
-    F = np.zeros((len(t) + len(c),) * 2) if G is None else G.copy()
-    R = 1.0 if PT is None else 1.0 / PT
-    F[block] = R * K + (1.0 - R) * F[block]
-    F = F + F.T
-    F *= 0.5
-    return F
+
+    def __init__(self, pairs, I, J, rows, cols):
+        self.pairs, self.I, self.J = pairs, I, J
+        self.rows, self.cols = rows, cols
+        self.diag = I == J
+        self.shape = (I.stop - I.start, J.stop - J.start)
+        self.has_tc = rows.start < rows.stop and cols.start < cols.stop
+        self.tc = (slice(0, rows.stop - I.start),
+                   slice(cols.start - J.start, cols.stop - J.start))
+
+    @cached_property
+    def K(self):
+        y = self.pairs.y
+        return outcome_kernel(y[self.rows], y[self.cols], self.pairs.ties)
+
+    @cached_property
+    def PT(self):
+        pi = self.pairs.pi
+        return np.outer(pi[self.rows], 1.0 - pi[self.cols])
+
+    @cached_property
+    def _A(self):
+        return self.pairs.a1[self.I][:, None] + self.pairs.a0[self.J][None, :]
+
+    @cached_property
+    def _Ab(self):
+        return self.pairs.a0[self.I][:, None] + self.pairs.a1[self.J][None, :]
+
+    @cached_property
+    def G(self):
+        return link_inverse(self.pairs.link, self._A)
+
+    @cached_property
+    def Gb(self):
+        return link_inverse(self.pairs.link, self._Ab)
+
+    @cached_property
+    def DG(self):
+        """dg/da of the forward pairs, zero on a diagonal tile's diagonal."""
+        D = link_derivative(self.pairs.link, self._A)
+        if self.diag:
+            np.fill_diagonal(D, 0.0)
+        return D
+
+    @cached_property
+    def DGb(self):
+        return link_derivative(self.pairs.link, self._Ab)
+
+    def response(self, use_pt, use_g):
+        """The delta row's per-pair response f3 on the tile, symmetric, with
+        a zero diagonal on a diagonal tile: the average of the two
+        orientations of the ordered response
+
+          R_ij K_ij + (1 - R_ij) g_ij,   R_ij = r_ij / (pi_i (1 - pi_j)),
+
+        with r_ij = z_i (1 - z_j). This is the doubly robust response;
+        without use_pt (pi_i (1 - pi_j) = 1, so R = r) it is the
+        mean-score imputed one, and without use_g (g = 0) the
+        inverse-probability weighted one."""
+        F = self.G.copy() if use_g else np.zeros(self.shape)
+        if self.has_tc:
+            R = 1.0 / self.PT if use_pt else 1.0
+            F[self.tc] = R * self.K + (1.0 - R) * F[self.tc]
+        if self.diag:
+            F = F + F.T
+        elif use_g:
+            F += self.Gb
+        F *= 0.5
+        if self.diag:
+            np.fill_diagonal(F, 0.0)
+        return F
+
+    def weights(self):
+        """dr's delta-row pair weights 1/V3 on the tile, symmetric, with a
+        zero diagonal on a diagonal tile: V3 averages g (1 - g) / (pi_i
+        (1 - pi_j)) over the pair's two orientations, over 2."""
+        pi = self.pairs.pi
+        V = self.G * (1.0 - self.G)
+        V /= np.outer(pi[self.I], 1.0 - pi[self.J])
+        if self.diag:
+            V = V + V.T
+        else:
+            Vb = self.Gb * (1.0 - self.Gb)
+            Vb /= np.outer(1.0 - pi[self.I], pi[self.J])
+            V += Vb
+        V *= 0.25
+        W = np.divide(1.0, V, out=V)
+        if self.diag:
+            np.fill_diagonal(W, 0.0)
+        return W
+
+    def add_rows(self, v, S):
+        """Add the partner sums of a symmetric tile array S to the per-subject
+        vector v: its row sums to I and, off the diagonal, its column sums
+        to J."""
+        v[self.I] += S.sum(axis=1)
+        if not self.diag:
+            v[self.J] += S.sum(axis=0)
+
+
+class DeltaRow:
+    """One delta row's sums over a PairSet's tiles, added tile by tile:
+    each subject's weighted sums of f3 and of the pair weights over its
+    partners (f3_rows, w_rows), and the unweighted sum of f3 over every
+    ordered pair (total). use_pt and use_g select the response (see
+    PairTile.response); weighted selects dr's 1/V3 pair weights, else every
+    weight is 1."""
+
+    def __init__(self, n, use_pt, use_g, weighted):
+        self.use_pt, self.use_g, self.weighted = use_pt, use_g, weighted
+        self.f3_rows = np.zeros(n)
+        self.w_rows = np.zeros(n) if weighted else np.full(n, n - 1.0)
+        self.total = 0.0
+
+    def add(self, tile):
+        """Add one tile's sums; return its pair weights (None when all are 1)."""
+        F = tile.response(self.use_pt, self.use_g)
+        self.total += float(F.sum()) * (1.0 if tile.diag else 2.0)
+        w = tile.weights() if self.weighted else None
+        tile.add_rows(self.f3_rows, F if w is None else w * F)
+        if w is not None:
+            tile.add_rows(self.w_rows, w)
+        return w
+
+
+def _pair_total(dataset, pi=None, gpi=None):
+    """Sum over ordered pairs of the delta row's response f3, with the
+    propensities pi and the outcome model gpi when given (see
+    PairTile.response)."""
+    pairs = PairSet(dataset, dataset.ties, None if gpi is None else gpi.link)
+    if pi is not None:
+        pairs.pi = pi[pairs.order]
+    if gpi is not None:
+        pairs.set_gamma(gpi.gamma, model_covariates(
+            dataset.w, gpi.constant_only)[pairs.order])
+    row = DeltaRow(dataset.n, pi is not None, gpi is not None, False)
+    for tile in pairs.tiles():
+        row.add(tile)
+    return row.total
 
 
 def mww_estimate(dataset) -> EstimateResult:
     """Rank-sum estimator: average kernel over the n1*n0 observed pairs.
 
     The standard error comes from the two-sample U-statistic projection
-    variance (components averaged within each arm).
+    variance (components averaged within each arm). Each subject's kernel
+    sum over its partners in the other arm is added up over the pair
+    tiles; the kernel takes multiples of 1/2, so every sum is exact.
     """
     dataset.require_both_arms()
-    K = discordant_kernel(dataset, dataset.ties)
-    delta = float(K.mean())
-    n1, n0 = K.shape
+    sums = np.zeros(dataset.n)
+    for tile in PairSet(dataset, dataset.ties).tiles():
+        if tile.has_tc:
+            sums[tile.rows] += tile.K.sum(axis=1)
+            sums[tile.cols] += tile.K.sum(axis=0)
+    n1, n0 = dataset.n1, dataset.n0
+    delta = float(sums[:n1].sum() / (n1 * n0))
     notes = {"ties": dataset.ties}
     se = None
     if n1 >= 2 and n0 >= 2:
-        s1 = K.mean(axis=1).var(ddof=1)
-        s0 = K.mean(axis=0).var(ddof=1)
+        s1 = (sums[:n1] / n0).var(ddof=1)
+        s0 = (sums[n1:] / n1).var(ddof=1)
         se = float(np.sqrt(s1 / n1 + s0 / n0))
     else:
         notes["se_unavailable"] = "need at least two subjects per arm"
@@ -119,12 +283,12 @@ def ipw_estimate(dataset, propensity, hajek=False) -> EstimateResult:
     """
     dataset.require_both_arms()
     pi, clipped = resolve_propensities(dataset, propensity)
-    t, c = treated_control(dataset)
-    PT = np.outer(pi[t], 1.0 - pi[c])
-    total = _offdiag_sum(pair_response(
-        t, c, discordant_kernel(dataset, dataset.ties), PT))
+    total = _pair_total(dataset, pi=pi)
     if hajek:
-        delta = total / float((1.0 / PT).sum())
+        # the realized weights 1 / (pi_i (1 - pi_j)) of the treated x
+        # control pairs factor, so their sum is a product of two sums
+        t, c = treated_control(dataset)
+        delta = total / float(np.sum(1.0 / pi[t]) * np.sum(1.0 / (1.0 - pi[c])))
     else:
         delta = total / (dataset.n * (dataset.n - 1))
     notes = {"ties": dataset.ties, "hajek": hajek, "clipped_propensities": clipped}
@@ -141,10 +305,8 @@ def msi_estimate(dataset, gpi) -> EstimateResult:
     Well-defined even with no discordant pairs (pure imputation), so no
     both-arms requirement.
     """
-    t, c = treated_control(dataset)
-    f = pair_response(t, c, discordant_kernel(dataset, dataset.ties),
-                      G=g_matrix(gpi, dataset.w))
-    return EstimateResult("MSI", pair_mean(f), None, dataset.n,
+    delta = _pair_total(dataset, gpi=gpi) / (dataset.n * (dataset.n - 1))
+    return EstimateResult("MSI", delta, None, dataset.n,
                           dataset.n1, dataset.n0, {"ties": dataset.ties})
 
 
@@ -153,10 +315,7 @@ def dr_estimate(dataset, propensity, gpi) -> EstimateResult:
     augmented weighted response."""
     dataset.require_both_arms()
     pi, clipped = resolve_propensities(dataset, propensity)
-    t, c = treated_control(dataset)
-    f = pair_response(t, c, discordant_kernel(dataset, dataset.ties),
-                      np.outer(pi[t], 1.0 - pi[c]), g_matrix(gpi, dataset.w))
-    delta = pair_mean(f)
+    delta = _pair_total(dataset, pi, gpi) / (dataset.n * (dataset.n - 1))
     notes = {"ties": dataset.ties, "clipped_propensities": clipped}
     if not 0.0 <= delta <= 1.0:
         notes["range_exit"] = True

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .data import discordant_kernel, treated_control
+from .data import outcome_kernel, pair_tiles, treated_control
 from .errors import (ConvergenceError, EstimabilityError, SeparationError,
                      ValidationError)
 from .special import expit, logit, std_normal_cdf, std_normal_pdf
@@ -102,23 +102,19 @@ def model_covariates(w, constant_only):
     return w[:, :0] if constant_only else w
 
 
-def g_matrix(model, w):
-    """G[i, j] = g(w_i, w_j) for every ordered pair, clamped away from 0/1."""
-    w = model_covariates(w, model.constant_only)
-    return link_inverse(model.link, pair_predictor(model.gamma, w, w))
-
-
 def gamma_block(K, G, D, w1, w0):
-    """Score, information and per-subject scores of the outcome block.
+    """Score, information and per-subject scores of the outcome block over
+    one block of treated x control pairs.
 
-    Every input is read on the treated x control pairs: K, G and D are
-    n1 x n0 matrices of the observed indicators, the modeled g and its
-    derivative in the linear predictor; w1 and w0 the model's covariate
-    rows of the treated and the control subjects. With u = (1, w_t, w_c)
-    and v = g(1 - g), a pair contributes the score d v^-1 (K - g) u and
-    the information d^2 v^-1 u u'. Returns (score, info, rows1, rows0):
-    rows1[a] sums treated subject a's pair scores, rows0[b] control
-    subject b's, so both sum to the score.
+    K, G and D are the block's matrices of the observed indicators, the
+    modeled g and its derivative in the linear predictor; w1 and w0 the
+    model's covariate rows of its treated and its control subjects. With
+    u = (1, w_t, w_c) and v = g(1 - g), a pair contributes the score
+    d v^-1 (K - g) u and the information d^2 v^-1 u u'. Returns (score,
+    info, rows1, rows0): rows1[a] sums treated subject a's pair scores,
+    rows0[b] control subject b's, so both sum to the score. Every output
+    is a sum over the block's pairs, so the blocks of a tiling add up to
+    the whole treated x control block.
     """
     V = G * (1.0 - G)
     S = D / V * (K - G)
@@ -149,19 +145,27 @@ def fit_gpi(dataset, constant_only=False, link="probit"):
     """
     t, c = treated_control(dataset)
     w = model_covariates(dataset.w, constant_only)
-    return fit_gpi_pairs(discordant_kernel(dataset, dataset.ties),
+    return fit_gpi_pairs(dataset.y[t], dataset.y[c], dataset.ties,
                          w[t], w[c], link)
 
 
-def fit_gpi_pairs(K, w1, w0, link):
-    """fit_gpi on given n1 x n0 observed indicators K and model covariate
-    rows w1, w0 (zero columns for the constant model)."""
+def fit_gpi_pairs(y1, y0, ties, w1, w0, link):
+    """fit_gpi on the outcomes y1 of the treated and y0 of the control
+    subjects, scored with or without ties, and their model covariate rows
+    w1, w0 (zero columns for the constant model). Every pair sum streams
+    over the treated x control blocks of pair_tiles, the blocks the
+    sandwich's pass reads."""
     if link not in LINKS:
         raise ValidationError(f"link must be one of {LINKS}")
-    m = K.size
+    n1, n0 = len(y1), len(y0)
+    m = n1 * n0
     if m == 0:
         raise EstimabilityError("no discordant pairs to fit the outcome model on")
-    mean_ind = float(K.mean())
+    blocks = [(rows, slice(cols.start - n1, cols.stop - n1))
+              for _, _, rows, cols in pair_tiles(n1 + n0, n1)
+              if rows.start < rows.stop and cols.start < cols.stop]
+    mean_ind = sum(float(outcome_kernel(y1[a], y0[b], ties).sum())
+                   for a, b in blocks) / m
     if mean_ind in (0.0, 1.0):
         raise SeparationError(
             f"all observed pair indicators equal {int(mean_ind)}; "
@@ -173,9 +177,14 @@ def fit_gpi_pairs(K, w1, w0, link):
     score_norm = np.inf
     tol = max(SCORE_TOL, m * 1e-13)
     for it in range(1, MAX_ITER + 1):
-        a = pair_predictor(gamma, w1, w0)
-        score, info, _, _ = gamma_block(K, link_inverse(link, a),
-                                         link_derivative(link, a), w1, w0)
+        score = info = 0.0
+        for a, b in blocks:
+            A = pair_predictor(gamma, w1[a], w0[b])
+            s, q, _, _ = gamma_block(outcome_kernel(y1[a], y0[b], ties),
+                                     link_inverse(link, A),
+                                     link_derivative(link, A), w1[a], w0[b])
+            score = score + s
+            info = info + q
         score_norm = float(np.max(np.abs(score)))
         if score_norm <= tol:
             return GpiModel(gamma, link, p == 0, p, True, it - 1, score_norm)

@@ -268,9 +268,14 @@ def run_study(config, threads=1) -> StudySummary:
     (seed, rep_index) and aggregation walks replications in index order.
     """
     jobs = [(config, rep) for rep in range(config.reps)]
+    true_d = None
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
+            # the oracle is submitted first, so that it runs beside the
+            # replications instead of after them
+            oracle = pool.submit(true_delta, config)
             results = list(pool.map(_worker, jobs, chunksize=max(1, config.reps // (8 * threads))))
+            true_d = oracle.result()
     else:
         results = [_worker(j) for j in jobs]
 
@@ -281,7 +286,8 @@ def run_study(config, threads=1) -> StudySummary:
         raise MwwdrError(f"{len(failures)} of {config.reps} replications failed; "
                          f"first: rep {failures[0][0]}: {failures[0][1]}")
 
-    true_d = true_delta(config)
+    if true_d is None:
+        true_d = true_delta(config)
     summary = StudySummary(
         config=config,
         true_delta=float(true_d),

@@ -16,7 +16,9 @@ Unobserved indicator components are dropped from the system together with
 the matching rows of the gradient and working variance, so the treatment
 and outcome blocks reproduce the standalone propensity and pairwise-outcome
 fits, and the delta equation is linear given the other blocks. One
-workspace per dataset holds the blocks every family shares.
+workspace per dataset holds the blocks every family shares, and every sum
+over pairs streams over the fixed tiles of the pair engine
+(estimators.PairSet), so no n x n array is built.
 
 The covariance of the stacked root is the U-statistic sandwich
 4 B^{-1} Sigma B^{-T}, with Sigma estimated from per-subject projections
@@ -30,11 +32,10 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import Dataset, discordant_kernel, treated_control
+from .data import Dataset, subject_blocks
 from .errors import ConvergenceError, MwwdrError, ValidationError
-from .estimators import pair_mean, pair_response
-from .gpi import (fit_gpi_pairs, gamma_block, link_derivative, link_inverse,
-                  model_covariates, pair_predictor)
+from .estimators import DeltaRow, PairSet
+from .gpi import fit_gpi_pairs, gamma_block, model_covariates
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel, design_matrix,
                          fit_propensity)
 from .special import expit
@@ -118,7 +119,7 @@ def _ties(dataset, spec):
 
 
 # ---------------------------------------------------------------------------
-# vectorized workspace
+# workspace on the tiled pair engine
 
 
 def _propensities(X, eta, spec):
@@ -134,16 +135,20 @@ def _eta_block(X, z, pi):
     Ap_j)/2 the gradient of h1 in eta (Ap = pp * X); the Jacobian is the
     expected one, -d1 V1^-1 d1'. With M the n x n matrix of 1/V1 (zero
     diagonal), every pair sum is M times one of the columns (1, e, Ap,
-    e * Ap), so M is the only n x n array and it is read once.
+    e * Ap). M is built and multiplied one block of rows at a time
+    (data.subject_blocks), so no n x n array is held.
     """
     pp = pi * (1.0 - pi)
     e = z - pi
     Ap = X * pp[:, None]
     k = Ap.shape[1]
-    M = np.add.outer(pp, pp)
-    np.divide(4.0, M, out=M)
-    np.fill_diagonal(M, 0.0)
-    MC = M @ np.column_stack([np.ones_like(e), e, Ap, e[:, None] * Ap])
+    C = np.column_stack([np.ones_like(e), e, Ap, e[:, None] * Ap])
+    MC = np.empty_like(C)
+    for I in subject_blocks(len(pi)):
+        M = np.add.outer(pp[I], pp)
+        np.divide(4.0, M, out=M)
+        np.fill_diagonal(M[:, I], 0.0)
+        MC[I] = M @ C
     m1, me, mA, meA = MC[:, 0], MC[:, 1], MC[:, 2:2 + k], MC[:, 2 + k:]
     cr = 0.5 * (e * m1 + me)  # each subject's sum of V1^-1 (f1 - h1)
     score = 0.5 * Ap.T @ cr
@@ -152,75 +157,76 @@ def _eta_block(X, z, pi):
     return score, jac, proj
 
 
-class _Workspace:
-    """One dataset's pair quantities, shared by every family's delta row:
-    the n1 x n0 observed indicators K, and two parts filled when a family
-    first needs them. set_eta: the propensities, which of them are
-    clipped, the n1 x n0 PT = pi_i (1 - pi_j) and _eta_block's value.
-    set_gamma: g and its derivative DG on every ordered pair (DG with a
-    zero diagonal), G's treated x control block G_tc, and the outcome
-    block's score, information and per-subject scores."""
+class _Workspace(PairSet):
+    """One dataset's pair engine (a PairSet: subjects held treated first,
+    with the treatment indicators z, the propensity design X and the
+    outcome model's covariates wg in that order) and the blocks every
+    family's delta row shares, filled only when some family has them.
+    set_eta: the propensities, which of them are clipped, and
+    _eta_block's value. set_gamma (PairSet's) sets the outcome model's
+    predictors; _pair_pass then fills its block's score, information and
+    per-subject scores."""
 
     def __init__(self, dataset, spec):
+        super().__init__(dataset, _ties(dataset, spec), spec.link)
         self.dataset, self.spec = dataset, spec
-        self.n = dataset.n
         self.npairs = self.n * (self.n - 1) // 2
-        self.t, self.c = treated_control(dataset)
-        self.block = np.ix_(self.t, self.c)
-        self.K = discordant_kernel(dataset, _ties(dataset, spec))
-        self.wg = model_covariates(dataset.w, spec.constant_only_gpi)
+        self.z = dataset.z[self.order].astype(float)
+        self.X = design_matrix(dataset, spec.intercept_only_propensity)[self.order]
+        self.wg = model_covariates(dataset.w, spec.constant_only_gpi)[self.order]
 
     def set_eta(self, eta):
         eps = self.spec.clip_eps
         self.eta = eta
-        self.X = design_matrix(self.dataset, self.spec.intercept_only_propensity)
         self.pi = _propensities(self.X, eta, self.spec)
         self.clipped = (self.pi <= eps) | (self.pi >= 1.0 - eps)
         self.clip_count = int(self.clipped.sum())
-        self.PT = np.outer(self.pi[self.t], 1.0 - self.pi[self.c])
         self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
-            self.X, self.dataset.z.astype(float), self.pi)
-
-    def set_gamma(self, gamma):
-        A = pair_predictor(gamma, self.wg, self.wg)
-        self.G = link_inverse(self.spec.link, A)
-        self.DG = link_derivative(self.spec.link, A)
-        np.fill_diagonal(self.DG, 0.0)
-        self.G_tc = self.G[self.block]
-        self.gamma_score, self.gamma_info, rows1, rows0 = gamma_block(
-            self.K, self.G_tc, self.DG[self.block], self.wg[self.t],
-            self.wg[self.c])
-        self.gamma_proj = np.empty((self.n, len(gamma)))
-        self.gamma_proj[self.t] = rows1
-        self.gamma_proj[self.c] = rows0
+            self.X, self.z, self.pi)
 
 
-class _DeltaRow:
+class _DeltaRow(DeltaRow):
     """One family's delta row on a workspace, reading only the blocks spec
-    has: the n x n responses F3 and pair weights wdelta, both with a zero
-    diagonal (wdelta is None when every weight is 1), and each subject's
-    weighted sums of f3 and of the weights over its partners (f3_rows,
-    w_rows)."""
+    has: DeltaRow's sums, and the pair sums behind _bread's delta row. On
+    the treated x control pairs, with T = -w (K - g) / (2 PT^2):
+    eta_rows[i] sums T_ij (1 - pi_j) over a treated subject's partners and
+    eta_rows[j] sums -T_ij pi_i over a control subject's. Over every
+    ordered pair, with W = w (1 - R) dg/da / 2: g_rows[i] sums W_ij over j
+    and g_cols[j] over i."""
 
     def __init__(self, ws, spec):
-        self.F3 = pair_response(ws.t, ws.c, ws.K,
-                                ws.PT if spec.has_eta else None,
-                                ws.G if spec.has_gamma else None)
-        np.fill_diagonal(self.F3, 0.0)
-        self.wdelta = None
-        if spec.family == "dr" and spec.weighted_delta:
-            # 1 / V3 built in place: G, DG and F3 are alive here
-            V3 = ws.G * (1.0 - ws.G)
-            V3 /= np.outer(ws.pi, 1.0 - ws.pi)
-            V3 = V3 + V3.T
-            V3 *= 0.25
-            self.wdelta = np.divide(1.0, V3, out=V3)
-            np.fill_diagonal(self.wdelta, 0.0)
-            self.f3_rows = np.einsum("ij,ij->i", self.wdelta, self.F3)
-            self.w_rows = self.wdelta.sum(axis=1)
-        else:
-            self.f3_rows = self.F3.sum(axis=1)
-            self.w_rows = np.full(ws.n, ws.n - 1.0)
+        super().__init__(ws.n, spec.has_eta, spec.has_gamma,
+                         spec.family == "dr" and spec.weighted_delta)
+        self.pi = ws.pi
+        if self.use_pt:
+            self.eta_rows = np.zeros(ws.n)
+        if self.use_g:
+            self.g_rows, self.g_cols = np.zeros(ws.n), np.zeros(ws.n)
+
+    def add(self, tile):
+        w = super().add(tile)
+        if self.use_pt and tile.has_tc:
+            T = tile.K - tile.G[tile.tc] if self.use_g else tile.K
+            T = -0.5 * T / tile.PT ** 2
+            if w is not None:
+                T *= w[tile.tc]
+            self.eta_rows[tile.rows] += T @ (1.0 - self.pi[tile.cols])
+            self.eta_rows[tile.cols] -= T.T @ self.pi[tile.rows]
+        if self.use_g:
+            W = 0.5 * tile.DG
+            if w is not None:
+                W *= w
+            if tile.has_tc:
+                W[tile.tc] *= 1.0 - 1.0 / tile.PT if self.use_pt else 0.0
+            self.g_rows[tile.I] += W.sum(axis=1)
+            self.g_cols[tile.J] += W.sum(axis=0)
+            if not tile.diag:
+                Wb = 0.5 * tile.DGb
+                if w is not None:
+                    Wb *= w
+                self.g_rows[tile.J] += Wb.sum(axis=0)
+                self.g_cols[tile.I] += Wb.sum(axis=1)
+        return w
 
     def solve_delta(self):
         return float(self.f3_rows.sum() / self.w_rows.sum())
@@ -228,6 +234,30 @@ class _DeltaRow:
     def delta_rows(self, delta):
         """Each subject's weighted sum of f3 - delta over its partners."""
         return self.f3_rows - delta * self.w_rows
+
+
+def _pair_pass(ws, rows):
+    """The one pass over ws's pair tiles: every delta row in rows adds its
+    sums, and, once the outcome model is set, its block's score,
+    information and per-subject scores at gamma are summed from the
+    tiles' treated x control pairs. Each tile is evaluated once, for all
+    of them."""
+    outcome = ws.a1 is not None
+    if outcome:
+        q = 1 + 2 * ws.wg.shape[1]
+        ws.gamma_score, ws.gamma_info = np.zeros(q), np.zeros((q, q))
+        ws.gamma_proj = np.zeros((ws.n, q))
+    for tile in ws.tiles():
+        if outcome and tile.has_tc:
+            score, info, rows1, rows0 = gamma_block(
+                tile.K, tile.G[tile.tc], tile.DG[tile.tc], ws.wg[tile.rows],
+                ws.wg[tile.cols])
+            ws.gamma_score += score
+            ws.gamma_info += info
+            ws.gamma_proj[tile.rows] += rows1
+            ws.gamma_proj[tile.cols] += rows0
+        for row in rows:
+            row.add(tile)
 
 
 class _EtaFit(NamedTuple):
@@ -371,7 +401,9 @@ def _projections(ws, row, layout, delta):
     if layout.gamma_dim:
         vhat[:, layout.gamma_slice] = ws.gamma_proj
     vhat[:, layout.delta_index] = row.delta_rows(delta)
-    return vhat / (ws.n - 1)
+    out = np.empty_like(vhat)
+    out[ws.order] = vhat  # back to the dataset's subject order
+    return out / (ws.n - 1)
 
 
 def _bread(ws, row, layout):
@@ -388,24 +420,14 @@ def _bread(ws, row, layout):
         B[layout.gamma_slice, layout.gamma_slice] = -ws.gamma_info
 
     d = layout.delta_index
-    t, c = ws.t, ws.c
     if layout.eta_dim:
-        T = -0.5 * (ws.K - (ws.G_tc if layout.gamma_dim else 0.0)) / ws.PT ** 2
-        if row.wdelta is not None:
-            T *= row.wdelta[ws.block]
         # a clipped propensity is held at the bound, so it does not move
         # with eta
         pp = np.where(ws.clipped, 0.0, ws.pi * (1.0 - ws.pi))
-        B[d, layout.eta_slice] = \
-            ws.X[t].T @ (pp[t] * (T @ (1.0 - ws.pi[c]))) \
-            - ws.X[c].T @ (pp[c] * (T.T @ ws.pi[t]))
+        B[d, layout.eta_slice] = ws.X.T @ (pp * row.eta_rows)
     if layout.gamma_dim:
-        W = 0.5 * ws.DG
-        if row.wdelta is not None:
-            W *= row.wdelta
-        W[ws.block] *= 1.0 - 1.0 / (ws.PT if layout.eta_dim else 1.0)
         B[d, layout.gamma_slice] = np.concatenate(
-            [[W.sum()], ws.wg.T @ W.sum(axis=1), ws.wg.T @ W.sum(axis=0)])
+            [[row.g_rows.sum()], ws.wg.T @ row.g_rows, ws.wg.T @ row.g_cols])
     B[d, d] = -0.5 * row.w_rows.sum()
     return B / ws.npairs
 
@@ -449,8 +471,10 @@ def _at(dataset, spec, theta):
     if layout.eta_dim:
         ws.set_eta(eta)
     if layout.gamma_dim:
-        ws.set_gamma(gamma)
-    return ws, _DeltaRow(ws, spec), layout, delta
+        ws.set_gamma(gamma, ws.wg)
+    row = _DeltaRow(ws, spec)
+    _pair_pass(ws, [row])
+    return ws, row, layout, delta
 
 
 def sandwich_covariance(dataset, theta_hat, spec: FrmSpec):
@@ -483,31 +507,34 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
     """Fit the joint system of each family in turn and yield its UgeeFit.
 
     spec sets everything but the family. The families share one workspace:
-    the observed indicators are built once, and the treatment block
-    (maximum-likelihood start, pairwise Newton, and its score, Jacobian and
-    projections at the root) and the outcome block are fitted and evaluated
-    the first time a family needs them. Each family gets its own delta row,
-    freed before the next family's is built, and its own residual check,
-    sandwich and finite-difference check. eta_init starts the
-    treatment-block Newton.
+    the treatment block (maximum-likelihood start, pairwise Newton, and its
+    score, Jacobian and projections at the root) and the outcome block are
+    fitted once if any family needs them, and one pass over the pair tiles
+    then sums the outcome block at its root and every family's delta row.
+    Each family gets its own residual check, sandwich and
+    finite-difference check. eta_init starts the treatment-block Newton.
     """
     dataset.require_both_arms()
+    specs = [replace(spec, family=family) for family in families]
     ws = _Workspace(dataset, spec)
     eta_fit = gamma_fit = None
-    for family in families:
-        fspec = replace(spec, family=family)
-        if fspec.has_eta and eta_fit is None:
-            eta_fit = _fit_eta_pairwise(ws, eta_init)
-        if fspec.has_gamma and gamma_fit is None:
-            gamma_fit = fit_gpi_pairs(ws.K, ws.wg[ws.t], ws.wg[ws.c], spec.link)
-            ws.set_gamma(gamma_fit.gamma)
-        yield _solve_family(dataset, fspec, ws, eta_fit, gamma_fit)
+    if any(fspec.has_eta for fspec in specs):
+        eta_fit = _fit_eta_pairwise(ws, eta_init)
+    if any(fspec.has_gamma for fspec in specs):
+        n1 = ws.n1
+        gamma_fit = fit_gpi_pairs(ws.y[:n1], ws.y[n1:], ws.ties, ws.wg[:n1],
+                                  ws.wg[n1:], spec.link)
+        ws.set_gamma(gamma_fit.gamma, ws.wg)
+    rows = [_DeltaRow(ws, fspec) for fspec in specs]
+    _pair_pass(ws, rows)
+    for fspec, row in zip(specs, rows):
+        yield _solve_family(dataset, fspec, ws, row, eta_fit, gamma_fit)
 
 
-def _solve_family(dataset, spec, ws, eta_fit, gamma_fit):
-    """One family's UgeeFit from the workspace's fitted blocks: the delta
-    root, the stacked-residual check, the sandwich and the
-    finite-difference check."""
+def _solve_family(dataset, spec, ws, row, eta_fit, gamma_fit):
+    """One family's UgeeFit from the workspace's fitted blocks and its
+    delta row's sums: the delta root, the stacked-residual check, the
+    sandwich and the finite-difference check."""
     layout = ThetaLayout(dataset.p, spec)
     diagnostics = {}
     theta = np.zeros(layout.q)
@@ -522,7 +549,6 @@ def _solve_family(dataset, spec, ws, eta_fit, gamma_fit):
         diagnostics["gamma_iterations"] = gamma_fit.iterations
         diagnostics["gamma_score_norm"] = gamma_fit.score_norm
 
-    row = _DeltaRow(ws, spec)
     delta = row.solve_delta()
     theta[layout.delta_index] = delta
 
@@ -547,8 +573,8 @@ def _solve_family(dataset, spec, ws, eta_fit, gamma_fit):
                 f"(max scaled err {worst:.2e})")
 
     return UgeeFit(spec, layout.names, theta, se, Sigma, B, Sigma_theta,
-                   vhat, pair_mean(row.F3), residual, dataset.n, diagnostics,
-                   plugin)
+                   vhat, row.total / (ws.n * (ws.n - 1)), residual, dataset.n,
+                   diagnostics, plugin)
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +588,11 @@ def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0,
     The n_pairs random pairs pick the subjects they touch; on the
     sub-dataset of those subjects, _bread's delta row is compared, in each
     coordinate of theta, with the central difference of the normalized
-    delta residual sum_ij w_ij (f3_ij - delta) over its pairs, with f3
-    rebuilt through pair_response at the moved theta and the pair weights w
-    held at theta: with w fixed, that is exactly B's delta row. Returns the
-    worst scaled discrepancy.
+    delta residual sum_ij w_ij (f3_ij - delta) over its pairs. The
+    sub-dataset is one tile of the pair engine: f3 is that tile's response
+    at the moved theta, and the pair weights w are held at theta; with w
+    fixed, that is exactly B's delta row. Returns the worst scaled
+    discrepancy.
     """
     rng = np.random.default_rng(seed)
     picked = set()
@@ -579,17 +606,16 @@ def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0,
                   outcome_kind=dataset.outcome_kind)
     ws, row, layout, _ = _at(sub, spec, theta)
     analytic = _bread(ws, row, layout)[layout.delta_index]
-    w = 1.0 - np.eye(ws.n) if row.wdelta is None else row.wdelta
+    w = ws.tile().weights() if row.weighted else 1.0 - np.eye(ws.n)
 
     def residual(th):
+        # moves ws's vectors, which nothing reads after the check
         eta, gamma, delta = layout.unpack(th)
-        PT = G = None
         if layout.eta_dim:
-            pi = _propensities(ws.X, eta, spec)
-            PT = np.outer(pi[ws.t], 1.0 - pi[ws.c])
+            ws.pi = _propensities(ws.X, eta, spec)
         if layout.gamma_dim:
-            G = link_inverse(spec.link, pair_predictor(gamma, ws.wg, ws.wg))
-        F3 = pair_response(ws.t, ws.c, ws.K, PT, G)
+            ws.set_gamma(gamma, ws.wg)
+        F3 = ws.tile().response(row.use_pt, row.use_g)
         return 0.5 * np.sum(w * (F3 - delta)) / ws.npairs
 
     theta = np.asarray(theta, dtype=float)

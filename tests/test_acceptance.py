@@ -331,11 +331,12 @@ class TestCriterion4:
         ds = Dataset([1, 0], [1.0, 2.0], [[0.0], [0.0]])
         theta = np.zeros(6)
         theta[-1] = 0.5
-        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
+        ws, _, _, _ = ugee._at(ds, FrmSpec(), theta)
         # the treatment block's Jacobian of this one pair is -0.25^2 / V1,
-        # and the dr delta row weighs it by 1 / V3
+        # and the dr delta row weighs it by 1 / V3, read off the tile kernel
+        # over the whole dataset
         V1 = -0.25 ** 2 / ws.eta_jac[0, 0]
-        V3 = 1.0 / row.wdelta[0, 1]
+        V3 = 1.0 / ws.tile().weights()[0, 1]
         ok = abs(V1 - 0.125) < 1e-12 and abs(V3 - 0.5) < 1e-12
         check("4/variance-spot", ok, f"V1={V1}, V3={V3} vs (0.125, 0.5)")
 

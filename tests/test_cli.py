@@ -131,6 +131,20 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert "all observed pair indicators equal 1" in err
 
+    def test_out_of_memory_is_an_estimability_error(self, monkeypatch, capsys):
+        # stubbed: a fit too large for memory is never really attempted
+        import mwwdr.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve_families", exhausted)
+        code = run(["estimate", "--input", FIXTURES / "simulated_n120.csv",
+                    "--z-col", "z", "--y-col", "y", "--w-cols", "w1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (estimability):") and "n = 120" in err
+
 
 class TestSimulate:
     def test_seed_required(self, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mwwdr import data
 from mwwdr.data import Dataset
 from mwwdr.errors import EstimabilityError, ValidationError
 from mwwdr.estimators import (dr_estimate, ipw_estimate, kernel, msi_estimate,
@@ -185,3 +186,22 @@ class TestDr:
     def test_single_arm_error(self):
         with pytest.raises(EstimabilityError):
             dr_estimate(Dataset([0, 0], [1.0, 2.0]), 0.5, const_g(0.5))
+
+
+def test_many_tiles_match_one(monkeypatch):
+    # 7-subject blocks at n = 60: partial tiles, one of them holding both
+    # arms, give the single-tile values to rounding
+    rng = np.random.default_rng(30)
+    ds = random_dataset(rng, n=60, p=1)
+    pi = rng.uniform(0.2, 0.8, ds.n)
+    m = GpiModel(rng.normal(0, 0.7, 3), "probit", False, 1, True, 0, 0.0)
+
+    def values():
+        return np.array([ipw_estimate(ds, pi).delta_hat,
+                         ipw_estimate(ds, pi, hajek=True).delta_hat,
+                         msi_estimate(ds, m).delta_hat,
+                         dr_estimate(ds, pi, m).delta_hat])
+
+    one = values()
+    monkeypatch.setattr(data, "_tile_size", lambda n: 7)
+    assert np.max(np.abs(values() - one)) <= 1e-12

@@ -3,7 +3,8 @@ import pytest
 
 from mwwdr.data import Dataset
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
-from mwwdr.gpi import GpiModel, fit_gpi, g_matrix, g_value
+from mwwdr.estimators import PairSet
+from mwwdr.gpi import GpiModel, fit_gpi, g_value
 from mwwdr.simstudy import ScenarioConfig, generate_dataset
 
 from oracles import normal_cdf, normal_ppf
@@ -42,7 +43,11 @@ class TestGValue:
         rng = np.random.default_rng(3)
         w = rng.normal(size=(5, 1))
         m = model([0.2, -0.4, 0.6])
-        G = g_matrix(m, w)
+        # the tile kernel's g over one arm's subjects, held in dataset order
+        pairs = PairSet(Dataset(np.ones(5, dtype=int), np.zeros(5), w), False,
+                        m.link)
+        pairs.set_gamma(m.gamma, w)
+        G = pairs.tile().G
         for i in range(5):
             for j in range(5):
                 assert abs(G[i, j] - g_value(m, w[i], w[j])) < 1e-12

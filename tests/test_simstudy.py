@@ -120,10 +120,14 @@ class TestRunStudy:
         assert s.true_delta == 0.5
 
     def test_thread_count_invariance(self):
-        cfg = ScenarioConfig(n=40, reps=8, seed=18)
-        a = run_study(cfg, threads=1).to_json()
-        b = run_study(cfg, threads=2).to_json()
-        assert a == b
+        # the power config's oracle runs in the pool beside the
+        # replications when there are workers, and after them when not
+        for cfg in (ScenarioConfig(n=40, reps=8, seed=18),
+                    sim.preset_power(40, 8, 18)):
+            a = run_study(cfg, threads=1).to_json()
+            b = run_study(cfg, threads=2).to_json()
+            assert a == b
+        assert json.loads(b)["true_delta"] != 0.5
 
     def test_regeneration_counted_and_deterministic(self):
         cfg = ScenarioConfig(n=8, reps=30, seed=19, eta_true=(4.0, 0.0),

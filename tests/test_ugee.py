@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mwwdr import ugee
+from mwwdr import data, ugee
 from mwwdr.data import Dataset
 from mwwdr.errors import ConvergenceError, ValidationError
 from mwwdr.propensity import design_matrix
-from mwwdr.simstudy import ScenarioConfig, generate_dataset
+from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
+                            synthetic_confounded_trial)
 from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit,
                         check_residual_derivatives, sandwich_covariance,
                         solve_families, solve_ugee, stacked_residual,
@@ -23,25 +25,28 @@ def small_sim_dataset(n=60, seed=4):
 
 
 class TestBuildPairResponse:
-    """The per-pair responses and working variances, read off the workspace
-    and the delta row that the fits and the sandwich use."""
+    """The per-pair responses and working variances, read off the tile
+    kernel over the whole dataset (subjects held treated first) and the
+    workspace that the fits and the sandwich use."""
 
     def test_working_variance_spot_values(self):
         # pi = 0.5 everywhere, g = 0.5 everywhere
         ds = Dataset([1, 0], [1.0, 2.0], [[0.0], [0.0]])
         theta = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.4])
-        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
+        ws, _, _, _ = ugee._at(ds, FrmSpec(), theta)
         # one pair, whose h1 = (pi_i + pi_j)/2 has the intercept derivative
         # pi (1 - pi) = 0.25: the treatment block's Jacobian is -0.25^2 / V1
         assert abs(-0.25 ** 2 / ws.eta_jac[0, 0] - 0.125) < 1e-12
-        assert abs(1.0 / row.wdelta[0, 1] - 0.5) < 1e-12
+        assert abs(1.0 / ws.tile().weights()[0, 1] - 0.5) < 1e-12
 
     def test_concordant_pair_imputes_both(self):
         ds = Dataset([1, 1, 0], [1.0, 2.0, 3.0], [[0.1], [0.2], [0.3]])
         theta = np.array([0.2, 0.1, 0.3, -0.5, 0.5, 0.5])
-        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
+        ws, _, _, _ = ugee._at(ds, FrmSpec(), theta)
+        tile = ws.tile()
         # both weighting terms vanish: f3 is the average of the two g values
-        assert abs(row.F3[0, 1] - 0.5 * (ws.G[0, 1] + ws.G[1, 0])) < 1e-12
+        assert abs(tile.response(True, True)[0, 1]
+                   - 0.5 * (tile.G[0, 1] + tile.G[1, 0])) < 1e-12
 
     def test_discordant_worked_example(self):
         # pi_i = 0.8, pi_j = 0.2, indicator = 1, g_ij = 0.6, g_ji = 0.4:
@@ -53,20 +58,21 @@ class TestBuildPairResponse:
         # with w = (+1, -1): linear predictor g11 - g10 for (i,j) and
         # -(g11 - g10) for (j,i); choose them so g_ij = 0.6, g_ji = 0.4
         theta = np.array([0.0, eta1, 0.0, g6 / 2.0, -g6 / 2.0, 0.5])
-        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
-        assert abs(row.F3[0, 1] - 0.8125) < 1e-9
-        assert ws.K.tolist() == [[1.0]]
+        ws, _, _, _ = ugee._at(ds, FrmSpec(), theta)
+        tile = ws.tile()
+        assert abs(tile.response(True, True)[0, 1] - 0.8125) < 1e-9
+        assert tile.K.tolist() == [[1.0]]
 
     def test_working_variances_positive(self):
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, n=6)
         theta = np.zeros(ThetaLayout(ds.p, FrmSpec()).q)
         theta[-1] = 0.5
-        ws, row, _, _ = ugee._at(ds, FrmSpec(), theta)
+        ws, _, _, _ = ugee._at(ds, FrmSpec(), theta)
         # V1 > 0 on every pair makes the treatment block's expected
         # Jacobian -sum d1 V1^-1 d1' negative definite
         assert np.all(np.linalg.eigvalsh(ws.eta_jac) < 0)
-        assert np.all(row.wdelta[~np.eye(ds.n, dtype=bool)] > 0)
+        assert np.all(ws.tile().weights()[~np.eye(ds.n, dtype=bool)] > 0)
 
     def test_theta_length_checked(self):
         ds = Dataset([1, 0], [1.0, 2.0], [[0.0], [0.0]])
@@ -246,7 +252,7 @@ class TestSolveFamilies:
 
     def test_each_block_fitted_once(self, monkeypatch):
         calls = {"fit_propensity": 0, "fit_gpi_pairs": 0, "_eta_block": 0,
-                 "_propensities": 0, "gamma_block": 0}
+                 "_propensities": 0, "_pair_pass": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(ugee, name), **kwargs):
                 calls[_name] += 1
@@ -259,16 +265,55 @@ class TestSolveFamilies:
         fits = list(solve_families(ds, spec, ("ipw", "msi", "dr")))
         # the Newton evaluates the treatment block into the workspace once
         # per iteration plus once at the root, and every family reads that;
-        # the workspace evaluates the outcome block once
+        # the one pass over the pair tiles evaluates the outcome block at
+        # its root
         newton = fits[0].diagnostics["eta_iterations"] + 1
         assert calls == {"fit_propensity": 1, "fit_gpi_pairs": 1,
                          "_eta_block": newton, "_propensities": newton,
-                         "gamma_block": 1}
+                         "_pair_pass": 1}
         for name in calls:
             calls[name] = 0
         list(solve_families(ds, spec, ("msi",)))
         assert calls == {"fit_propensity": 0, "fit_gpi_pairs": 1,
-                         "_eta_block": 0, "_propensities": 0, "gamma_block": 1}
+                         "_eta_block": 0, "_propensities": 0, "_pair_pass": 1}
+
+
+class TestPairTiles:
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    @pytest.mark.parametrize("constant_only_gpi", [False, True])
+    @pytest.mark.parametrize("intercept_only_propensity", [False, True])
+    def test_many_tiles_match_one(self, intercept_only_propensity,
+                                  constant_only_gpi, link, monkeypatch):
+        ds = small_sim_dataset(60, seed=5)
+        spec = FrmSpec(link=link,
+                       intercept_only_propensity=intercept_only_propensity,
+                       constant_only_gpi=constant_only_gpi)
+        families = ("ipw", "msi", "dr")
+        one = list(solve_families(ds, spec, families))
+        # 7-subject blocks: the last one is partial, and one block holds
+        # both treated and control subjects
+        monkeypatch.setattr(data, "_tile_size", lambda n: 7)
+        blocks = data.subject_blocks(ds.n)
+        assert len(blocks) == 9 and blocks[-1].stop - blocks[-1].start == 4
+        assert any(I.start < ds.n1 < I.stop for I in blocks)
+        many = list(solve_families(ds, spec, families))
+        for a, b in zip(one, many):
+            for name in ("theta", "se", "Sigma_theta", "B_hat", "delta_plain"):
+                x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+                assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+    def test_peak_memory_streams_over_tiles(self):
+        # the largest pair arrays of a fit at n = 1000 are its tiles and the
+        # treatment block's rows of 1/V1: under 16 MB in all, where one
+        # n x n float64 array alone is 8 MB
+        ds = synthetic_confounded_trial(n=1000, seed=7)
+        tracemalloc.start()
+        try:
+            list(solve_families(ds, FrmSpec(), ("ipw", "msi", "dr")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 class TestSandwich:
