@@ -1,32 +1,14 @@
-"""Observed-data containers, pair enumeration and tiling, and CSV ingestion."""
+"""Observed-data containers, pair tiling, and CSV ingestion."""
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EstimabilityError, IngestionError, ValidationError
 
 OUTCOME_KINDS = ("continuous", "count")
-
-
-@dataclass(frozen=True)
-class Subject:
-    """One observed record: treatment z, outcome y, covariate vector w."""
-
-    id: str
-    z: int
-    y: float
-    w: Tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class PairIndex:
-    """Unordered subject pair, stored with i < j over positions."""
-
-    i: int
-    j: int
 
 
 class Dataset:
@@ -89,11 +71,6 @@ class Dataset:
         """Whether the half-tie kernel applies (forced for count outcomes)."""
         return self.outcome_kind == "count"
 
-    def subjects(self):
-        for k in range(self.n):
-            yield Subject(self.ids[k], int(self.z[k]), float(self.y[k]),
-                          tuple(self.w[k]))
-
     def require_both_arms(self):
         if self.n1 == 0 or self.n0 == 0:
             raise EstimabilityError(
@@ -115,25 +92,9 @@ class PotentialDataset:
         return Dataset(self.z, y, self.w, outcome_kind=outcome_kind)
 
 
-def enumerate_pairs(dataset) -> Iterator[PairIndex]:
-    """All C(n, 2) unordered position pairs, each exactly once."""
-    n = dataset.n
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            yield PairIndex(i, j)
-
-
 def treated_control(dataset):
     """Positions of the treated and of the control subjects."""
     return np.flatnonzero(dataset.z == 1), np.flatnonzero(dataset.z == 0)
-
-
-def discordant_pairs(dataset) -> Iterator[Tuple[int, int]]:
-    """All n1 * n0 (treated_index, control_index) pairs."""
-    treated, control = treated_control(dataset)
-    for t in treated:
-        for c in control:
-            yield int(t), int(c)
 
 
 def outcome_kernel(y1, y0, ties):

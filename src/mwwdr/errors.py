@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Each class maps to one CLI exit code (see cli.EXIT_CODES); library users
-catch them directly.
+Each class maps to one CLI exit code (see the except clauses of
+cli.main); library users catch them directly.
 """
 
 

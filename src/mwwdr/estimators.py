@@ -1,5 +1,7 @@
-"""The four point estimators of delta = P(treated outcome <= control outcome),
-and the tiled pair engine that every pair sum of them and of ugee.py runs on.
+"""The rank-sum and inverse-probability weighted point estimators of
+delta = P(treated outcome <= control outcome), and the tiled pair engine
+that every pair sum of them and of ugee.py runs on. The msi and dr point
+estimates are the delta_plain of ugee.py's fits.
 
 The engine holds a dataset's subjects treated first (PairSet) and streams
 over the fixed tiles of data.pair_tiles; PairTile, the one tile kernel,
@@ -15,17 +17,8 @@ import numpy as np
 
 from .data import outcome_kernel, pair_tiles, treated_control
 from .errors import ValidationError
-from .gpi import link_derivative, link_inverse, model_covariates
+from .gpi import link_derivative, link_inverse
 from .propensity import predict_pi_dataset
-
-
-def kernel(y_a, y_b, ties=False):
-    """Pair kernel: I(y_a <= y_b), or I(<) + 0.5 I(=) when ties are scored."""
-    if not np.isfinite(y_a) or not np.isfinite(y_b):
-        raise ValidationError("kernel arguments must be finite")
-    if ties:
-        return float(y_a < y_b) + 0.5 * float(y_a == y_b)
-    return float(y_a <= y_b)
 
 
 @dataclass
@@ -231,17 +224,12 @@ class DeltaRow:
         return w
 
 
-def _pair_total(dataset, pi=None, gpi=None):
-    """Sum over ordered pairs of the delta row's response f3, with the
-    propensities pi and the outcome model gpi when given (see
-    PairTile.response)."""
-    pairs = PairSet(dataset, dataset.ties, None if gpi is None else gpi.link)
-    if pi is not None:
-        pairs.pi = pi[pairs.order]
-    if gpi is not None:
-        pairs.set_gamma(gpi.gamma, model_covariates(
-            dataset.w, gpi.constant_only)[pairs.order])
-    row = DeltaRow(dataset.n, pi is not None, gpi is not None, False)
+def _pair_total(dataset, pi):
+    """Sum over ordered pairs of the inverse-probability weighted response
+    f3 at the propensities pi (see PairTile.response)."""
+    pairs = PairSet(dataset, dataset.ties)
+    pairs.pi = pi[pairs.order]
+    row = DeltaRow(dataset.n, True, False, False)
     for tile in pairs.tiles():
         row.add(tile)
     return row.total
@@ -283,7 +271,7 @@ def ipw_estimate(dataset, propensity, hajek=False) -> EstimateResult:
     """
     dataset.require_both_arms()
     pi, clipped = resolve_propensities(dataset, propensity)
-    total = _pair_total(dataset, pi=pi)
+    total = _pair_total(dataset, pi)
     if hajek:
         # the realized weights 1 / (pi_i (1 - pi_j)) of the treated x
         # control pairs factor, so their sum is a product of two sums
@@ -295,29 +283,4 @@ def ipw_estimate(dataset, propensity, hajek=False) -> EstimateResult:
     if not 0.0 <= delta <= 1.0:
         notes["range_exit"] = True
     return EstimateResult("IPW", float(delta), None, dataset.n,
-                          dataset.n1, dataset.n0, notes)
-
-
-def msi_estimate(dataset, gpi) -> EstimateResult:
-    """Mean-score-imputed estimator: observed discordant indicators kept,
-    unobserved indicators replaced by their modeled means.
-
-    Well-defined even with no discordant pairs (pure imputation), so no
-    both-arms requirement.
-    """
-    delta = _pair_total(dataset, gpi=gpi) / (dataset.n * (dataset.n - 1))
-    return EstimateResult("MSI", delta, None, dataset.n,
-                          dataset.n1, dataset.n0, {"ties": dataset.ties})
-
-
-def dr_estimate(dataset, propensity, gpi) -> EstimateResult:
-    """Doubly robust estimator: the plain average over all pairs of the
-    augmented weighted response."""
-    dataset.require_both_arms()
-    pi, clipped = resolve_propensities(dataset, propensity)
-    delta = _pair_total(dataset, pi, gpi) / (dataset.n * (dataset.n - 1))
-    notes = {"ties": dataset.ties, "clipped_propensities": clipped}
-    if not 0.0 <= delta <= 1.0:
-        notes["range_exit"] = True
-    return EstimateResult("DR", delta, None, dataset.n,
                           dataset.n1, dataset.n0, notes)

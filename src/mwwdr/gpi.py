@@ -7,6 +7,7 @@ Bernoulli working variance g(1 - g).
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -14,6 +15,7 @@ from scipy.special import ndtri
 from .data import outcome_kernel, pair_tiles, treated_control
 from .errors import (ConvergenceError, EstimabilityError, SeparationError,
                      ValidationError)
+from .newton import newton
 from .special import expit, logit, std_normal_cdf, std_normal_pdf
 
 LINKS = ("probit", "logit")
@@ -58,34 +60,6 @@ class GpiModel:
     converged: bool
     iterations: int
     score_norm: float
-
-    @property
-    def gamma0(self):
-        return float(self.gamma[0])
-
-    @property
-    def gamma11(self):
-        return self.gamma[1:1 + self.p]
-
-    @property
-    def gamma10(self):
-        return self.gamma[1 + self.p:]
-
-
-def g_value(model, w_first, w_second):
-    """Modeled P(first's treated outcome <= second's control outcome).
-
-    The complement orientation is obtained by swapping the arguments.
-    """
-    w_first = np.atleast_1d(np.asarray(w_first, dtype=float))
-    w_second = np.atleast_1d(np.asarray(w_second, dtype=float))
-    if model.constant_only:
-        a = model.gamma0
-    else:
-        if len(w_first) != model.p or len(w_second) != model.p:
-            raise ValidationError("covariate dimension does not match the model")
-        a = model.gamma0 + model.gamma11 @ w_first + model.gamma10 @ w_second
-    return float(link_inverse(model.link, a))
 
 
 def pair_predictor(gamma, w_first, w_second):
@@ -171,12 +145,10 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link):
             f"all observed pair indicators equal {int(mean_ind)}; "
             "the outcome model intercept diverges")
 
-    p = w1.shape[1]
-    gamma = np.zeros(1 + 2 * p)
-    gamma[0] = link_initial(link, mean_ind)
-    score_norm = np.inf
-    tol = max(SCORE_TOL, m * 1e-13)
-    for it in range(1, MAX_ITER + 1):
+    def evaluate(gamma):
+        if np.max(np.abs(gamma)) > SEPARATION_BOUND:
+            raise SeparationError(
+                "outcome-model fit diverged; response may be degenerate")
         score = info = 0.0
         for a, b in blocks:
             A = pair_predictor(gamma, w1[a], w0[b])
@@ -185,19 +157,13 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link):
                                      link_derivative(link, A), w1[a], w0[b])
             score = score + s
             info = info + q
-        score_norm = float(np.max(np.abs(score)))
-        if score_norm <= tol:
-            return GpiModel(gamma, link, p == 0, p, True, it - 1, score_norm)
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Jacobian in outcome-model fit",
-                                   last_iterate=gamma, residual=score_norm,
-                                   iterations=it) from None
-        gamma = gamma + step
-        if np.max(np.abs(gamma)) > SEPARATION_BOUND:
-            raise SeparationError(
-                "outcome-model fit diverged; response may be degenerate")
-    raise ConvergenceError("outcome-model Newton iteration did not converge",
-                           last_iterate=gamma, residual=score_norm,
-                           iterations=MAX_ITER)
+        return score, info, float(np.max(np.abs(score)))
+
+    p = w1.shape[1]
+    gamma = np.zeros(1 + 2 * p)
+    gamma[0] = link_initial(link, mean_ind)
+    fit = newton(evaluate, gamma, max(SCORE_TOL, m * 1e-13), MAX_ITER,
+                 partial(ConvergenceError,
+                         "outcome-model Newton iteration did not converge"),
+                 partial(ConvergenceError, "singular Jacobian in outcome-model fit"))
+    return GpiModel(fit.x, link, p == 0, p, True, fit.iterations, fit.score_norm)

@@ -1,15 +1,18 @@
 """Semiparametric logistic propensity model: fit and clipped prediction."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (ConvergenceError, SeparationError, SingularDesignError,
                      ValidationError)
+from .newton import newton
 from .special import expit, logit
 
 DEFAULT_CLIP_EPS = 1e-6
 SCORE_TOL = 1e-8
+STALL_TOL = 1e-6
 STEP_TOL = 1e-10
 MAX_ITER = 100
 SEPARATION_BOUND = 30.0
@@ -26,10 +29,6 @@ class PropensityModel:
     score_norm: float
     clip_eps: float = DEFAULT_CLIP_EPS
 
-    @property
-    def p(self):
-        return 0 if self.intercept_only else len(self.eta) - 1
-
 
 def design_matrix(dataset, intercept_only):
     if intercept_only or dataset.p == 0:
@@ -45,10 +44,10 @@ def _loglik(z, xb):
 def fit_propensity(dataset, intercept_only=False, clip_eps=DEFAULT_CLIP_EPS):
     """Maximum-likelihood logistic fit by IRLS with step-halving.
 
-    Converges when max |score component| <= 1e-8 or the relative Newton
-    step falls below 1e-10; raises after 100 iterations. A failed fit with
-    any coefficient beyond +-30 is reported as separation, naming the
-    covariate.
+    Converges when max |score component| <= 1e-8, or <= 1e-6 once the
+    relative Newton step falls below 1e-10 or 100 steps are taken; raises
+    otherwise. A fit with any coefficient beyond +-30 is reported as
+    separation, naming the covariate.
     """
     dataset.require_both_arms()
     X = design_matrix(dataset, intercept_only)
@@ -64,62 +63,38 @@ def fit_propensity(dataset, intercept_only=False, clip_eps=DEFAULT_CLIP_EPS):
             raise SeparationError("propensity coefficients diverged; likely "
                                   f"separation in: {', '.join(names)}")
 
-    eta = np.zeros(X.shape[1])
-    eta[0] = logit(z.mean())
-    ll = _loglik(z, X @ eta)
-    score_norm = np.inf
-    for it in range(1, MAX_ITER + 1):
+    def evaluate(eta):
         pi = expit(X @ eta)
         score = X.T @ (z - pi)
-        score_norm = float(np.max(np.abs(score)))
-        if score_norm <= SCORE_TOL:
-            check_separation(eta)
-            return PropensityModel(eta, intercept_only or dataset.p == 0,
-                                   True, it - 1, score_norm, clip_eps)
-        W = pi * (1.0 - pi)
-        H = (X * W[:, None]).T @ X
-        try:
-            step = np.linalg.solve(H, score)
-        except np.linalg.LinAlgError:
-            raise SingularDesignError(
-                "singular information matrix while fitting propensity") from None
+        return score, (X * (pi * (1.0 - pi))[:, None]).T @ X, \
+            float(np.max(np.abs(score)))
+
+    def advance(eta, step):
         # halve until the likelihood stops decreasing
+        ll = _loglik(z, X @ eta)
         scale = 1.0
         for _ in range(30):
-            cand = eta + scale * step
-            ll_new = _loglik(z, X @ cand)
-            if ll_new >= ll - 1e-12:
+            if _loglik(z, X @ (eta + scale * step)) >= ll - 1e-12:
                 break
             scale *= 0.5
         eta = eta + scale * step
-        ll = _loglik(z, X @ eta)
-        if np.linalg.norm(scale * step) <= STEP_TOL * max(1.0, np.linalg.norm(eta)):
-            pi = expit(X @ eta)
-            score_norm = float(np.max(np.abs(X.T @ (z - pi))))
-            if score_norm <= 1e-6:
-                check_separation(eta)
-                return PropensityModel(eta, intercept_only or dataset.p == 0,
-                                       True, it, score_norm, clip_eps)
-            break
+        return eta, bool(np.linalg.norm(scale * step)
+                         <= STEP_TOL * max(1.0, np.linalg.norm(eta)))
 
-    check_separation(eta)
-    raise ConvergenceError("propensity IRLS did not converge",
-                           last_iterate=eta, residual=score_norm,
-                           iterations=MAX_ITER)
-
-
-def predict_pi(model, w):
-    """Clipped propensity for one covariate vector or a (n, p) matrix."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if model.intercept_only:
-        lin = np.full(w.shape[0], model.eta[0])
-    else:
-        if w.shape[1] != len(model.eta) - 1:
-            raise ValidationError(
-                f"expected {len(model.eta) - 1} covariates, got {w.shape[1]}")
-        lin = model.eta[0] + w @ model.eta[1:]
-    out = np.clip(expit(lin), model.clip_eps, 1.0 - model.clip_eps)
-    return float(out[0]) if out.shape == (1,) and np.ndim(w) <= 2 and w.shape[0] == 1 else out
+    eta = np.zeros(X.shape[1])
+    eta[0] = logit(z.mean())
+    try:
+        fit = newton(evaluate, eta, SCORE_TOL, MAX_ITER,
+                     partial(ConvergenceError, "propensity IRLS did not converge"),
+                     lambda **_: SingularDesignError(
+                         "singular information matrix while fitting propensity"),
+                     final_tol=STALL_TOL, advance=advance)
+    except ConvergenceError as exc:
+        check_separation(exc.last_iterate)
+        raise
+    check_separation(fit.x)
+    return PropensityModel(fit.x, intercept_only or dataset.p == 0, True,
+                           fit.iterations, fit.score_norm, clip_eps)
 
 
 def predict_pi_dataset(model, dataset):

@@ -38,47 +38,3 @@ class RngStream:
     def child(self, offset):
         """Derived stream: same seed, stream_id shifted into a disjoint block."""
         return RngStream(self.seed, (self.stream_id + (int(offset) << 32)) & _MASK64)
-
-
-def _resolve(stream_or_gen):
-    if isinstance(stream_or_gen, RngStream):
-        return stream_or_gen.generator()
-    if isinstance(stream_or_gen, np.random.Generator):
-        return stream_or_gen
-    raise ValidationError("expected an RngStream or numpy Generator")
-
-
-def sample_normal(mean, variance, stream, size=None):
-    """Draws from N(mean, variance); variance = 0 returns the mean exactly."""
-    if not np.isfinite(mean) or not np.isfinite(variance) or variance < 0.0:
-        raise ValidationError("sample_normal requires finite mean and variance >= 0")
-    gen = _resolve(stream)
-    if variance == 0.0:
-        out = np.full(size, float(mean)) if size is not None else float(mean)
-        return out
-    out = gen.normal(mean, np.sqrt(variance), size=size)
-    return float(out) if size is None else out
-
-
-def sample_bernoulli(p, stream, size=None):
-    """0/1 draws with success probability p."""
-    if not np.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ValidationError("sample_bernoulli requires p in [0, 1]")
-    gen = _resolve(stream)
-    if size is None:
-        return int(gen.random() < p)
-    return (gen.random(size) < p).astype(np.int8)
-
-
-def sample_centered_chisq(variance, stream, size=None):
-    """Draws of (C - 1) * sqrt(variance / 2) with C chi-square on 1 df.
-
-    C is generated as the square of a standard normal draw, so the result
-    has mean 0, variance `variance`, and skewness sqrt(8).
-    """
-    if not np.isfinite(variance) or variance <= 0.0:
-        raise ValidationError("sample_centered_chisq requires variance > 0")
-    gen = _resolve(stream)
-    c = gen.standard_normal(size) ** 2
-    out = (c - 1.0) * np.sqrt(variance / 2.0)
-    return float(out) if size is None else out

@@ -27,7 +27,8 @@ pair-level gradient of the residuals.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Tuple
+from functools import partial
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -36,6 +37,7 @@ from .data import Dataset, subject_blocks
 from .errors import ConvergenceError, MwwdrError, ValidationError
 from .estimators import DeltaRow, PairSet
 from .gpi import fit_gpi_pairs, gamma_block, model_covariates
+from .newton import newton
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel, design_matrix,
                          fit_propensity)
 from .special import expit
@@ -50,7 +52,9 @@ class FrmSpec:
     family selects the blocks beside the delta row: "dr" (doubly robust)
     has both, "ipw" (weighting only) no outcome block, "msi" (imputation
     only) no propensity block. The misspecification switches force
-    intercept-only propensity or a constant outcome model.
+    intercept-only propensity or a constant outcome model. tol and max_iter
+    reach only the treatment-block Newton and the stacked-residual check;
+    the propensity and outcome-model fits keep their own.
     """
 
     family: str = "dr"
@@ -126,17 +130,20 @@ def _propensities(X, eta, spec):
     return np.clip(expit(X @ eta), spec.clip_eps, 1.0 - spec.clip_eps)
 
 
-def _eta_block(X, z, pi):
+def _eta_block(X, z, pi, clipped):
     """Score and Jacobian of the treatment block at propensities pi, and
     each subject's sum of its pair scores.
 
     A pair contributes d1 V1^-1 (f1 - h1), with f1 - h1 = (e_i + e_j)/2 for
-    e = z - pi, V1 = (pp_i + pp_j)/4 for pp = pi(1 - pi), and d1 = (Ap_i +
-    Ap_j)/2 the gradient of h1 in eta (Ap = pp * X); the Jacobian is the
-    expected one, -d1 V1^-1 d1'. With M the n x n matrix of 1/V1 (zero
+    e = z - pi, V1 = (pp_i + pp_j)/4 for pp = pi(1 - pi), and the weight
+    d1 = (Ap_i + Ap_j)/2 for Ap = pp * X. The Jacobian is the expected one,
+    -d1 V1^-1 dh1', with dh1 the gradient of h1 in eta: d1 without the
+    terms of the clipped subjects, whose propensity is held at the bound
+    and so does not move with eta. With M the n x n matrix of 1/V1 (zero
     diagonal), every pair sum is M times one of the columns (1, e, Ap,
-    e * Ap). M is built and multiplied one block of rows at a time
-    (data.subject_blocks), so no n x n array is held.
+    e * Ap), or times the clipped subjects' rows of Ap. M is built and
+    multiplied one block of rows at a time (data.subject_blocks), so no
+    n x n array is held.
     """
     pp = pi * (1.0 - pi)
     e = z - pi
@@ -144,16 +151,19 @@ def _eta_block(X, z, pi):
     k = Ap.shape[1]
     C = np.column_stack([np.ones_like(e), e, Ap, e[:, None] * Ap])
     MC = np.empty_like(C)
+    mAc = np.empty_like(Ap)
     for I in subject_blocks(len(pi)):
         M = np.add.outer(pp[I], pp)
         np.divide(4.0, M, out=M)
         np.fill_diagonal(M[:, I], 0.0)
         MC[I] = M @ C
+        mAc[I] = M[:, clipped] @ Ap[clipped]
     m1, me, mA, meA = MC[:, 0], MC[:, 1], MC[:, 2:2 + k], MC[:, 2 + k:]
     cr = 0.5 * (e * m1 + me)  # each subject's sum of V1^-1 (f1 - h1)
     score = 0.5 * Ap.T @ cr
     proj = 0.5 * (Ap * cr[:, None] + 0.5 * (e[:, None] * mA + meA))
-    jac = -0.25 * (Ap.T @ (Ap * m1[:, None]) + Ap.T @ mA)
+    Dp = np.where(clipped[:, None], 0.0, Ap)
+    jac = -0.25 * (Ap.T @ (Dp * m1[:, None]) + Ap.T @ mA - Ap.T @ mAc)
     return score, jac, proj
 
 
@@ -180,9 +190,8 @@ class _Workspace(PairSet):
         self.eta = eta
         self.pi = _propensities(self.X, eta, self.spec)
         self.clipped = (self.pi <= eps) | (self.pi >= 1.0 - eps)
-        self.clip_count = int(self.clipped.sum())
         self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
-            self.X, self.z, self.pi)
+            self.X, self.z, self.pi, self.clipped)
 
 
 class _DeltaRow(DeltaRow):
@@ -260,48 +269,34 @@ def _pair_pass(ws, rows):
             row.add(tile)
 
 
-class _EtaFit(NamedTuple):
-    """The maximum-likelihood fit the treatment-block Newton started from,
-    and the Newton's iterations and score norm."""
-
-    mle: PropensityModel
-    iterations: int
-    score_norm: float
-
-
 def _fit_eta_pairwise(ws, init=None):
     """Newton solve of the treatment-row block, initialized at the
-    maximum-likelihood logistic fit. Every evaluation fills the workspace's
-    treatment part, so on return it holds the block at the root."""
+    maximum-likelihood logistic fit, which is kept as ws.mle. Every
+    evaluation fills the workspace's treatment part, so on return it holds
+    the block at the root."""
     spec = ws.spec
-    mle = fit_propensity(ws.dataset, intercept_only=spec.intercept_only_propensity,
-                         clip_eps=spec.clip_eps)
-    eta = mle.eta.copy() if init is None else np.asarray(init, dtype=float).copy()
-    for it in range(spec.max_iter + 1):
+    ws.mle = fit_propensity(ws.dataset, clip_eps=spec.clip_eps,
+                            intercept_only=spec.intercept_only_propensity)
+
+    def evaluate(eta):
         ws.set_eta(eta)
-        score_norm = float(np.max(np.abs(ws.eta_score))) / ws.npairs
-        if score_norm <= 0.01 * spec.tol:
-            return _EtaFit(mle, it, score_norm)
-        if it == spec.max_iter:
-            break
-        try:
-            step = np.linalg.solve(ws.eta_jac, -ws.eta_score)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular Jacobian in the treatment block; "
-                                   "consider intercept_only_propensity",
-                                   last_iterate=eta, residual=score_norm,
-                                   iterations=it + 1) from None
-        eta = eta + step
-    if score_norm <= spec.tol:
-        return _EtaFit(mle, spec.max_iter, score_norm)
-    raise ConvergenceError("treatment-block Newton did not converge",
-                           last_iterate=eta, residual=score_norm,
-                           iterations=spec.max_iter)
+        return ws.eta_score, -ws.eta_jac, \
+            float(np.max(np.abs(ws.eta_score))) / ws.npairs
+
+    eta = ws.mle.eta if init is None else np.asarray(init, dtype=float)
+    return newton(evaluate, eta, 0.01 * spec.tol, spec.max_iter,
+                  partial(ConvergenceError,
+                          "treatment-block Newton did not converge"),
+                  partial(ConvergenceError, "singular Jacobian in the treatment "
+                          "block; consider intercept_only_propensity"),
+                  final_tol=spec.tol)
 
 
 @dataclass
 class UgeeFit:
-    """Joint root, sandwich covariance, and diagnostics."""
+    """Joint root, sandwich covariance, and diagnostics. plugin is the
+    maximum-likelihood propensity fit the treatment block started from
+    (None without a treatment block)."""
 
     spec: FrmSpec
     names: Tuple[str, ...]
@@ -318,12 +313,6 @@ class UgeeFit:
     plugin: Optional[PropensityModel] = None
 
     @property
-    def plugin_eta(self):
-        """Coefficients of the maximum-likelihood propensity fit the
-        treatment block started from; None without a treatment block."""
-        return None if self.plugin is None else self.plugin.eta
-
-    @property
     def delta(self):
         return float(self.theta[-1])
 
@@ -333,12 +322,6 @@ class UgeeFit:
         except ValueError:
             raise ValidationError(
                 f"unknown component {component!r}; have {self.names}") from None
-
-    def component(self, name):
-        return float(self.theta[self.index_of(name)])
-
-    def se_of(self, name):
-        return float(self.se[self.index_of(name)])
 
     def to_report(self):
         return {
@@ -541,7 +524,7 @@ def _solve_family(dataset, spec, ws, row, eta_fit, gamma_fit):
     plugin = None
     if layout.eta_dim:
         theta[layout.eta_slice] = ws.eta
-        plugin = eta_fit.mle
+        plugin = ws.mle
         diagnostics["eta_iterations"] = eta_fit.iterations
         diagnostics["eta_score_norm"] = eta_fit.score_norm
     if layout.gamma_dim:
@@ -559,7 +542,8 @@ def _solve_family(dataset, spec, ws, row, eta_fit, gamma_fit):
 
     vhat, Sigma, B, Sigma_theta, se, floored = _covariance(ws, row, layout, delta)
     diagnostics["residual_norm"] = residual
-    diagnostics["clipped_propensities"] = ws.clip_count if layout.eta_dim else 0
+    diagnostics["clipped_propensities"] = \
+        int(ws.clipped.sum()) if layout.eta_dim else 0
     if floored:
         diagnostics["negative_variances_floored"] = floored
 

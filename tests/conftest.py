@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mwwdr.data import Dataset
+from mwwdr.ugee import FrmSpec, stacked_residual
 
 
 @pytest.fixture
@@ -29,3 +30,12 @@ def random_dataset(rng, n=None, p=1, both_arms=True, count=False):
     w = rng.normal(0, 1, (n, p)) if p else None
     kind = "count" if count else "continuous"
     return Dataset(z, y, w, outcome_kind=kind)
+
+
+def plugin_delta(ds, family, eta=(), gamma=(), **spec):
+    """The plug-in estimate of delta at the nuisance coefficients eta and
+    gamma: the delta component of the stacked residual with unit pair
+    weights at delta = 0, which is sum_ij f3_ij / (n (n - 1)) over the
+    ordered pairs."""
+    spec = FrmSpec(family=family, weighted_delta=False, fd_check_pairs=0, **spec)
+    return float(stacked_residual(ds, np.r_[eta, gamma, 0.0], spec)[-1])

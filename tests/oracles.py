@@ -187,16 +187,22 @@ def brute_ugee_residual(z, y, w, theta, family="dr", link="probit",
     return [u / npairs for u in U]
 
 
+def _dpi_factor(pi, clip_eps):
+    """dpi/dlinear predictor: pi (1 - pi), and 0 at a clipped propensity,
+    which is held at the bound."""
+    return 0.0 if pi <= clip_eps or pi >= 1.0 - clip_eps else pi * (1.0 - pi)
+
+
 def brute_bread(z, y, w, theta, family="dr", link="probit",
                 intercept_only=False, constant_only=False, ties=False,
-                weighted_delta=True):
+                weighted_delta=True, clip_eps=1e-6):
     """Pair-averaged expected Jacobian of the stacked system: one explicit
     loop over unordered pairs of D' V^-1 dS/dtheta, divided by the pair
-    count. D holds the gradients of the pair means (h1 in eta, the observed
-    orientation's g in gamma, h3 = delta in delta), V the working variances
-    (V1, g(1 - g), and V3 or 1 for the delta row), and S = f - h the
-    residual rows. Propensities are differentiated unclipped, so theta must
-    clip none."""
+    count. D holds the weights of the residual rows (the gradient of h1 in
+    eta taken at pi(1 - pi) for every subject, the observed orientation's
+    gradient of g in gamma, 1 for delta), V the working variances (V1,
+    g(1 - g), and V3 or 1 for the delta row), and S = f - h the residual
+    rows, whose derivatives hold a clipped propensity fixed."""
     n = len(z)
     p = len(w[0]) if w and len(w[0]) else 0
     const = constant_only or p == 0
@@ -222,19 +228,21 @@ def brute_bread(z, y, w, theta, family="dr", link="probit",
             dS3 = [0.0] * q
             dS3[q - 1] = -1.0
             if eta_dim:
-                pi_i = _pi_of(eta, w[i], intercept_only)
-                pi_j = _pi_of(eta, w[j], intercept_only)
+                pi_i = _pi_of(eta, w[i], intercept_only, clip_eps)
+                pi_j = _pi_of(eta, w[j], intercept_only, clip_eps)
                 pp_i, pp_j = pi_i * (1 - pi_i), pi_j * (1 - pi_j)
+                dp_i, dp_j = _dpi_factor(pi_i, clip_eps), _dpi_factor(pi_j, clip_eps)
                 x_i, x_j = x_of(i), x_of(j)
                 d1 = [0.5 * (pp_i * a + pp_j * b) for a, b in zip(x_i, x_j)]
+                dh1 = [0.5 * (dp_i * a + dp_j * b) for a, b in zip(x_i, x_j)]
                 V1 = 0.25 * (pp_i + pp_j)
                 for a in es:
                     for b in es:
-                        B[a][b] -= d1[a] * d1[b] / V1
+                        B[a][b] -= d1[a] * dh1[b] / V1
                 pt_ij, pt_ji = pi_i * (1 - pi_j), pi_j * (1 - pi_i)
-                dpt_ij = [pp_i * (1 - pi_j) * a - pi_i * pp_j * b
+                dpt_ij = [dp_i * (1 - pi_j) * a - pi_i * dp_j * b
                           for a, b in zip(x_i, x_j)]
-                dpt_ji = [pp_j * (1 - pi_i) * b - pi_j * pp_i * a
+                dpt_ji = [dp_j * (1 - pi_i) * b - pi_j * dp_i * a
                           for a, b in zip(x_i, x_j)]
             if gamma_dim:
                 u_ij, u_ji = u_of(i, j), u_of(j, i)
@@ -273,8 +281,10 @@ def brute_bread(z, y, w, theta, family="dr", link="probit",
 
 def brute_eta_block(z, w, eta, intercept_only=False, clip_eps=1e-6):
     """Treatment block, one explicit loop over unordered pairs: the score
-    sum d1 V1^-1 (f1 - h1), the expected Jacobian -sum d1 V1^-1 d1', and
-    each subject's sum of its pair scores."""
+    sum d1 V1^-1 (f1 - h1), the expected Jacobian -sum d1 V1^-1 dh1', and
+    each subject's sum of its pair scores. The weight d1 takes pi(1 - pi)
+    at every subject; the gradient dh1 of h1 holds a clipped propensity
+    fixed."""
     n = len(z)
     k = len(eta)
     pi, x = [], []
@@ -293,11 +303,13 @@ def brute_eta_block(z, w, eta, intercept_only=False, clip_eps=1e-6):
             h1 = 0.5 * (pi[i] + pi[j])
             V1 = 0.25 * (pp_i + pp_j)
             d1 = [0.5 * (pp_i * a + pp_j * b) for a, b in zip(x[i], x[j])]
+            dp_i, dp_j = _dpi_factor(pi[i], clip_eps), _dpi_factor(pi[j], clip_eps)
+            dh1 = [0.5 * (dp_i * a + dp_j * b) for a, b in zip(x[i], x[j])]
             for a in range(k):
                 s = d1[a] * (f1 - h1) / V1
                 score[a] += s
                 proj[i][a] += s
                 proj[j][a] += s
                 for b in range(k):
-                    jac[a][b] -= d1[a] * d1[b] / V1
+                    jac[a][b] -= d1[a] * dh1[b] / V1
     return score, jac, proj

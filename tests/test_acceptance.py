@@ -29,8 +29,8 @@ from mwwdr import ugee
 from mwwdr.ugee import (FrmSpec, ThetaLayout, check_residual_derivatives,
                         solve_ugee, stacked_residual, wald_test)
 
-from conftest import random_dataset
-from oracles import (brute_dr, brute_ipw, brute_msi, brute_mww,
+from conftest import plugin_delta, random_dataset
+from oracles import (_g_of, _pi_of, brute_dr, brute_ipw, brute_msi, brute_mww,
                      brute_ugee_residual)
 
 pytestmark = pytest.mark.acceptance
@@ -286,25 +286,27 @@ class TestCriterion4:
               f"max |ipw_hajek - mww| = {worst:.2e} over 200 datasets")
 
     def test_brute_force_estimator_equivalence(self):
-        from mwwdr.estimators import dr_estimate, msi_estimate
-        from mwwdr.gpi import GpiModel, g_value
-
+        # msi and dr: the plug-in estimate at random (eta, gamma), read off
+        # the stacked residual
         rng = np.random.default_rng(402)
         worst = 0.0
         for _ in range(40):
             ds = random_dataset(rng, p=1, count=bool(rng.integers(2)))
-            pi = rng.uniform(0.2, 0.8, ds.n)
-            gm = GpiModel(rng.normal(0, 0.7, 3), "probit", False, 1, True, 0, 0.0)
-            gf = lambda i, j: g_value(gm, ds.w[i], ds.w[j])
+            eta = rng.normal(0, 0.5, 2)
+            gamma = rng.normal(0, 0.7, 3)
+            w = [list(r) for r in ds.w]
+            pi = [_pi_of(eta, r, False) for r in w]
+            gf = lambda i, j: _g_of(gamma, w[i], w[j], "probit", False)[0]
             z, y = list(ds.z), list(ds.y)
             worst = max(
                 worst,
                 abs(mww_estimate(ds).delta_hat - brute_mww(z, y, ds.ties)),
-                abs(ipw_estimate(ds, pi).delta_hat
-                    - brute_ipw(z, y, list(pi), ds.ties)),
-                abs(msi_estimate(ds, gm).delta_hat - brute_msi(z, y, gf, ds.ties)),
-                abs(dr_estimate(ds, pi, gm).delta_hat
-                    - brute_dr(z, y, list(pi), gf, ds.ties)),
+                abs(ipw_estimate(ds, np.array(pi)).delta_hat
+                    - brute_ipw(z, y, pi, ds.ties)),
+                abs(plugin_delta(ds, "msi", gamma=gamma)
+                    - brute_msi(z, y, gf, ds.ties)),
+                abs(plugin_delta(ds, "dr", eta, gamma)
+                    - brute_dr(z, y, pi, gf, ds.ties)),
             )
         check("4/brute-estimators", worst <= 1e-12,
               f"max |vectorized - loop oracle| = {worst:.2e} (n <= 6)")
@@ -379,10 +381,10 @@ class TestCriterion4:
         check("4/monotone-invariance", ok, "mww invariant under monotone maps")
 
     def test_tie_kernel_half(self):
-        from mwwdr.estimators import kernel
+        from mwwdr.data import outcome_kernel
 
-        check("4/tie-kernel", kernel(3.0, 3.0, ties=True) == 0.5,
-              "kernel(3, 3, ties) = 0.5")
+        half = outcome_kernel(np.array([3.0]), np.array([3.0]), True)[0, 0]
+        check("4/tie-kernel", half == 0.5, "kernel(3, 3, ties) = 0.5")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mwwdr.data import (CsvSchema, Dataset, PairIndex, discordant_pairs,
-                        enumerate_pairs, load_csv)
+from mwwdr import data
+from mwwdr.data import CsvSchema, Dataset, load_csv
 from mwwdr.errors import EstimabilityError, IngestionError, ValidationError
 from mwwdr.simstudy import synthetic_confounded_trial, write_dataset_csv
 
@@ -80,37 +80,46 @@ class TestDataset:
         ds = Dataset([1, 0], [1, 2], outcome_kind="count")
         assert ds.ties is True
 
-    def test_subjects_iteration(self, four_row_dataset):
-        subs = list(four_row_dataset.subjects())
-        assert subs[0].z == 1 and subs[0].y == 1.0 and subs[0].w == ()
+
+def tiled_pairs(ds):
+    """The unordered pairs and the treated x control pairs that the pair
+    tiles of ds cover, as (i, j) positions of its subjects held treated
+    first, i < j."""
+    pairs, tc = [], []
+    for I, J, rows, cols in data.pair_tiles(ds.n, ds.n1):
+        pairs += [(i, j) for i in range(I.start, I.stop)
+                  for j in range(J.start, J.stop) if i < j]
+        tc += [(i, j) for i in range(rows.start, rows.stop)
+               for j in range(cols.start, cols.stop)]
+    return pairs, tc
 
 
 class TestPairs:
     def test_pair_counts(self, four_row_dataset):
-        assert len(list(enumerate_pairs(four_row_dataset))) == 6
-        assert len(list(discordant_pairs(four_row_dataset))) == 4
+        pairs, tc = tiled_pairs(four_row_dataset)
+        assert len(pairs) == 6
+        assert len(tc) == 4
 
     def test_large_pair_count(self):
         rng = np.random.default_rng(0)
         z = np.r_[np.ones(25), np.zeros(25)].astype(int)
         ds = Dataset(z, rng.normal(size=50))
-        assert len(list(enumerate_pairs(ds))) == 1225
-        assert len(list(discordant_pairs(ds))) == 625
+        pairs, tc = tiled_pairs(ds)
+        assert len(pairs) == 1225
+        assert len(tc) == 625
 
-    def test_each_pair_once_and_partition(self):
+    def test_each_pair_once_and_partition(self, monkeypatch):
+        # 4-subject blocks: partial tiles, one holding both arms
+        monkeypatch.setattr(data, "_tile_size", lambda n: 4)
         rng = np.random.default_rng(1)
         z = (rng.random(9) < 0.5).astype(int)
         z[0], z[1] = 1, 0
         ds = Dataset(z, rng.normal(size=9))
-        pairs = list(enumerate_pairs(ds))
-        assert len(set((p.i, p.j) for p in pairs)) == len(pairs) == 36
-        assert all(p.i < p.j for p in pairs)
-        disc = set(frozenset(p) for p in discordant_pairs(ds))
-        allp = set(frozenset((p.i, p.j)) for p in pairs)
-        assert disc <= allp
-        n_conc = sum(1 for p in pairs if ds.z[p.i] == ds.z[p.j])
+        pairs, tc = tiled_pairs(ds)
+        assert len(set(pairs)) == len(pairs) == 36
+        assert all(i < j for i, j in pairs)
+        disc = set(tc)
+        assert len(disc) == len(tc) and disc <= set(pairs)
+        held = np.sort(ds.z)[::-1]  # treated first
+        n_conc = sum(1 for i, j in pairs if held[i] == held[j])
         assert len(disc) + n_conc == 36
-
-    def test_pairindex_fields(self):
-        p = PairIndex(2, 5)
-        assert (p.i, p.j) == (2, 5)

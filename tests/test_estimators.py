@@ -2,19 +2,31 @@ import numpy as np
 import pytest
 
 from mwwdr import data
-from mwwdr.data import Dataset
+from mwwdr.data import Dataset, outcome_kernel
 from mwwdr.errors import EstimabilityError, ValidationError
-from mwwdr.estimators import (dr_estimate, ipw_estimate, kernel, msi_estimate,
-                              mww_estimate)
-from mwwdr.gpi import GpiModel, fit_gpi
+from mwwdr.estimators import ipw_estimate, mww_estimate
+from mwwdr.gpi import fit_gpi
 from mwwdr.propensity import fit_propensity
+from mwwdr.ugee import FrmSpec, solve_ugee
 
-from conftest import random_dataset
-from oracles import brute_dr, brute_ipw, brute_msi, brute_mww, normal_ppf
+from conftest import plugin_delta, random_dataset
+from oracles import (_g_of, _pi_of, brute_dr, brute_ipw, brute_msi, brute_mww,
+                     normal_ppf)
 
 
-def const_g(c):
-    return GpiModel(np.array([normal_ppf(c)]), "probit", True, 0, True, 0, 0.0)
+def kernel(y_a, y_b, ties):
+    return float(outcome_kernel(np.array([y_a]), np.array([y_b]), ties)[0, 0])
+
+
+def oracle_pi(ds, eta):
+    """The loop oracle's propensities of ds's subjects at eta."""
+    return [_pi_of(eta, list(r), False) for r in ds.w]
+
+
+def oracle_g(ds, gamma):
+    """The loop oracle's probit g at gamma of an ordered pair of ds."""
+    return lambda i, j: _g_of(gamma, list(ds.w[i]), list(ds.w[j]), "probit",
+                              False)[0]
 
 
 class TestKernel:
@@ -26,8 +38,9 @@ class TestKernel:
         assert kernel(3.0, 2.0, ties=True) == 0.0
 
     def test_nonfinite_rejected(self):
+        # a non-finite outcome never reaches the kernel
         with pytest.raises(ValidationError):
-            kernel(np.nan, 1.0)
+            Dataset([1, 0], [np.nan, 1.0])
 
 
 class TestMww:
@@ -119,15 +132,17 @@ class TestIpw:
 
 
 class TestMsi:
+    """The msi plug-in estimate, read off the stacked residual."""
+
     def test_pure_imputation_no_discordant(self):
         ds = Dataset([1, 1, 1], [1.0, 2.0, 3.0])
-        est = msi_estimate(ds, const_g(0.5))
-        assert abs(est.delta_hat - 0.5) < 1e-12
+        est = plugin_delta(ds, "msi", gamma=[normal_ppf(0.5)])
+        assert abs(est - 0.5) < 1e-12
 
     def test_hand_expansion(self, four_row_dataset):
-        est = msi_estimate(four_row_dataset, const_g(0.5))
-        assert abs(est.delta_hat - (2 * 0.75 + 4 * 0.5) / 6.0) < 1e-12
-        assert abs(est.delta_hat - 0.5833333333333334) < 1e-12
+        est = plugin_delta(four_row_dataset, "msi", gamma=[normal_ppf(0.5)])
+        assert abs(est - (2 * 0.75 + 4 * 0.5) / 6.0) < 1e-12
+        assert abs(est - 0.5833333333333334) < 1e-12
 
     def test_constant_g_msi_equals_mww(self):
         # with g fitted as the mean observed indicator, imputation reproduces
@@ -139,53 +154,54 @@ class TestMsi:
                 m = fit_gpi(ds, constant_only=True)
             except Exception:
                 continue
-            est = msi_estimate(ds, m)
-            assert abs(est.delta_hat - mww_estimate(ds).delta_hat) < 1e-9
+            est = plugin_delta(ds, "msi", gamma=m.gamma, constant_only_gpi=True)
+            assert abs(est - mww_estimate(ds).delta_hat) < 1e-9
 
     def test_range(self):
         rng = np.random.default_rng(27)
         for _ in range(30):
             ds = random_dataset(rng)
-            est = msi_estimate(ds, const_g(float(rng.uniform(0.05, 0.95))))
-            assert 0.0 <= est.delta_hat <= 1.0
+            est = plugin_delta(ds, "msi", constant_only_gpi=True,
+                               gamma=[normal_ppf(float(rng.uniform(0.05, 0.95)))])
+            assert 0.0 <= est <= 1.0
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(28)
         for _ in range(50):
             ds = random_dataset(rng, p=1)
-            m = GpiModel(rng.normal(0, 0.7, 3), "probit", False, 1, True, 0, 0.0)
-            est = msi_estimate(ds, m)
-            from mwwdr.gpi import g_value
-            want = brute_msi(list(ds.z), list(ds.y),
-                             lambda i, j: g_value(m, ds.w[i], ds.w[j]), ds.ties)
-            assert abs(est.delta_hat - want) < 1e-12
+            gamma = rng.normal(0, 0.7, 3)
+            est = plugin_delta(ds, "msi", gamma=gamma)
+            want = brute_msi(list(ds.z), list(ds.y), oracle_g(ds, gamma), ds.ties)
+            assert abs(est - want) < 1e-12
 
 
 class TestDr:
+    """The dr plug-in estimate, read off the stacked residual."""
+
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
             ds = random_dataset(rng, p=1, count=bool(rng.integers(2)))
-            pi = rng.uniform(0.2, 0.8, ds.n)
-            m = GpiModel(rng.normal(0, 0.7, 3), "probit", False, 1, True, 0, 0.0)
-            est = dr_estimate(ds, pi, m)
-            from mwwdr.gpi import g_value
-            want = brute_dr(list(ds.z), list(ds.y), list(pi),
-                            lambda i, j: g_value(m, ds.w[i], ds.w[j]), ds.ties)
-            assert abs(est.delta_hat - want) < 1e-12
+            eta = rng.normal(0, 0.5, 2)
+            gamma = rng.normal(0, 0.7, 3)
+            est = plugin_delta(ds, "dr", eta, gamma)
+            want = brute_dr(list(ds.z), list(ds.y), oracle_pi(ds, eta),
+                            oracle_g(ds, gamma), ds.ties)
+            assert abs(est - want) < 1e-12
 
     def test_reduces_to_msi_when_weights_match(self):
         # if every observed indicator equals its modeled mean the augmented
-        # correction vanishes pair by pair
-        ds = Dataset([1, 0], [1.0, 2.0])
-        m = const_g(1.0 - 1e-12)
-        est_dr = dr_estimate(ds, np.array([0.3, 0.7]), m)
-        est_msi = msi_estimate(ds, m)
-        assert abs(est_dr.delta_hat - est_msi.delta_hat) < 1e-9
+        # correction vanishes pair by pair; the covariate sets the two
+        # propensities to 0.3 and 0.7
+        ds = Dataset([1, 0], [1.0, 2.0], [[np.log(0.3 / 0.7)], [np.log(0.7 / 0.3)]])
+        gamma = [normal_ppf(1.0 - 1e-12)]
+        est_dr = plugin_delta(ds, "dr", [0.0, 1.0], gamma, constant_only_gpi=True)
+        est_msi = plugin_delta(ds, "msi", gamma=gamma, constant_only_gpi=True)
+        assert abs(est_dr - est_msi) < 1e-9
 
     def test_single_arm_error(self):
         with pytest.raises(EstimabilityError):
-            dr_estimate(Dataset([0, 0], [1.0, 2.0]), 0.5, const_g(0.5))
+            solve_ugee(Dataset([0, 0], [1.0, 2.0]), FrmSpec())
 
 
 def test_many_tiles_match_one(monkeypatch):
@@ -193,14 +209,15 @@ def test_many_tiles_match_one(monkeypatch):
     # arms, give the single-tile values to rounding
     rng = np.random.default_rng(30)
     ds = random_dataset(rng, n=60, p=1)
-    pi = rng.uniform(0.2, 0.8, ds.n)
-    m = GpiModel(rng.normal(0, 0.7, 3), "probit", False, 1, True, 0, 0.0)
+    eta = rng.normal(0, 0.5, 2)
+    gamma = rng.normal(0, 0.7, 3)
+    pi = np.array(oracle_pi(ds, eta))
 
     def values():
         return np.array([ipw_estimate(ds, pi).delta_hat,
                          ipw_estimate(ds, pi, hajek=True).delta_hat,
-                         msi_estimate(ds, m).delta_hat,
-                         dr_estimate(ds, pi, m).delta_hat])
+                         plugin_delta(ds, "msi", gamma=gamma),
+                         plugin_delta(ds, "dr", eta, gamma)])
 
     one = values()
     monkeypatch.setattr(data, "_tile_size", lambda n: 7)

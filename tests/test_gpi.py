@@ -4,15 +4,31 @@ import pytest
 from mwwdr.data import Dataset
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
 from mwwdr.estimators import PairSet
-from mwwdr.gpi import GpiModel, fit_gpi, g_value
+from mwwdr.gpi import GpiModel, fit_gpi, model_covariates
 from mwwdr.simstudy import ScenarioConfig, generate_dataset
+from mwwdr.ugee import FrmSpec, stacked_residual
 
-from oracles import normal_cdf, normal_ppf
+from oracles import _g_of, normal_ppf
 
 
 def model(gamma, link="probit", constant=False, p=1):
     gamma = np.asarray(gamma, dtype=float)
     return GpiModel(gamma, link, constant, 0 if constant else p, True, 0, 0.0)
+
+
+def tile_g(m, w):
+    """The tile kernel's g of every ordered pair of subjects with covariate
+    rows w, held in the order given."""
+    w = np.asarray(w, dtype=float)
+    pairs = PairSet(Dataset(np.ones(len(w), dtype=int), np.zeros(len(w)), w),
+                    False, m.link)
+    pairs.set_gamma(m.gamma, model_covariates(w, m.constant_only))
+    return pairs.tile().G
+
+
+def g_value(m, w_first, w_second):
+    """The tile kernel's g of the ordered pair (first, second)."""
+    return float(tile_g(m, [w_first, w_second])[0, 1])
 
 
 class TestGValue:
@@ -32,8 +48,11 @@ class TestGValue:
             assert abs(s - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
+        # a one-covariate model on two-covariate data is rejected
+        ds = Dataset([1, 0], [1.0, 2.0], [[1.0, 2.0], [0.5, 0.5]])
         with pytest.raises(ValidationError):
-            g_value(model([0.0, 1.0, 1.0]), [1.0, 2.0], [0.5, 0.5])
+            stacked_residual(ds, np.array([0.0, 1.0, 1.0, 0.5]),
+                             FrmSpec(family="msi"))
 
     def test_logit_link(self):
         m = model([1.0, 0.0, 0.0], link="logit")
@@ -43,14 +62,11 @@ class TestGValue:
         rng = np.random.default_rng(3)
         w = rng.normal(size=(5, 1))
         m = model([0.2, -0.4, 0.6])
-        # the tile kernel's g over one arm's subjects, held in dataset order
-        pairs = PairSet(Dataset(np.ones(5, dtype=int), np.zeros(5), w), False,
-                        m.link)
-        pairs.set_gamma(m.gamma, w)
-        G = pairs.tile().G
+        G = tile_g(m, w)
         for i in range(5):
             for j in range(5):
-                assert abs(G[i, j] - g_value(m, w[i], w[j])) < 1e-12
+                want = _g_of(m.gamma, list(w[i]), list(w[j]), m.link, False)[0]
+                assert abs(G[i, j] - want) < 1e-12
 
 
 class TestFitGpi:
@@ -58,12 +74,12 @@ class TestFitGpi:
         # observed indicators over (treated, control) pairs: (1, 1, 0, 1)
         m = fit_gpi(four_row_dataset, constant_only=True)
         assert m.converged
-        assert abs(m.gamma0 - normal_ppf(0.75)) < 1e-6
-        assert abs(m.gamma0 - 0.6744897501) < 1e-6
+        assert abs(m.gamma[0] - normal_ppf(0.75)) < 1e-6
+        assert abs(m.gamma[0] - 0.6744897501) < 1e-6
 
     def test_constant_only_logit(self, four_row_dataset):
         m = fit_gpi(four_row_dataset, constant_only=True, link="logit")
-        assert abs(1 / (1 + np.exp(-m.gamma0)) - 0.75) < 1e-9
+        assert abs(1 / (1 + np.exp(-m.gamma[0])) - 0.75) < 1e-9
 
     def test_degenerate_response(self):
         ds = Dataset([1, 1, 0, 0], [1.0, 2.0, 3.0, 4.0])  # all indicators 1
@@ -100,9 +116,10 @@ class TestFitGpi:
         cfg = ScenarioConfig(n=2000, reps=1, seed=99)
         _, ds = generate_dataset(cfg, 0)
         m = fit_gpi(ds)
-        assert abs(m.gamma0) < 0.08
-        assert abs(float(m.gamma11[0] + m.gamma10[0])) < 0.08
-        assert m.gamma11[0] < -0.4 and m.gamma10[0] > 0.4
+        g0, g11, g10 = m.gamma
+        assert abs(g0) < 0.08
+        assert abs(float(g11 + g10)) < 0.08
+        assert g11 < -0.4 and g10 > 0.4
 
     @pytest.mark.xfail(
         strict=True,

@@ -1,0 +1,78 @@
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mwwdr import gpi, propensity
+from mwwdr.data import Dataset
+from mwwdr.errors import MwwdrError
+from mwwdr.propensity import design_matrix
+from mwwdr.simstudy import synthetic_confounded_trial
+from mwwdr.special import expit
+from mwwdr.ugee import FrmSpec, solve_families, stacked_residual
+
+
+def _propensity_norm(ds, model):
+    X = design_matrix(ds, model.intercept_only)
+    return float(np.max(np.abs(X.T @ (ds.z - expit(X @ model.eta)))))
+
+
+def _gpi_norm(ds, model):
+    # the outcome block of the msi system is the outcome model's score,
+    # over the pair count
+    u = stacked_residual(ds, np.r_[model.gamma, 0.5], FrmSpec(family="msi"))
+    return float(np.max(np.abs(u[:-1]))) * ds.n * (ds.n - 1) / 2
+
+
+@pytest.mark.parametrize("module, fit, norm_at", [
+    (gpi, gpi.fit_gpi, _gpi_norm),
+    (propensity, propensity.fit_propensity, _propensity_norm)],
+    ids=["gpi", "propensity"])
+def test_fit_judges_its_last_iterate(module, fit, norm_at, monkeypatch):
+    # with MAX_ITER set to exactly the steps the fit needs, the iterate
+    # after the last step is judged, accepted and reported
+    ds = synthetic_confounded_trial(n=300, seed=7)
+    steps = fit(ds).iterations
+    monkeypatch.setattr(module, "MAX_ITER", steps)
+    model = fit(ds)
+    assert model.iterations == module.MAX_ITER
+    assert model.score_norm == pytest.approx(norm_at(ds, model), rel=1e-6)
+
+
+@st.composite
+def hard_fits(draw):
+    """Small datasets near separation (assignment logit up to 50 times a
+    covariate) with tied or continuous outcomes, fitted with propensities
+    clipped up to 0.45, either link and either misspecification switch."""
+    n = draw(st.integers(4, 40))
+    p = draw(st.integers(1, 2))
+    scale = draw(st.floats(0.0, 50.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    count = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 1.0, (n, p))
+    z = (rng.random(n) < expit(scale * w[:, 0])).astype(int)
+    y = w.sum(axis=1) + rng.normal(0.0, 1.0, n)
+    ds = Dataset(z, np.round(y) if count else y, w,
+                 outcome_kind="count" if count else "continuous")
+    spec = FrmSpec(link=draw(st.sampled_from(["probit", "logit"])),
+                   clip_eps=draw(st.floats(1e-6, 0.45)),
+                   intercept_only_propensity=draw(st.booleans()),
+                   constant_only_gpi=draw(st.booleans()))
+    return ds, spec
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hard_fits())
+def test_every_fit_returns_or_raises_typed(case):
+    ds, spec = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fits = list(solve_families(ds, spec))
+        except MwwdrError:
+            return
+    assert all(np.all(np.isfinite(fit.theta)) for fit in fits)

@@ -5,7 +5,7 @@ import pytest
 
 from mwwdr.data import Dataset
 from mwwdr.errors import SeparationError, SingularDesignError, ValidationError
-from mwwdr.propensity import (PropensityModel, fit_propensity, predict_pi,
+from mwwdr.propensity import (PropensityModel, fit_propensity,
                               predict_pi_dataset)
 
 
@@ -48,18 +48,20 @@ def test_affine_rescaling_invariance():
 
 
 def test_predict_values():
+    ds = Dataset([1, 0], [1.0, 2.0], [[1.0], [1.0]])
     m0 = PropensityModel(np.array([0.0]), True, True, 0, 0.0)
-    assert predict_pi(m0, []) == 0.5
+    assert np.all(predict_pi_dataset(m0, ds)[0] == 0.5)
     m1 = PropensityModel(np.array([1.0, -1.0]), False, True, 0, 0.0)
-    assert abs(predict_pi(m1, [1.0]) - 0.5) < 1e-12
+    assert np.max(np.abs(predict_pi_dataset(m1, ds)[0] - 0.5)) < 1e-12
     m_big = PropensityModel(np.array([50.0]), True, True, 0, 0.0)
-    assert predict_pi(m_big, []) == 1.0 - 1e-6  # clipping contract
+    # clipping contract
+    assert np.all(predict_pi_dataset(m_big, ds)[0] == 1.0 - 1e-6)
 
 
 def test_predict_dimension_mismatch():
     m = PropensityModel(np.array([1.0, -1.0]), False, True, 0, 0.0)
     with pytest.raises(ValidationError):
-        predict_pi(m, [1.0, 2.0])
+        predict_pi_dataset(m, Dataset([1, 0], [1.0, 2.0], [[1.0, 2.0], [0.5, 0.5]]))
 
 
 def test_separation_detected():

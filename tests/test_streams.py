@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from mwwdr.errors import ValidationError
-from mwwdr.streams import (RngStream, sample_bernoulli, sample_centered_chisq,
-                           sample_normal)
+from mwwdr.simstudy import ScenarioConfig, generate_dataset
+from mwwdr.streams import RngStream
+
+
+def draws(n, seed, **config):
+    """The potential data of replication 0 of a scenario of n subjects."""
+    pot, _ = generate_dataset(ScenarioConfig(n=n, reps=1, seed=seed, **config), 0)
+    return pot
 
 
 def test_same_key_same_sequence():
@@ -35,48 +43,39 @@ def test_key_validation():
         RngStream(0, 1 << 65)
 
 
-def test_degenerate_normal_exact():
-    assert sample_normal(1.0, 0.0, RngStream(0)) == 1.0
-
-
 def test_bernoulli_boundaries():
-    s = RngStream(3)
-    assert sample_bernoulli(0.0, s) == 0
-    assert sample_bernoulli(1.0, s) == 1
-    draws = sample_bernoulli(0.25, RngStream(3), size=200_000)
-    assert abs(draws.mean() - 0.25) < 0.01
+    # treatment z ~ Bernoulli(expit(eta0 + eta1 w)), here with eta1 = 0
+    assert np.all(draws(100, 3, eta_true=(-50.0, 0.0)).z == 0)
+    assert np.all(draws(100, 3, eta_true=(50.0, 0.0)).z == 1)
+    z = draws(200_000, 3, eta_true=(math.log(1.0 / 3.0), 0.0)).z
+    assert abs(z.mean() - 0.25) < 0.01
 
 
 def test_normal_moments():
-    draws = sample_normal(1.0, 0.25, RngStream(11), size=1_000_000)
-    assert abs(draws.mean() - 1.0) < 0.002  # 3 sigma/sqrt(N) bound
-    assert abs(draws.var() - 0.25) < 0.005
+    w = draws(1_000_000, 11, mu_w=1.0, sigma2_w=0.25).w
+    assert abs(w.mean() - 1.0) < 0.002  # 3 sigma/sqrt(N) bound
+    assert abs(w.var() - 0.25) < 0.005
 
 
 def test_centered_chisq_moments():
-    draws = sample_centered_chisq(1.0, RngStream(12), size=1_000_000)
-    assert abs(draws.mean()) < 0.005
-    assert abs(draws.var() - 1.0) < 0.02
-    skew = np.mean(((draws - draws.mean()) / draws.std()) ** 3)
+    # the subject effect b is centered scaled chi-square(1) with variance
+    # sigma2_b
+    b = draws(1_000_000, 12, sigma2_b=1.0).b
+    assert abs(b.mean()) < 0.005
+    assert abs(b.var() - 1.0) < 0.02
+    skew = np.mean(((b - b.mean()) / b.std()) ** 3)
     assert abs(skew - np.sqrt(8.0)) < 0.1
 
 
 def test_centered_chisq_scaling():
-    draws = sample_centered_chisq(4.0, RngStream(13), size=500_000)
-    assert abs(draws.var() - 4.0) < 0.1
+    b = draws(500_000, 13, sigma2_b=4.0).b
+    assert abs(b.var() - 4.0) < 0.1
 
 
 def test_parameter_validation():
     with pytest.raises(ValidationError):
-        sample_centered_chisq(0.0, RngStream(0))
+        ScenarioConfig(sigma2=0.0)
     with pytest.raises(ValidationError):
-        sample_centered_chisq(-1.0, RngStream(0))
+        ScenarioConfig(sigma2_b=-1.0)
     with pytest.raises(ValidationError):
-        sample_normal(0.0, -0.1, RngStream(0))
-    with pytest.raises(ValidationError):
-        sample_bernoulli(1.5, RngStream(0))
-
-
-def test_single_draw_is_float():
-    x = sample_centered_chisq(1.0, RngStream(5))
-    assert isinstance(x, float)
+        ScenarioConfig(sigma2_w=-0.1)

@@ -15,7 +15,7 @@ from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit,
                         solve_families, solve_ugee, stacked_residual,
                         wald_test)
 
-from conftest import random_dataset
+from conftest import plugin_delta, random_dataset
 from oracles import brute_bread, brute_eta_block, brute_ugee_residual
 
 
@@ -171,16 +171,12 @@ class TestSolve:
         assert np.allclose(dr.theta[2:5], msi.theta[:3], atol=1e-9)
 
     def test_delta_plain_matches_dr_estimate(self):
-        from mwwdr.estimators import dr_estimate
-        from mwwdr.gpi import GpiModel
-
+        # delta_plain is the plug-in dr estimate at the fitted nuisance
+        # coefficients
         ds = small_sim_dataset()
         fit = solve_ugee(ds, FrmSpec())
-        pi = np.clip(1 / (1 + np.exp(-(fit.theta[0] + fit.theta[1] * ds.w[:, 0]))),
-                     1e-6, 1 - 1e-6)
-        gm = GpiModel(fit.theta[2:5], "probit", False, 1, True, 0, 0.0)
-        est = dr_estimate(ds, pi, gm)
-        assert abs(fit.delta_plain - est.delta_hat) < 1e-10
+        est = plugin_delta(ds, "dr", fit.theta[:2], fit.theta[2:5])
+        assert abs(fit.delta_plain - est) < 1e-10
 
     def test_init_passthrough(self):
         ds = small_sim_dataset()
@@ -215,8 +211,9 @@ class TestEtaBlock:
             X = design_matrix(ds, intercept_only)
             eta = rng.normal(0, 1.5, X.shape[1])
             pi = ugee._propensities(X, eta, spec)
-            clipped += int(np.sum((pi <= clip_eps) | (pi >= 1 - clip_eps)))
-            ours = ugee._eta_block(X, ds.z.astype(float), pi)
+            at_bound = (pi <= clip_eps) | (pi >= 1 - clip_eps)
+            clipped += int(np.sum(at_bound))
+            ours = ugee._eta_block(X, ds.z.astype(float), pi, at_bound)
             brute = brute_eta_block(list(ds.z), [list(r) for r in ds.w],
                                     list(eta), intercept_only, clip_eps)
             for got, want in zip(ours, brute):
@@ -344,25 +341,36 @@ class TestSandwich:
                                        intercept_only_propensity,
                                        constant_only_gpi, link):
         rng = np.random.default_rng(51)
-        spec = FrmSpec(family=family, link=link, weighted_delta=weighted_delta,
-                       intercept_only_propensity=intercept_only_propensity,
-                       constant_only_gpi=constant_only_gpi, fd_check_pairs=0)
-        for _ in range(6):
-            ds = random_dataset(rng, n=int(rng.integers(8, 13)), p=2)
-            layout = ThetaLayout(ds.p, spec)
-            theta = rng.normal(0, 0.5, layout.q)
-            theta[-1] = rng.uniform(0.2, 0.8)
+        # at the default clip_eps no propensity is clipped; at 0.2, with
+        # eta spread 4x wider, some are, and the bread holds them fixed
+        for clip_eps, spread in ((FrmSpec.clip_eps, 1.0), (0.2, 4.0)):
+            spec = FrmSpec(family=family, link=link, weighted_delta=weighted_delta,
+                           intercept_only_propensity=intercept_only_propensity,
+                           constant_only_gpi=constant_only_gpi, fd_check_pairs=0,
+                           clip_eps=clip_eps)
+            clipped = 0
+            for _ in range(6):
+                ds = random_dataset(rng, n=int(rng.integers(8, 13)), p=2)
+                layout = ThetaLayout(ds.p, spec)
+                theta = rng.normal(0, 0.5, layout.q)
+                theta[layout.eta_slice] *= spread
+                theta[-1] = rng.uniform(0.2, 0.8)
+                if layout.eta_dim:
+                    X = design_matrix(ds, intercept_only_propensity)
+                    pi = 1.0 / (1.0 + np.exp(-X @ theta[layout.eta_slice]))
+                    clipped += int(np.sum((pi <= clip_eps) | (pi >= 1 - clip_eps)))
+                B = ugee._bread(*ugee._at(ds, spec, theta)[:3])
+                brute = np.asarray(brute_bread(
+                    list(ds.z), list(ds.y), [list(r) for r in ds.w], list(theta),
+                    family=family, link=link,
+                    intercept_only=intercept_only_propensity,
+                    constant_only=constant_only_gpi, weighted_delta=weighted_delta,
+                    clip_eps=clip_eps))
+                assert B.shape == brute.shape
+                assert np.max(np.abs(B - brute)) \
+                    <= 1e-10 * max(1.0, np.max(np.abs(brute)))
             if layout.eta_dim:
-                X = design_matrix(ds, intercept_only_propensity)
-                pi = 1.0 / (1.0 + np.exp(-X @ theta[layout.eta_slice]))
-                assert np.all((pi > spec.clip_eps) & (pi < 1 - spec.clip_eps))
-            _, B, _, _ = sandwich_covariance(ds, theta, spec)
-            brute = np.asarray(brute_bread(
-                list(ds.z), list(ds.y), [list(r) for r in ds.w], list(theta),
-                family=family, link=link, intercept_only=intercept_only_propensity,
-                constant_only=constant_only_gpi, weighted_delta=weighted_delta))
-            assert B.shape == brute.shape
-            assert np.max(np.abs(B - brute)) <= 1e-10 * max(1.0, np.max(np.abs(brute)))
+                assert (clipped > 0) == (clip_eps == 0.2)
 
     def test_analytic_gradient_vs_finite_differences(self):
         ds = small_sim_dataset(80, seed=14)
