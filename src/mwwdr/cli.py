@@ -19,6 +19,7 @@ from .data import CsvSchema, load_csv
 from .errors import (ConvergenceError, EstimabilityError, MwwdrError,
                      SeparationError, SingularDesignError, ValidationError)
 from .estimators import ipw_estimate, mww_estimate
+from .parallel import one_blas_thread
 from .simstudy import (PRESETS, ScenarioConfig, render_table, run_study)
 from .ugee import FrmSpec, solve_families, wald, wald_test
 
@@ -187,6 +188,13 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; OpenBLAS runs on one thread until it returns, so
+    that reports do not depend on the BLAS setting."""
+    with one_blas_thread():
+        return _main(argv)
+
+
+def _main(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -102,17 +102,23 @@ def outcome_kernel(y1, y0, ties):
     control outcomes y0: a len(y1) x len(y0) matrix of the kernel
     I(y_t <= y_c), or I(<) + 0.5 I(=) when ties are scored. Every pair term
     that reads the outcomes is weighted by z_i (1 - z_j), so the treated x
-    control pairs are all of it."""
+    control pairs are all of it. Without ties the matrix is boolean, an
+    eighth of the float64 bytes; arithmetic with floats reads it as 0 and 1
+    exactly."""
     y1 = y1[:, None]
     y0 = y0[None, :]
     if ties:
         return (y1 < y0) + 0.5 * (y1 == y0)
-    return (y1 <= y0).astype(float)
+    return y1 <= y0
 
 
-# Subjects per block of the pair tiles above 2 * PAIR_TILE subjects: a
-# 256 x 256 float64 tile is 0.5 MB, cache-resident, and large enough that
-# the per-tile Python work stays small beside the arithmetic.
+# Subjects per block of the pair tiles above 2 * PAIR_TILE subjects. A
+# 256 x 256 float64 array is 0.5 MB, and one tile of the three-family pass
+# holds about nine at once (traced peak 4.5 MB, of which 2.7 MB are the
+# cached K, PT, g and dg/da), so a tile is not cache-resident in a 2 MiB L2.
+# 256 keeps the per-tile Python work, which holds the interpreter lock,
+# small beside the arithmetic: with 128-subject tiles an n = 2000 estimate
+# on two tile threads took 0.56-0.65 s against 0.40-0.46 s with 256.
 PAIR_TILE = 256
 
 

@@ -4,9 +4,12 @@ that every pair sum of them and of ugee.py runs on. The msi and dr point
 estimates are the delta_plain of ugee.py's fits.
 
 The engine holds a dataset's subjects treated first (PairSet) and streams
-over the fixed tiles of data.pair_tiles; PairTile, the one tile kernel,
-evaluates a tile's pair quantities from O(n) vectors, and DeltaRow sums a
-delta row over the tiles. No pair array larger than a tile is built.
+over the fixed tiles of data.pair_tiles through the ordered tile map of
+parallel.TilePool: PairTile, the one tile kernel, evaluates a tile's pair
+quantities from O(n) vectors on whichever thread the map gives the tile,
+which returns only per-subject sums, and the caller adds them in tile
+order; DeltaRow sums a delta row so. No pair array larger than a tile is
+built.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +21,7 @@ import numpy as np
 from .data import outcome_kernel, pair_tiles, treated_control
 from .errors import ValidationError
 from .gpi import link_derivative, link_inverse
+from .parallel import TilePool
 from .propensity import predict_pi_dataset
 
 
@@ -58,7 +62,8 @@ class PairSet:
     propensities pi and the outcome model's linear predictors, a1 on a
     subject's treated side (with the intercept) and a0 on its control side,
     so that g of the ordered pair (i, j) is link_inv(a1_i + a0_j). order[k]
-    is the dataset position of held subject k."""
+    is the dataset position of held subject k. pool is the TilePool its
+    tile maps run on: one thread until tile_pool() is entered."""
 
     def __init__(self, dataset, ties, link=None):
         t, c = treated_control(dataset)
@@ -67,6 +72,7 @@ class PairSet:
         self.y = dataset.y[self.order]
         self.ties, self.link = ties, link
         self.pi = self.a1 = self.a0 = None
+        self.pool = TilePool()
 
     def set_gamma(self, gamma, wg):
         """The outcome model's predictors at gamma, from its covariate rows
@@ -75,16 +81,40 @@ class PairSet:
         self.a1 = gamma[0] + wg @ gamma[1:1 + p]
         self.a0 = wg @ gamma[1 + p:]
 
-    def tiles(self):
-        """The pass: every tile of data.pair_tiles, in its fixed order."""
-        for I, J, rows, cols in pair_tiles(self.n, self.n1):
-            yield PairTile(self, I, J, rows, cols)
+    def tile_pool(self):
+        """A TilePool sized to the pair set's tiles, which its tile maps run
+        on from now on; enter it (a with block) around the fit."""
+        self.pool = TilePool(len(pair_tiles(self.n, self.n1)))
+        return self.pool
+
+    def map_tiles(self, fn):
+        """The pass: fn(tile) of every tile of data.pair_tiles, yielded in
+        its fixed order through the tile map. The thread that evaluates a
+        tile builds it, and drops it with the arrays it cached, so fn
+        returns only sums."""
+        return self.pool.map(lambda spec: fn(PairTile(self, *spec)),
+                             pair_tiles(self.n, self.n1))
 
     def tile(self):
         """All the subjects as one diagonal tile."""
         every = slice(0, self.n)
         return PairTile(self, every, every, slice(0, self.n1),
                         slice(self.n1, self.n))
+
+
+def _link_values(link, A, zero_diagonal):
+    """g and dg/da at the linear predictors A (dg/da with a zero diagonal
+    when asked)."""
+    G, D = link_inverse(link, A), link_derivative(link, A)
+    if zero_diagonal:
+        np.fill_diagonal(D, 0.0)
+    return G, D
+
+
+def add_sums(v, sums):
+    """Add a tile's per-subject sums, (subjects, values) pairs, to v."""
+    for at, values in sums:
+        v[at] += values
 
 
 class PairTile:
@@ -97,7 +127,8 @@ class PairTile:
     read. The treated x control pairs are the block tc of the forward
     arrays, with subjects rows x cols; K and PT = pi_i (1 - pi_j) hold only
     that block. Each array is evaluated once, when first read, and never
-    written to afterwards.
+    written to afterwards; g and dg/da are evaluated together, so that
+    their linear predictor is not kept.
     """
 
     def __init__(self, pairs, I, J, rows, cols):
@@ -120,32 +151,22 @@ class PairTile:
         return np.outer(pi[self.rows], 1.0 - pi[self.cols])
 
     @cached_property
-    def _A(self):
-        return self.pairs.a1[self.I][:, None] + self.pairs.a0[self.J][None, :]
+    def _forward(self):
+        """G and DG; DG, dg/da, is zero on a diagonal tile's diagonal."""
+        a1, a0 = self.pairs.a1, self.pairs.a0
+        return _link_values(self.pairs.link,
+                            a1[self.I][:, None] + a0[self.J][None, :], self.diag)
 
     @cached_property
-    def _Ab(self):
-        return self.pairs.a0[self.I][:, None] + self.pairs.a1[self.J][None, :]
+    def _backward(self):
+        a1, a0 = self.pairs.a1, self.pairs.a0
+        return _link_values(self.pairs.link,
+                            a0[self.I][:, None] + a1[self.J][None, :], False)
 
-    @cached_property
-    def G(self):
-        return link_inverse(self.pairs.link, self._A)
-
-    @cached_property
-    def Gb(self):
-        return link_inverse(self.pairs.link, self._Ab)
-
-    @cached_property
-    def DG(self):
-        """dg/da of the forward pairs, zero on a diagonal tile's diagonal."""
-        D = link_derivative(self.pairs.link, self._A)
-        if self.diag:
-            np.fill_diagonal(D, 0.0)
-        return D
-
-    @cached_property
-    def DGb(self):
-        return link_derivative(self.pairs.link, self._Ab)
+    G = property(lambda self: self._forward[0])
+    DG = property(lambda self: self._forward[1])
+    Gb = property(lambda self: self._backward[0])
+    DGb = property(lambda self: self._backward[1])
 
     def response(self, use_pt, use_g):
         """The delta row's per-pair response f3 on the tile, symmetric, with
@@ -160,8 +181,17 @@ class PairTile:
         inverse-probability weighted one."""
         F = self.G.copy() if use_g else np.zeros(self.shape)
         if self.has_tc:
-            R = 1.0 / self.PT if use_pt else 1.0
-            F[self.tc] = R * self.K + (1.0 - R) * F[self.tc]
+            T = F[self.tc]
+            if use_pt:
+                # R is evaluated twice, so that one tc block is held beside F
+                U = 1.0 / self.PT
+                T *= np.subtract(1.0, U, out=U)
+                U = np.divide(1.0, self.PT, out=U)
+                U *= self.K
+                T += U
+            else:
+                # R = 1: the g term is 0 * g = +0, and K + 0 is K exactly
+                T[...] = self.K
         if self.diag:
             F = F + F.T
         elif use_g:
@@ -176,13 +206,17 @@ class PairTile:
         zero diagonal on a diagonal tile: V3 averages g (1 - g) / (pi_i
         (1 - pi_j)) over the pair's two orientations, over 2."""
         pi = self.pairs.pi
-        V = self.G * (1.0 - self.G)
-        V /= np.outer(pi[self.I], 1.0 - pi[self.J])
+        V = 1.0 - self.G
+        V *= self.G
+        P = np.multiply.outer(pi[self.I], 1.0 - pi[self.J])
+        V /= P
         if self.diag:
+            del P
             V = V + V.T
         else:
-            Vb = self.Gb * (1.0 - self.Gb)
-            Vb /= np.outer(1.0 - pi[self.I], pi[self.J])
+            Vb = np.subtract(1.0, self.Gb, out=P)
+            Vb *= self.Gb
+            Vb /= np.multiply.outer(1.0 - pi[self.I], pi[self.J])
             V += Vb
         V *= 0.25
         W = np.divide(1.0, V, out=V)
@@ -190,13 +224,14 @@ class PairTile:
             np.fill_diagonal(W, 0.0)
         return W
 
-    def add_rows(self, v, S):
-        """Add the partner sums of a symmetric tile array S to the per-subject
-        vector v: its row sums to I and, off the diagonal, its column sums
-        to J."""
-        v[self.I] += S.sum(axis=1)
+    def row_sums(self, S):
+        """The partner sums of a symmetric tile array S, as add_sums takes
+        them: its row sums for I and, off the diagonal, its column sums for
+        J."""
+        sums = [(self.I, S.sum(axis=1))]
         if not self.diag:
-            v[self.J] += S.sum(axis=0)
+            sums.append((self.J, S.sum(axis=0)))
+        return sums
 
 
 class DeltaRow:
@@ -213,15 +248,29 @@ class DeltaRow:
         self.w_rows = np.zeros(n) if weighted else np.full(n, n - 1.0)
         self.total = 0.0
 
-    def add(self, tile):
-        """Add one tile's sums; return its pair weights (None when all are 1)."""
-        F = tile.response(self.use_pt, self.use_g)
-        self.total += float(F.sum()) * (1.0 if tile.diag else 2.0)
+    def tile_sums(self, tile):
+        """One tile's sums, computed on any thread and added by add:
+        (its part of total, {accumulator: its per-subject sums})."""
+        return self._tile_sums(tile)[:2]
+
+    def _tile_sums(self, tile):
+        """tile_sums, and the tile's pair weights (None when all are 1)."""
         w = tile.weights() if self.weighted else None
-        tile.add_rows(self.f3_rows, F if w is None else w * F)
+        F = tile.response(self.use_pt, self.use_g)
+        total = float(F.sum()) * (1.0 if tile.diag else 2.0)
         if w is not None:
-            tile.add_rows(self.w_rows, w)
-        return w
+            F *= w
+        sums = {"f3_rows": tile.row_sums(F)}
+        if w is not None:
+            sums["w_rows"] = tile.row_sums(w)
+        return total, sums, w
+
+    def add(self, tile_sums):
+        """Add one tile's tile_sums; the tiles are added in their order."""
+        total, sums = tile_sums
+        self.total += total
+        for name, part in sums.items():
+            add_sums(getattr(self, name), part)
 
 
 def _pair_total(dataset, pi):
@@ -230,9 +279,16 @@ def _pair_total(dataset, pi):
     pairs = PairSet(dataset, dataset.ties)
     pairs.pi = pi[pairs.order]
     row = DeltaRow(dataset.n, True, False, False)
-    for tile in pairs.tiles():
-        row.add(tile)
+    for sums in pairs.map_tiles(row.tile_sums):
+        row.add(sums)
     return row.total
+
+
+def _kernel_sums(tile):
+    """Each subject's kernel sum over its partners in the tile."""
+    if not tile.has_tc:
+        return []
+    return [(tile.rows, tile.K.sum(axis=1)), (tile.cols, tile.K.sum(axis=0))]
 
 
 def mww_estimate(dataset) -> EstimateResult:
@@ -244,11 +300,10 @@ def mww_estimate(dataset) -> EstimateResult:
     tiles; the kernel takes multiples of 1/2, so every sum is exact.
     """
     dataset.require_both_arms()
+    pairs = PairSet(dataset, dataset.ties)
     sums = np.zeros(dataset.n)
-    for tile in PairSet(dataset, dataset.ties).tiles():
-        if tile.has_tc:
-            sums[tile.rows] += tile.K.sum(axis=1)
-            sums[tile.cols] += tile.K.sum(axis=0)
+    for part in pairs.map_tiles(_kernel_sums):
+        add_sums(sums, part)
     n1, n0 = dataset.n1, dataset.n0
     delta = float(sums[:n1].sum() / (n1 * n0))
     notes = {"ties": dataset.ties}

@@ -16,6 +16,7 @@ from .data import outcome_kernel, pair_tiles, treated_control
 from .errors import (ConvergenceError, EstimabilityError, SeparationError,
                      ValidationError)
 from .newton import newton
+from .parallel import TilePool
 from .special import expit, logit, std_normal_cdf, std_normal_pdf
 
 LINKS = ("probit", "logit")
@@ -88,11 +89,14 @@ def gamma_block(K, G, D, w1, w0):
     info, rows1, rows0): rows1[a] sums treated subject a's pair scores,
     rows0[b] control subject b's, so both sum to the score. Every output
     is a sum over the block's pairs, so the blocks of a tiling add up to
-    the whole treated x control block.
+    the whole treated x control block. Neither input is written to.
     """
-    V = G * (1.0 - G)
-    S = D / V * (K - G)
-    Q = D * D / V
+    V = 1.0 - G
+    V *= G  # v
+    S = D / V
+    Q = D * D
+    Q /= V
+    S *= np.subtract(K, G, out=V)
     rs, cs = S.sum(axis=1), S.sum(axis=0)
     qr, qc = Q.sum(axis=1), Q.sum(axis=0)
     p = w1.shape[1]
@@ -115,20 +119,21 @@ def fit_gpi(dataset, constant_only=False, link="probit"):
 
     Score: sum over observed (treated, control) pairs of
     d * v^-1 * (indicator - g), with d the gradient of g in gamma and
-    v = g(1 - g).
+    v = g(1 - g). The blocks run on the caller's thread; solve_families
+    runs fit_gpi_pairs on its tile pool.
     """
     t, c = treated_control(dataset)
     w = model_covariates(dataset.w, constant_only)
     return fit_gpi_pairs(dataset.y[t], dataset.y[c], dataset.ties,
-                         w[t], w[c], link)
+                         w[t], w[c], link, TilePool())
 
 
-def fit_gpi_pairs(y1, y0, ties, w1, w0, link):
+def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
     """fit_gpi on the outcomes y1 of the treated and y0 of the control
     subjects, scored with or without ties, and their model covariate rows
     w1, w0 (zero columns for the constant model). Every pair sum streams
     over the treated x control blocks of pair_tiles, the blocks the
-    sandwich's pass reads."""
+    sandwich's pass reads, through the tile map of the TilePool pool."""
     if link not in LINKS:
         raise ValidationError(f"link must be one of {LINKS}")
     n1, n0 = len(y1), len(y0)
@@ -138,8 +143,9 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link):
     blocks = [(rows, slice(cols.start - n1, cols.stop - n1))
               for _, _, rows, cols in pair_tiles(n1 + n0, n1)
               if rows.start < rows.stop and cols.start < cols.stop]
-    mean_ind = sum(float(outcome_kernel(y1[a], y0[b], ties).sum())
-                   for a, b in blocks) / m
+    mean_ind = sum(pool.map(
+        lambda ab: float(outcome_kernel(y1[ab[0]], y0[ab[1]], ties).sum()),
+        blocks)) / m
     if mean_ind in (0.0, 1.0):
         raise SeparationError(
             f"all observed pair indicators equal {int(mean_ind)}; "
@@ -149,12 +155,17 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link):
         if np.max(np.abs(gamma)) > SEPARATION_BOUND:
             raise SeparationError(
                 "outcome-model fit diverged; response may be degenerate")
-        score = info = 0.0
-        for a, b in blocks:
+
+        def block_sums(block):
+            a, b = block
             A = pair_predictor(gamma, w1[a], w0[b])
-            s, q, _, _ = gamma_block(outcome_kernel(y1[a], y0[b], ties),
-                                     link_inverse(link, A),
-                                     link_derivative(link, A), w1[a], w0[b])
+            G, D = link_inverse(link, A), link_derivative(link, A)
+            del A
+            return gamma_block(outcome_kernel(y1[a], y0[b], ties), G, D,
+                               w1[a], w0[b])[:2]
+
+        score = info = 0.0
+        for s, q in pool.map(block_sums, blocks):
             score = score + s
             info = info + q
         return score, info, float(np.max(np.abs(score)))

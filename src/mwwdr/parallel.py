@@ -1,0 +1,176 @@
+"""Threads inside one process: the ordered tile map that spreads a fit's
+pair tiles over a thread pool, and the pin of OpenBLAS to one thread.
+
+Every pair sum of a fit is a sum over the fixed tiles of data.pair_tiles.
+A TilePool evaluates the tiles on the caller's thread and on its own
+threads, and hands the results back in tile order, so that the caller adds
+them up in the same order for any number of threads, and every reported
+number is the same bit for bit. Importing this module starts no thread and
+changes no BLAS setting.
+"""
+
+import ctypes
+import functools
+import glob
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
+# Threads a fit's tiles may run on in this process; None: one per CPU the
+# process may run on. run_study's worker processes set 1 (single_threaded).
+_WORKERS = None
+
+
+def _tile_workers():
+    if _WORKERS:
+        return _WORKERS
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+class TilePool:
+    """The threads of one fit's tile maps: min(_tile_workers(), n_items)
+    in all, the caller's thread and a pool of the others, which exists
+    while the TilePool is entered (a with block) and only then. Outside
+    that block, or with one worker, map evaluates its items one by one on
+    the caller's thread."""
+
+    def __init__(self, n_items=1):
+        self.threads = min(_tile_workers(), n_items) - 1 if n_items > 1 else 0
+        self._executor = None
+
+    def __enter__(self):
+        if self.threads > 0:
+            self._executor = ThreadPoolExecutor(
+                self.threads, thread_name_prefix="mwwdr-tiles")
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def map(self, fn, items):
+        """Yield fn(item) for each of items, in order.
+
+        With the pool's threads, the caller and the threads claim the items
+        in order, the caller item 0, and evaluate them; the caller yields
+        each result once it and every earlier one are done, and holds no
+        result it has yielded. fn must not write to state another item
+        reads. An exception of fn is raised at the first item that raised
+        one, after the results before it, as the loop on one thread would
+        raise it; no item is claimed after it, and map returns once every
+        claimed item is done."""
+        items = list(items)
+        if self._executor is None or len(items) < 2:
+            for item in items:
+                yield fn(item)
+            return
+        results, errors = [None] * len(items), {}
+        done = [threading.Event() for _ in items]
+        claims = itertools.count()  # next() on it is atomic
+        stop = threading.Event()
+
+        def run(k):
+            try:
+                results[k] = fn(items[k])
+            except BaseException as exc:  # re-raised by the caller below
+                errors[k] = exc
+                stop.set()
+            finally:
+                items[k] = None
+                done[k].set()
+
+        def claim():
+            return len(items) if stop.is_set() else next(claims)
+
+        def drain():
+            while (k := claim()) < len(items):
+                run(k)
+
+        first = next(claims)
+        futures = [self._executor.submit(drain) for _ in range(self.threads)]
+        try:
+            run(first)
+            for k in range(len(items)):
+                while not done[k].is_set():
+                    j = claim()
+                    if j < len(items):
+                        run(j)
+                    else:
+                        done[k].wait()
+                if k in errors:
+                    raise errors.pop(k)
+                result, results[k] = results[k], None
+                yield result
+        finally:
+            stop.set()
+            for future in futures:
+                future.result()
+
+
+def single_threaded():
+    """Initializer of run_study's worker processes, which already run in
+    parallel with each other: one thread for BLAS and for the tile maps."""
+    global _WORKERS
+    _WORKERS = 1
+    set_blas_threads(1)
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS's thread count, through the library's own get and set calls
+
+
+_OPENBLAS_PREFIXES = ("scipy_openblas_", "openblas_")
+_OPENBLAS_SUFFIXES = ("64_", "")
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas():
+    """(library, symbol prefix, symbol suffix) of numpy's OpenBLAS, or None."""
+    import numpy as np
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for prefix in _OPENBLAS_PREFIXES:
+            for suffix in _OPENBLAS_SUFFIXES:
+                if hasattr(lib, f"{prefix}get_num_threads{suffix}"):
+                    return lib, prefix, suffix
+    return None
+
+
+def _symbol(name, restype, argtypes):
+    lib, prefix, suffix = _openblas()
+    fn = getattr(lib, f"{prefix}{name}{suffix}")
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+def blas_threads():
+    """OpenBLAS's thread count in this process; None without OpenBLAS."""
+    return _symbol("get_num_threads", ctypes.c_int, [])() if _openblas() else None
+
+
+def set_blas_threads(n):
+    """Set OpenBLAS's thread count in this process, if OpenBLAS is loaded
+    and the count differs: setting it, even to the count it has, starts an
+    OpenBLAS thread in a forked worker, which slowed its products by half."""
+    if _openblas() and blas_threads() != n:
+        _symbol("set_num_threads", None, [ctypes.c_int])(n)
+
+
+@contextmanager
+def one_blas_thread():
+    """OpenBLAS on one thread for the block, and its count restored after.
+    A matrix product then sums in one order whatever the BLAS setting, and
+    the tile threads do not share the cores with BLAS threads."""
+    before = blas_threads()
+    set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            set_blas_threads(before)

@@ -21,6 +21,7 @@ import numpy as np
 from .data import Dataset, PotentialDataset
 from .errors import MwwdrError, ValidationError
 from .estimators import mww_estimate
+from .parallel import one_blas_thread, single_threaded
 from .special import expit
 from .streams import RngStream
 from .ugee import FrmSpec, solve_families, wald, wald_test
@@ -266,18 +267,23 @@ def run_study(config, threads=1) -> StudySummary:
     Replications are independent streamed jobs; the summary is identical for
     any worker count because each replication's result depends only on
     (seed, rep_index) and aggregation walks replications in index order.
+    Every fit runs with OpenBLAS on one thread, as it does in a worker;
+    the workers already run in parallel, so their fits also evaluate the
+    pair tiles on one thread.
     """
     jobs = [(config, rep) for rep in range(config.reps)]
     true_d = None
     if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads,
+                                 initializer=single_threaded) as pool:
             # the oracle is submitted first, so that it runs beside the
             # replications instead of after them
             oracle = pool.submit(true_delta, config)
             results = list(pool.map(_worker, jobs, chunksize=max(1, config.reps // (8 * threads))))
             true_d = oracle.result()
     else:
-        results = [_worker(j) for j in jobs]
+        with one_blas_thread():
+            results = [_worker(j) for j in jobs]
 
     results.sort(key=lambda t: t[0])
     records = [r for _, r, err in results if err is None]

@@ -35,7 +35,7 @@ from scipy.special import ndtr, ndtri
 
 from .data import Dataset, subject_blocks
 from .errors import ConvergenceError, MwwdrError, ValidationError
-from .estimators import DeltaRow, PairSet
+from .estimators import DeltaRow, PairSet, add_sums
 from .gpi import fit_gpi_pairs, gamma_block, model_covariates
 from .newton import newton
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel, design_matrix,
@@ -130,7 +130,7 @@ def _propensities(X, eta, spec):
     return np.clip(expit(X @ eta), spec.clip_eps, 1.0 - spec.clip_eps)
 
 
-def _eta_block(X, z, pi, clipped):
+def _eta_block(X, z, pi, clipped, pool):
     """Score and Jacobian of the treatment block at propensities pi, and
     each subject's sum of its pair scores.
 
@@ -143,7 +143,8 @@ def _eta_block(X, z, pi, clipped):
     diagonal), every pair sum is M times one of the columns (1, e, Ap,
     e * Ap), or times the clipped subjects' rows of Ap. M is built and
     multiplied one block of rows at a time (data.subject_blocks), so no
-    n x n array is held.
+    n x n array is held; the blocks write disjoint rows, and run through
+    the tile map of the TilePool pool.
     """
     pp = pi * (1.0 - pi)
     e = z - pi
@@ -152,12 +153,16 @@ def _eta_block(X, z, pi, clipped):
     C = np.column_stack([np.ones_like(e), e, Ap, e[:, None] * Ap])
     MC = np.empty_like(C)
     mAc = np.empty_like(Ap)
-    for I in subject_blocks(len(pi)):
+
+    def rows(I):
         M = np.add.outer(pp[I], pp)
         np.divide(4.0, M, out=M)
         np.fill_diagonal(M[:, I], 0.0)
         MC[I] = M @ C
         mAc[I] = M[:, clipped] @ Ap[clipped]
+
+    for _ in pool.map(rows, subject_blocks(len(pi))):
+        pass
     m1, me, mA, meA = MC[:, 0], MC[:, 1], MC[:, 2:2 + k], MC[:, 2 + k:]
     cr = 0.5 * (e * m1 + me)  # each subject's sum of V1^-1 (f1 - h1)
     score = 0.5 * Ap.T @ cr
@@ -191,7 +196,7 @@ class _Workspace(PairSet):
         self.pi = _propensities(self.X, eta, self.spec)
         self.clipped = (self.pi <= eps) | (self.pi >= 1.0 - eps)
         self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
-            self.X, self.z, self.pi, self.clipped)
+            self.X, self.z, self.pi, self.clipped, self.pool)
 
 
 class _DeltaRow(DeltaRow):
@@ -212,30 +217,40 @@ class _DeltaRow(DeltaRow):
         if self.use_g:
             self.g_rows, self.g_cols = np.zeros(ws.n), np.zeros(ws.n)
 
-    def add(self, tile):
-        w = super().add(tile)
+    def tile_sums(self, tile):
+        total, sums, w = self._tile_sums(tile)
         if self.use_pt and tile.has_tc:
-            T = tile.K - tile.G[tile.tc] if self.use_g else tile.K
-            T = -0.5 * T / tile.PT ** 2
+            if self.use_g:
+                T = tile.K - tile.G[tile.tc]
+                T *= -0.5
+            else:
+                T = -0.5 * tile.K
+            T /= tile.PT ** 2
             if w is not None:
                 T *= w[tile.tc]
-            self.eta_rows[tile.rows] += T @ (1.0 - self.pi[tile.cols])
-            self.eta_rows[tile.cols] -= T.T @ self.pi[tile.rows]
+            sums["eta_rows"] = [(tile.rows, T @ (1.0 - self.pi[tile.cols])),
+                                (tile.cols, -(T.T @ self.pi[tile.rows]))]
+            del T
         if self.use_g:
             W = 0.5 * tile.DG
             if w is not None:
                 W *= w
             if tile.has_tc:
-                W[tile.tc] *= 1.0 - 1.0 / tile.PT if self.use_pt else 0.0
-            self.g_rows[tile.I] += W.sum(axis=1)
-            self.g_cols[tile.J] += W.sum(axis=0)
+                if self.use_pt:
+                    U = 1.0 / tile.PT
+                    W[tile.tc] *= np.subtract(1.0, U, out=U)
+                    del U
+                else:
+                    W[tile.tc] *= 0.0
+            sums["g_rows"] = [(tile.I, W.sum(axis=1))]
+            sums["g_cols"] = [(tile.J, W.sum(axis=0))]
             if not tile.diag:
-                Wb = 0.5 * tile.DGb
+                np.multiply(0.5, tile.DGb, out=W)
                 if w is not None:
-                    Wb *= w
-                self.g_rows[tile.J] += Wb.sum(axis=0)
-                self.g_cols[tile.I] += Wb.sum(axis=1)
-        return w
+                    W *= w
+                sums["g_rows"].append((tile.J, W.sum(axis=0)))
+                sums["g_cols"].append((tile.I, W.sum(axis=1)))
+        return total, sums
 
     def solve_delta(self):
         return float(self.f3_rows.sum() / self.w_rows.sum())
@@ -250,23 +265,31 @@ def _pair_pass(ws, rows):
     sums, and, once the outcome model is set, its block's score,
     information and per-subject scores at gamma are summed from the
     tiles' treated x control pairs. Each tile is evaluated once, for all
-    of them."""
+    of them, on the thread the tile map gives it; the sums are added up
+    here, in tile order."""
     outcome = ws.a1 is not None
     if outcome:
         q = 1 + 2 * ws.wg.shape[1]
         ws.gamma_score, ws.gamma_info = np.zeros(q), np.zeros((q, q))
         ws.gamma_proj = np.zeros((ws.n, q))
-    for tile in ws.tiles():
+
+    def tile_sums(tile):
+        block = None
         if outcome and tile.has_tc:
             score, info, rows1, rows0 = gamma_block(
                 tile.K, tile.G[tile.tc], tile.DG[tile.tc], ws.wg[tile.rows],
                 ws.wg[tile.cols])
+            block = score, info, [(tile.rows, rows1), (tile.cols, rows0)]
+        return block, [row.tile_sums(tile) for row in rows]
+
+    for block, sums in ws.map_tiles(tile_sums):
+        if block is not None:
+            score, info, proj = block
             ws.gamma_score += score
             ws.gamma_info += info
-            ws.gamma_proj[tile.rows] += rows1
-            ws.gamma_proj[tile.cols] += rows0
-        for row in rows:
-            row.add(tile)
+            add_sums(ws.gamma_proj, proj)
+        for row, row_sums in zip(rows, sums):
+            row.add(row_sums)
 
 
 def _fit_eta_pairwise(ws, init=None):
@@ -451,12 +474,13 @@ def _at(dataset, spec, theta):
     layout = ThetaLayout(dataset.p, spec)
     eta, gamma, delta = layout.unpack(theta)
     ws = _Workspace(dataset, spec)
-    if layout.eta_dim:
-        ws.set_eta(eta)
-    if layout.gamma_dim:
-        ws.set_gamma(gamma, ws.wg)
-    row = _DeltaRow(ws, spec)
-    _pair_pass(ws, [row])
+    with ws.tile_pool():
+        if layout.eta_dim:
+            ws.set_eta(eta)
+        if layout.gamma_dim:
+            ws.set_gamma(gamma, ws.wg)
+        row = _DeltaRow(ws, spec)
+        _pair_pass(ws, [row])
     return ws, row, layout, delta
 
 
@@ -496,20 +520,29 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
     then sums the outcome block at its root and every family's delta row.
     Each family gets its own residual check, sandwich and
     finite-difference check. eta_init starts the treatment-block Newton.
+
+    The tile work runs on a pool of threads, one per CPU the process may
+    use (capped by the tile count), that is opened here and closed before
+    the first fit is yielded. The tiles' sums are added in one fixed
+    order, so the fits do not depend on the thread count; they depend on
+    OpenBLAS's thread count unless the caller pins it to one thread, as
+    the command line does (parallel.one_blas_thread).
     """
     dataset.require_both_arms()
     specs = [replace(spec, family=family) for family in families]
     ws = _Workspace(dataset, spec)
     eta_fit = gamma_fit = None
-    if any(fspec.has_eta for fspec in specs):
-        eta_fit = _fit_eta_pairwise(ws, eta_init)
-    if any(fspec.has_gamma for fspec in specs):
-        n1 = ws.n1
-        gamma_fit = fit_gpi_pairs(ws.y[:n1], ws.y[n1:], ws.ties, ws.wg[:n1],
-                                  ws.wg[n1:], spec.link)
-        ws.set_gamma(gamma_fit.gamma, ws.wg)
-    rows = [_DeltaRow(ws, fspec) for fspec in specs]
-    _pair_pass(ws, rows)
+    with ws.tile_pool():
+        if any(fspec.has_eta for fspec in specs):
+            eta_fit = _fit_eta_pairwise(ws, eta_init)
+        if any(fspec.has_gamma for fspec in specs):
+            n1 = ws.n1
+            gamma_fit = fit_gpi_pairs(ws.y[:n1], ws.y[n1:], ws.ties,
+                                      ws.wg[:n1], ws.wg[n1:], spec.link,
+                                      ws.pool)
+            ws.set_gamma(gamma_fit.gamma, ws.wg)
+        rows = [_DeltaRow(ws, fspec) for fspec in specs]
+        _pair_pass(ws, rows)
     for fspec, row in zip(specs, rows):
         yield _solve_family(dataset, fspec, ws, row, eta_fit, gamma_fit)
 

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mwwdr import parallel
 from mwwdr.cli import main
+from mwwdr.simstudy import synthetic_confounded_trial, write_dataset_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -144,6 +147,43 @@ class TestEstimate:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error (estimability):") and "n = 120" in err
+
+    def test_out_of_memory_on_a_tile_thread(self, monkeypatch, capsys, tmp_path):
+        # n = 600 has six pair tiles; in the first map that runs on a pool,
+        # the third item raises MemoryError on the pool's thread, while the
+        # caller holds the first
+        path = tmp_path / "trial.csv"
+        write_dataset_csv(synthetic_confounded_trial(n=600, seed=7), path,
+                          ("age", "bmi", "chol", "health"))
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: 2)
+        real_map = parallel.TilePool.map
+        raised, where = threading.Event(), []
+
+        def third_tile_exhausted(self, fn, items):
+            if not self.threads:  # a map on the caller's thread alone
+                return real_map(self, fn, items)
+            items = list(items)
+
+            def tile(item):
+                on_caller = threading.current_thread() is threading.main_thread()
+                if item is items[2]:
+                    where.append(on_caller)
+                    raised.set()
+                    raise MemoryError
+                if on_caller:
+                    raised.wait(timeout=60)
+                return fn(item)
+
+            return real_map(self, tile, items)
+
+        monkeypatch.setattr(parallel.TilePool, "map", third_tile_exhausted)
+        before = threading.active_count()
+        code = run(["estimate", "--input", path, "--z-col", "z", "--y-col", "y",
+                    "--w-cols", "age,bmi,chol,health"])
+        assert code == 3 and where == [False]
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert err.startswith("error (estimability):") and "n = 600" in err
 
 
 class TestSimulate:

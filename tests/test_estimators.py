@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from mwwdr import data
+from mwwdr import data, parallel
 from mwwdr.data import Dataset, outcome_kernel
 from mwwdr.errors import EstimabilityError, ValidationError
 from mwwdr.estimators import ipw_estimate, mww_estimate
@@ -206,7 +208,8 @@ class TestDr:
 
 def test_many_tiles_match_one(monkeypatch):
     # 7-subject blocks at n = 60: partial tiles, one of them holding both
-    # arms, give the single-tile values to rounding
+    # arms, give the single-tile values to rounding; on one thread and on
+    # two, the same bits
     rng = np.random.default_rng(30)
     ds = random_dataset(rng, n=60, p=1)
     eta = rng.normal(0, 0.5, 2)
@@ -214,11 +217,21 @@ def test_many_tiles_match_one(monkeypatch):
     pi = np.array(oracle_pi(ds, eta))
 
     def values():
-        return np.array([ipw_estimate(ds, pi).delta_hat,
-                         ipw_estimate(ds, pi, hajek=True).delta_hat,
-                         plugin_delta(ds, "msi", gamma=gamma),
-                         plugin_delta(ds, "dr", eta, gamma)])
+        mww = mww_estimate(ds)
+        return np.concatenate([[ipw_estimate(ds, pi).delta_hat,
+                                ipw_estimate(ds, pi, hajek=True).delta_hat,
+                                plugin_delta(ds, "msi", gamma=gamma),
+                                plugin_delta(ds, "dr", eta, gamma),
+                                mww.delta_hat, mww.se],
+                               fit_gpi(ds).gamma])
 
     one = values()
     monkeypatch.setattr(data, "_tile_size", lambda n: 7)
-    assert np.max(np.abs(values() - one)) <= 1e-12
+    before = threading.active_count()
+    many = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: workers)
+        many[workers] = values()
+        assert threading.active_count() == before
+    assert np.max(np.abs(many[1] - one)) <= 1e-12
+    assert many[1].tobytes() == many[2].tobytes()

@@ -1,0 +1,169 @@
+"""The ordered tile map (parallel.TilePool) and the OpenBLAS pin."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from mwwdr import cli, parallel
+from mwwdr.simstudy import synthetic_confounded_trial, write_dataset_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_in_thread(target, timeout=60):
+    """Run target() on a thread, joined with a timeout; return its result."""
+    out = {}
+
+    def body():
+        try:
+            out["value"] = target()
+        except BaseException as exc:
+            out["error"] = exc
+
+    th = threading.Thread(target=body)
+    th.start()
+    th.join(timeout)
+    assert not th.is_alive(), "the tile map did not finish"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+class TestTilePool:
+    def test_results_in_item_order_under_stress(self, monkeypatch):
+        # more threads than cores and a short switch interval: every item
+        # is evaluated exactly once and the results come back in order
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: 8)
+        counts = [0] * 300
+        lock = threading.Lock()
+
+        def fn(k):
+            with lock:
+                counts[k] += 1
+            return k * k
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def mapped():
+                with parallel.TilePool(len(counts)) as pool:
+                    assert pool.threads == 7
+                    return list(pool.map(fn, range(len(counts))))
+            got = run_in_thread(mapped)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [k * k for k in range(len(counts))]
+        assert counts == [1] * len(counts)
+        assert threading.active_count() == before
+
+    def test_first_failing_item_raises(self, monkeypatch):
+        # items 3 and 5 fail; as on one thread, the results before item 3
+        # are handed back and item 3's exception is raised
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: 2)
+
+        def fn(k):
+            if k in (3, 5):
+                raise ValueError(f"item {k}")
+            return k
+
+        got = []
+
+        def mapped():
+            with parallel.TilePool(8) as pool:
+                for value in pool.map(fn, range(8)):
+                    got.append(value)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 3"):
+            run_in_thread(mapped)
+        assert got == [0, 1, 2]
+        assert threading.active_count() == before
+
+    def test_inline_outside_the_with_block_and_with_one_worker(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: 2)
+        on = []
+
+        def fn(k):
+            on.append(threading.current_thread())
+            return k
+
+        pool = parallel.TilePool(4)
+        assert list(pool.map(fn, range(4))) == [0, 1, 2, 3]
+        with parallel.TilePool(1) as single:
+            assert single.threads == 0
+            assert list(single.map(fn, range(4))) == [0, 1, 2, 3]
+        assert set(on) == {threading.current_thread()}
+
+
+def blas_threads_in_subprocess(code, blas):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas),
+               PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.split()
+
+
+class TestBlasPin:
+    @pytest.mark.skipif(parallel.blas_threads() is None, reason="no OpenBLAS")
+    def test_import_leaves_blas_threads_unchanged(self):
+        code = ("import numpy\n"
+                "import mwwdr\n"
+                "from mwwdr.parallel import blas_threads\n"
+                "print(blas_threads())\n")
+        assert blas_threads_in_subprocess(code, 2) == ["2"]
+
+    @pytest.mark.skipif(parallel.blas_threads() is None, reason="no OpenBLAS")
+    def test_cli_pins_one_thread_and_restores(self, monkeypatch, tmp_path):
+        seen = []
+        real = cli.solve_families
+
+        def recording(*args, **kwargs):
+            seen.append(parallel.blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_families", recording)
+        before = parallel.blas_threads()
+        parallel.set_blas_threads(2)
+        try:
+            path = tmp_path / "d.csv"
+            write_dataset_csv(synthetic_confounded_trial(n=40, seed=1), path,
+                              ("age", "bmi", "chol", "health"))
+            code = cli.main(["estimate", "--input", str(path), "--z-col", "z",
+                             "--y-col", "y", "--w-cols", "age", "--estimator",
+                             "dr", "--output", str(tmp_path / "r.json")])
+            assert code == 0
+            assert seen == [1]
+            assert parallel.blas_threads() == 2
+        finally:
+            parallel.set_blas_threads(before)
+
+
+def report_bytes(argv, blas, tmp_path):
+    out = tmp_path / f"report-{blas}.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas),
+               PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    subprocess.run([sys.executable, "-m", "mwwdr.cli", *argv, "--output", str(out)],
+                   env=env, check=True, timeout=300)
+    return out.read_bytes()
+
+
+@pytest.mark.skipif(parallel.blas_threads() is None, reason="no OpenBLAS")
+class TestDeterminismAcrossBlasSettings:
+    def test_estimate_bytes(self, tmp_path):
+        # n = 600: three subject blocks, so six pair tiles on two threads
+        path = tmp_path / "trial.csv"
+        write_dataset_csv(synthetic_confounded_trial(n=600, seed=7), path,
+                          ("age", "bmi", "chol", "health"))
+        argv = ["estimate", "--input", str(path), "--z-col", "z", "--y-col", "y",
+                "--w-cols", "age,bmi,chol,health", "--estimator", "all"]
+        assert report_bytes(argv, 1, tmp_path) == report_bytes(argv, 2, tmp_path)
+
+    def test_simulate_bytes(self, tmp_path):
+        argv = ["simulate", "--preset", "table3", "--n", "100", "--reps", "4",
+                "--seed", "7", "--threads", "2"]
+        assert report_bytes(argv, 1, tmp_path) == report_bytes(argv, 2, tmp_path)

@@ -121,8 +121,11 @@ class TestRunStudy:
 
     def test_thread_count_invariance(self):
         # the power config's oracle runs in the pool beside the
-        # replications when there are workers, and after them when not
+        # replications when there are workers, and after them when not; at
+        # n = 520 a fit has six pair tiles, on two threads in-process and
+        # on one in a worker
         for cfg in (ScenarioConfig(n=40, reps=8, seed=18),
+                    ScenarioConfig(n=520, reps=2, seed=18),
                     sim.preset_power(40, 8, 18)):
             a = run_study(cfg, threads=1).to_json()
             b = run_study(cfg, threads=2).to_json()

@@ -1,12 +1,14 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mwwdr import data, ugee
+from mwwdr import data, parallel, ugee
 from mwwdr.data import Dataset
 from mwwdr.errors import ConvergenceError, ValidationError
+from mwwdr.parallel import TilePool
 from mwwdr.propensity import design_matrix
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
@@ -17,6 +19,11 @@ from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit,
 
 from conftest import plugin_delta, random_dataset
 from oracles import brute_bread, brute_eta_block, brute_ugee_residual
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def small_sim_dataset(n=60, seed=4):
@@ -213,7 +220,8 @@ class TestEtaBlock:
             pi = ugee._propensities(X, eta, spec)
             at_bound = (pi <= clip_eps) | (pi >= 1 - clip_eps)
             clipped += int(np.sum(at_bound))
-            ours = ugee._eta_block(X, ds.z.astype(float), pi, at_bound)
+            ours = ugee._eta_block(X, ds.z.astype(float), pi, at_bound,
+                                   TilePool())
             brute = brute_eta_block(list(ds.z), [list(r) for r in ds.w],
                                     list(eta), intercept_only, clip_eps)
             for got, want in zip(ours, brute):
@@ -293,11 +301,24 @@ class TestPairTiles:
         blocks = data.subject_blocks(ds.n)
         assert len(blocks) == 9 and blocks[-1].stop - blocks[-1].start == 4
         assert any(I.start < ds.n1 < I.stop for I in blocks)
-        many = list(solve_families(ds, spec, families))
+        # the tiles on one thread and on two: the sums are added in tile
+        # order either way, so every number is the same bit for bit
+        runs = {}
+        before = threading.active_count()
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "_tile_workers", lambda: workers)
+            runs[workers] = list(solve_families(ds, spec, families))
+            assert threading.active_count() == before
+        many = runs[1]
         for a, b in zip(one, many):
             for name in ("theta", "se", "Sigma_theta", "B_hat", "delta_plain"):
                 x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
                 assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+        for a, b in zip(runs[1], runs[2]):
+            for name in ("theta", "se", "B_hat", "Sigma_theta", "vhat",
+                         "delta_plain"):
+                assert same_bits(getattr(a, name), getattr(b, name)), name
+            assert a.diagnostics == b.diagnostics
 
     def test_peak_memory_streams_over_tiles(self):
         # the largest pair arrays of a fit at n = 1000 are its tiles and the
