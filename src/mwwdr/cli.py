@@ -157,6 +157,8 @@ def cmd_simulate(args) -> int:
                               "(no silent nondeterminism)")
     if args.reps < 1:
         raise ValidationError("--reps must be at least 1")
+    if args.threads is not None and args.threads < 1:
+        raise ValidationError("--threads must be at least 1")
     if args.scenario:
         if not os.path.exists(args.scenario):
             raise _IoFailure(f"scenario file not found: {args.scenario}")

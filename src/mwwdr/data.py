@@ -112,6 +112,23 @@ def outcome_kernel(y1, y0, ties):
     return y1 <= y0
 
 
+def kernel_sums(y1, y0, ties, weights0=None):
+    """Each treated outcome's kernel sum over the control outcomes, each
+    control weighted by weights0 (1 when None): outcome_kernel(y1, y0,
+    ties) @ weights0, from one sort of y0. Each sum adds the weights of a
+    suffix of the sorted controls, accumulated from the top, so that no sum
+    is a difference; unweighted sums are multiples of 1/2 and so exact."""
+    order = np.argsort(y0, kind="stable")
+    w = np.ones(len(y0)) if weights0 is None else weights0[order]
+    # above[k]: the weight of the sorted controls k, k + 1, ...
+    above = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    y0 = y0[order]
+    at_least = above[np.searchsorted(y0, y1, "left")]  # y_c >= y_t
+    if not ties:
+        return at_least
+    return 0.5 * (at_least + above[np.searchsorted(y0, y1, "right")])
+
+
 # Subjects per block of the pair tiles above 2 * PAIR_TILE subjects. A
 # 256 x 256 float64 array is 0.5 MB, and one tile of the three-family pass
 # holds about nine at once (traced peak 4.5 MB, of which 2.7 MB are the

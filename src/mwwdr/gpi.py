@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtri
 
-from .data import outcome_kernel, pair_tiles, treated_control
+from .data import kernel_sums, outcome_kernel, pair_tiles, treated_control
 from .errors import (ConvergenceError, EstimabilityError, SeparationError,
                      ValidationError)
 from .newton import newton
@@ -131,9 +131,11 @@ def fit_gpi(dataset, constant_only=False, link="probit"):
 def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
     """fit_gpi on the outcomes y1 of the treated and y0 of the control
     subjects, scored with or without ties, and their model covariate rows
-    w1, w0 (zero columns for the constant model). Every pair sum streams
-    over the treated x control blocks of pair_tiles, the blocks the
-    sandwich's pass reads, through the tile map of the TilePool pool."""
+    w1, w0 (zero columns for the constant model). The mean indicator it
+    starts from is taken from one sort (data.kernel_sums); every pair sum of
+    the Newton streams over the treated x control blocks of pair_tiles, the
+    blocks the sandwich's pass reads, through the tile map of the TilePool
+    pool."""
     if link not in LINKS:
         raise ValidationError(f"link must be one of {LINKS}")
     n1, n0 = len(y1), len(y0)
@@ -143,9 +145,7 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
     blocks = [(rows, slice(cols.start - n1, cols.stop - n1))
               for _, _, rows, cols in pair_tiles(n1 + n0, n1)
               if rows.start < rows.stop and cols.start < cols.stop]
-    mean_ind = sum(pool.map(
-        lambda ab: float(outcome_kernel(y1[ab[0]], y0[ab[1]], ties).sum()),
-        blocks)) / m
+    mean_ind = float(kernel_sums(y1, y0, ties).sum()) / m
     if mean_ind in (0.0, 1.0):
         raise SeparationError(
             f"all observed pair indicators equal {int(mean_ind)}; "

@@ -16,9 +16,10 @@ Unobserved indicator components are dropped from the system together with
 the matching rows of the gradient and working variance, so the treatment
 and outcome blocks reproduce the standalone propensity and pairwise-outcome
 fits, and the delta equation is linear given the other blocks. One
-workspace per dataset holds the blocks every family shares, and every sum
-over pairs streams over the fixed tiles of the pair engine
-(estimators.PairSet), so no n x n array is built.
+workspace per dataset holds the blocks every family shares and is the pair
+engine: every sum over pairs streams over the fixed tiles of
+data.pair_tiles, which PairTile evaluates on the threads of a TilePool's
+ordered map, and is added in tile order, so no n x n array is built.
 
 The covariance of the stacked root is the U-statistic sandwich
 4 B^{-1} Sigma B^{-T}, with Sigma estimated from per-subject projections
@@ -27,17 +28,19 @@ pair-level gradient of the residuals.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import Dataset, subject_blocks
+from .data import (Dataset, outcome_kernel, pair_tiles, subject_blocks,
+                   treated_control)
 from .errors import ConvergenceError, MwwdrError, ValidationError
-from .estimators import DeltaRow, PairSet, add_sums
-from .gpi import fit_gpi_pairs, gamma_block, model_covariates
+from .gpi import (fit_gpi_pairs, gamma_block, link_derivative, link_inverse,
+                  model_covariates)
 from .newton import newton
+from .parallel import TilePool
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel, design_matrix,
                          fit_propensity)
 from .special import expit
@@ -172,23 +175,29 @@ def _eta_block(X, z, pi, clipped, pool):
     return score, jac, proj
 
 
-class _Workspace(PairSet):
-    """One dataset's pair engine (a PairSet: subjects held treated first,
-    with the treatment indicators z, the propensity design X and the
-    outcome model's covariates wg in that order) and the blocks every
-    family's delta row shares, filled only when some family has them.
-    set_eta: the propensities, which of them are clipped, and
-    _eta_block's value. set_gamma (PairSet's) sets the outcome model's
-    predictors; _pair_pass then fills its block's score, information and
-    per-subject scores."""
+class _Workspace:
+    """One dataset's pair engine and the blocks every family's delta row
+    shares, filled only when some family has them. The subjects are held
+    treated first (order[k] is held subject k's dataset position), with the
+    O(n) vectors the tiles read: y, z, the propensity design X, the outcome
+    model's covariates wg and, once set, the propensities pi (set_eta also
+    fills clipped and _eta_block's value) and the outcome model's
+    predictors (set_gamma; _pair_pass then fills its block). The tile maps
+    run on pool, on the caller's thread until pool is entered."""
 
     def __init__(self, dataset, spec):
-        super().__init__(dataset, _ties(dataset, spec), spec.link)
+        t, c = treated_control(dataset)
+        self.order = np.concatenate([t, c])
+        self.n, self.n1 = dataset.n, len(t)
         self.dataset, self.spec = dataset, spec
+        self.ties, self.link = _ties(dataset, spec), spec.link
         self.npairs = self.n * (self.n - 1) // 2
+        self.y = dataset.y[self.order]
         self.z = dataset.z[self.order].astype(float)
         self.X = design_matrix(dataset, spec.intercept_only_propensity)[self.order]
         self.wg = model_covariates(dataset.w, spec.constant_only_gpi)[self.order]
+        self.pi = self.a1 = self.a0 = None
+        self.pool = TilePool(len(pair_tiles(self.n, self.n1)))
 
     def set_eta(self, eta):
         eps = self.spec.clip_eps
@@ -198,27 +207,189 @@ class _Workspace(PairSet):
         self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
             self.X, self.z, self.pi, self.clipped, self.pool)
 
+    def set_gamma(self, gamma):
+        """The outcome model's linear predictors at gamma, a1 on a subject's
+        treated side (with the intercept) and a0 on its control side, so
+        that g of the ordered pair (i, j) is link_inv(a1_i + a0_j)."""
+        p = self.wg.shape[1]
+        self.a1 = gamma[0] + self.wg @ gamma[1:1 + p]
+        self.a0 = self.wg @ gamma[1 + p:]
 
-class _DeltaRow(DeltaRow):
+    def tile(self):
+        """All the subjects as one diagonal tile."""
+        every = slice(0, self.n)
+        return PairTile(self, every, every, slice(0, self.n1),
+                        slice(self.n1, self.n))
+
+
+def _link_values(link, A, zero_diagonal):
+    """g and dg/da at the linear predictors A (dg/da with a zero diagonal
+    when asked)."""
+    G, D = link_inverse(link, A), link_derivative(link, A)
+    if zero_diagonal:
+        np.fill_diagonal(D, 0.0)
+    return G, D
+
+
+def add_sums(v, sums):
+    """Add a tile's per-subject sums, (subjects, values) pairs, to v."""
+    for at, values in sums:
+        v[at] += values
+
+
+class PairTile:
+    """The tile kernel: one tile of a workspace's ordered pairs (see
+    data.pair_tiles), evaluated from its O(n) vectors.
+
+    Arrays span I x J. Forward ones hold the pair (i, j), backward ones
+    (suffix b) its reverse (j, i); on a diagonal tile (I = J) the forward
+    arrays already hold every ordered pair, and the backward ones are not
+    read. The treated x control pairs are the block tc of the forward
+    arrays, with subjects rows x cols; K and PT = pi_i (1 - pi_j) hold only
+    that block. Each array is evaluated once, when first read, and never
+    written to afterwards; g and dg/da are evaluated together, so that
+    their linear predictor is not kept.
+    """
+
+    def __init__(self, ws, I, J, rows, cols):
+        self.ws, self.I, self.J = ws, I, J
+        self.rows, self.cols = rows, cols
+        self.diag = I == J
+        self.shape = (I.stop - I.start, J.stop - J.start)
+        self.has_tc = rows.start < rows.stop and cols.start < cols.stop
+        self.tc = (slice(0, rows.stop - I.start),
+                   slice(cols.start - J.start, cols.stop - J.start))
+
+    @cached_property
+    def K(self):
+        y = self.ws.y
+        return outcome_kernel(y[self.rows], y[self.cols], self.ws.ties)
+
+    @cached_property
+    def PT(self):
+        pi = self.ws.pi
+        return np.outer(pi[self.rows], 1.0 - pi[self.cols])
+
+    @cached_property
+    def _forward(self):
+        """G and DG; DG, dg/da, is zero on a diagonal tile's diagonal."""
+        a1, a0 = self.ws.a1, self.ws.a0
+        return _link_values(self.ws.link,
+                            a1[self.I][:, None] + a0[self.J][None, :], self.diag)
+
+    @cached_property
+    def _backward(self):
+        a1, a0 = self.ws.a1, self.ws.a0
+        return _link_values(self.ws.link,
+                            a0[self.I][:, None] + a1[self.J][None, :], False)
+
+    G = property(lambda self: self._forward[0])
+    DG = property(lambda self: self._forward[1])
+    Gb = property(lambda self: self._backward[0])
+    DGb = property(lambda self: self._backward[1])
+
+    def response(self, use_pt, use_g):
+        """The delta row's per-pair response f3 on the tile, symmetric, with
+        a zero diagonal on a diagonal tile: the average of the two
+        orientations of the ordered response
+
+          R_ij K_ij + (1 - R_ij) g_ij,   R_ij = r_ij / (pi_i (1 - pi_j)),
+
+        with r_ij = z_i (1 - z_j). This is the doubly robust response;
+        without use_pt (pi_i (1 - pi_j) = 1, so R = r) it is the
+        mean-score imputed one, and without use_g (g = 0) the
+        inverse-probability weighted one."""
+        F = self.G.copy() if use_g else np.zeros(self.shape)
+        if self.has_tc:
+            T = F[self.tc]
+            if use_pt:
+                # R is evaluated twice, so that one tc block is held beside F
+                U = 1.0 / self.PT
+                T *= np.subtract(1.0, U, out=U)
+                U = np.divide(1.0, self.PT, out=U)
+                U *= self.K
+                T += U
+            else:
+                # R = 1: the g term is 0 * g = +0, and K + 0 is K exactly
+                T[...] = self.K
+        if self.diag:
+            F = F + F.T
+        elif use_g:
+            F += self.Gb
+        F *= 0.5
+        if self.diag:
+            np.fill_diagonal(F, 0.0)
+        return F
+
+    def weights(self):
+        """dr's delta-row pair weights 1/V3 on the tile, symmetric, with a
+        zero diagonal on a diagonal tile: V3 averages g (1 - g) / (pi_i
+        (1 - pi_j)) over the pair's two orientations, over 2."""
+        pi = self.ws.pi
+        V = 1.0 - self.G
+        V *= self.G
+        P = np.multiply.outer(pi[self.I], 1.0 - pi[self.J])
+        V /= P
+        if self.diag:
+            del P
+            V = V + V.T
+        else:
+            Vb = np.subtract(1.0, self.Gb, out=P)
+            Vb *= self.Gb
+            Vb /= np.multiply.outer(1.0 - pi[self.I], pi[self.J])
+            V += Vb
+        V *= 0.25
+        W = np.divide(1.0, V, out=V)
+        if self.diag:
+            np.fill_diagonal(W, 0.0)
+        return W
+
+    def row_sums(self, S):
+        """The partner sums of a symmetric tile array S, as add_sums takes
+        them: its row sums for I and, off the diagonal, its column sums for
+        J."""
+        sums = [(self.I, S.sum(axis=1))]
+        if not self.diag:
+            sums.append((self.J, S.sum(axis=0)))
+        return sums
+
+
+class _DeltaRow:
     """One family's delta row on a workspace, reading only the blocks spec
-    has: DeltaRow's sums, and the pair sums behind _bread's delta row. On
-    the treated x control pairs, with T = -w (K - g) / (2 PT^2):
-    eta_rows[i] sums T_ij (1 - pi_j) over a treated subject's partners and
-    eta_rows[j] sums -T_ij pi_i over a control subject's. Over every
-    ordered pair, with W = w (1 - R) dg/da / 2: g_rows[i] sums W_ij over j
-    and g_cols[j] over i."""
+    has, with its sums over the workspace's tiles, added tile by tile:
+    each subject's weighted sums of f3 and of the pair weights over its
+    partners (f3_rows, w_rows), the unweighted sum of f3 over every ordered
+    pair (total), and the pair sums behind _bread's delta row. use_pt and
+    use_g select the response (see PairTile.response); weighted selects
+    dr's 1/V3 pair weights, else every weight is 1. On the treated x
+    control pairs, with T = -w (K - g) / (2 PT^2): eta_rows[i] sums
+    T_ij (1 - pi_j) over a treated subject's partners and eta_rows[j] sums
+    -T_ij pi_i over a control subject's. Over every ordered pair, with
+    W = w (1 - R) dg/da / 2: g_rows[i] sums W_ij over j and g_cols[j] over
+    i."""
 
     def __init__(self, ws, spec):
-        super().__init__(ws.n, spec.has_eta, spec.has_gamma,
-                         spec.family == "dr" and spec.weighted_delta)
-        self.pi = ws.pi
+        self.use_pt, self.use_g = spec.has_eta, spec.has_gamma
+        self.weighted = spec.family == "dr" and spec.weighted_delta
+        self.f3_rows = np.zeros(ws.n)
+        self.w_rows = np.zeros(ws.n) if self.weighted else np.full(ws.n, ws.n - 1.0)
+        self.total = 0.0
         if self.use_pt:
             self.eta_rows = np.zeros(ws.n)
         if self.use_g:
             self.g_rows, self.g_cols = np.zeros(ws.n), np.zeros(ws.n)
 
     def tile_sums(self, tile):
-        total, sums, w = self._tile_sums(tile)
+        """One tile's sums, computed on any thread and added by add:
+        (its part of total, {accumulator: its per-subject sums})."""
+        w = tile.weights() if self.weighted else None
+        F = tile.response(self.use_pt, self.use_g)
+        total = float(F.sum()) * (1.0 if tile.diag else 2.0)
+        if w is not None:
+            F *= w
+        sums = {"f3_rows": tile.row_sums(F)}
+        if w is not None:
+            sums["w_rows"] = tile.row_sums(w)
         if self.use_pt and tile.has_tc:
             if self.use_g:
                 T = tile.K - tile.G[tile.tc]
@@ -228,8 +399,9 @@ class _DeltaRow(DeltaRow):
             T /= tile.PT ** 2
             if w is not None:
                 T *= w[tile.tc]
-            sums["eta_rows"] = [(tile.rows, T @ (1.0 - self.pi[tile.cols])),
-                                (tile.cols, -(T.T @ self.pi[tile.rows]))]
+            pi = tile.ws.pi
+            sums["eta_rows"] = [(tile.rows, T @ (1.0 - pi[tile.cols])),
+                                (tile.cols, -(T.T @ pi[tile.rows]))]
             del T
         if self.use_g:
             W = 0.5 * tile.DG
@@ -252,6 +424,13 @@ class _DeltaRow(DeltaRow):
                 sums["g_cols"].append((tile.I, W.sum(axis=1)))
         return total, sums
 
+    def add(self, tile_sums):
+        """Add one tile's tile_sums; the tiles are added in their order."""
+        total, sums = tile_sums
+        self.total += total
+        for name, part in sums.items():
+            add_sums(getattr(self, name), part)
+
     def solve_delta(self):
         return float(self.f3_rows.sum() / self.w_rows.sum())
 
@@ -265,15 +444,17 @@ def _pair_pass(ws, rows):
     sums, and, once the outcome model is set, its block's score,
     information and per-subject scores at gamma are summed from the
     tiles' treated x control pairs. Each tile is evaluated once, for all
-    of them, on the thread the tile map gives it; the sums are added up
-    here, in tile order."""
+    of them, on the thread the tile map gives it, which builds the tile
+    and drops it with the arrays it cached and returns only sums; they are
+    added up here, in tile order."""
     outcome = ws.a1 is not None
     if outcome:
         q = 1 + 2 * ws.wg.shape[1]
         ws.gamma_score, ws.gamma_info = np.zeros(q), np.zeros((q, q))
         ws.gamma_proj = np.zeros((ws.n, q))
 
-    def tile_sums(tile):
+    def tile_sums(tile_spec):
+        tile = PairTile(ws, *tile_spec)
         block = None
         if outcome and tile.has_tc:
             score, info, rows1, rows0 = gamma_block(
@@ -282,7 +463,7 @@ def _pair_pass(ws, rows):
             block = score, info, [(tile.rows, rows1), (tile.cols, rows0)]
         return block, [row.tile_sums(tile) for row in rows]
 
-    for block, sums in ws.map_tiles(tile_sums):
+    for block, sums in ws.pool.map(tile_sums, pair_tiles(ws.n, ws.n1)):
         if block is not None:
             score, info, proj = block
             ws.gamma_score += score
@@ -377,6 +558,8 @@ class WaldResult:
 def wald(estimate, se, null_value=0.5, alpha=0.05, component="delta") -> WaldResult:
     """Two-sided normal test of an estimate with standard error se > 0
     against a point null; p = 2 Phi(-|z|), without a floor."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must lie in (0, 1)")
     zval = (estimate - null_value) / se
     crit = float(ndtri(1.0 - alpha / 2.0))
     return WaldResult(component, estimate, se, float(zval),
@@ -387,8 +570,6 @@ def wald(estimate, se, null_value=0.5, alpha=0.05, component="delta") -> WaldRes
 
 def wald_test(fit, component="delta", null_value=0.5, alpha=0.05) -> WaldResult:
     """Two-sided normal test of one component against a point null."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0, 1)")
     k = fit.index_of(component)
     est, se = float(fit.theta[k]), float(fit.se[k])
     if se <= 0.0:
@@ -474,11 +655,11 @@ def _at(dataset, spec, theta):
     layout = ThetaLayout(dataset.p, spec)
     eta, gamma, delta = layout.unpack(theta)
     ws = _Workspace(dataset, spec)
-    with ws.tile_pool():
+    with ws.pool:
         if layout.eta_dim:
             ws.set_eta(eta)
         if layout.gamma_dim:
-            ws.set_gamma(gamma, ws.wg)
+            ws.set_gamma(gamma)
         row = _DeltaRow(ws, spec)
         _pair_pass(ws, [row])
     return ws, row, layout, delta
@@ -532,7 +713,7 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
     specs = [replace(spec, family=family) for family in families]
     ws = _Workspace(dataset, spec)
     eta_fit = gamma_fit = None
-    with ws.tile_pool():
+    with ws.pool:
         if any(fspec.has_eta for fspec in specs):
             eta_fit = _fit_eta_pairwise(ws, eta_init)
         if any(fspec.has_gamma for fspec in specs):
@@ -540,7 +721,7 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
             gamma_fit = fit_gpi_pairs(ws.y[:n1], ws.y[n1:], ws.ties,
                                       ws.wg[:n1], ws.wg[n1:], spec.link,
                                       ws.pool)
-            ws.set_gamma(gamma_fit.gamma, ws.wg)
+            ws.set_gamma(gamma_fit.gamma)
         rows = [_DeltaRow(ws, fspec) for fspec in specs]
         _pair_pass(ws, rows)
     for fspec, row in zip(specs, rows):
@@ -631,7 +812,7 @@ def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0,
         if layout.eta_dim:
             ws.pi = _propensities(ws.X, eta, spec)
         if layout.gamma_dim:
-            ws.set_gamma(gamma, ws.wg)
+            ws.set_gamma(gamma)
         F3 = ws.tile().response(row.use_pt, row.use_g)
         return 0.5 * np.sum(w * (F3 - delta)) / ws.npairs
 

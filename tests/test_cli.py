@@ -42,6 +42,13 @@ class TestEstimate:
         assert code == 2
         assert "row 3" in capsys.readouterr().err
 
+    def test_alpha_validated_for_mww(self, capsys):
+        code = run(["estimate", "--input", FIXTURES / "four_row.csv",
+                    "--z-col", "z", "--y-col", "y", "--estimator", "mww",
+                    "--alpha", "2"])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, capsys):
         code = run(["estimate", "--input", FIXTURES / "nope.csv",
                     "--z-col", "z", "--y-col", "y"])
@@ -196,6 +203,12 @@ class TestSimulate:
         code = run(["simulate", "--preset", "table2", "--n", "40",
                     "--reps", "0", "--seed", "1"])
         assert code == 2
+
+    def test_zero_threads_rejected(self, capsys):
+        code = run(["simulate", "--preset", "table2", "--n", "40",
+                    "--reps", "2", "--seed", "1", "--threads", "0"])
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_preset_runs_and_repeats_identically(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -4,6 +4,7 @@ import pytest
 from mwwdr import data
 from mwwdr.data import CsvSchema, Dataset, load_csv
 from mwwdr.errors import EstimabilityError, IngestionError, ValidationError
+from mwwdr.estimators import mww_estimate
 from mwwdr.simstudy import synthetic_confounded_trial, write_dataset_csv
 
 
@@ -123,3 +124,55 @@ class TestPairs:
         held = np.sort(ds.z)[::-1]  # treated first
         n_conc = sum(1 for i, j in pairs if held[i] == held[j])
         assert len(disc) + n_conc == 36
+
+
+def outcomes(rng, n, kind):
+    """n outcomes: continuous, or counts with heavy ties (five values)."""
+    if kind == "count":
+        return rng.integers(0, 5, n).astype(float)
+    return rng.normal(0.0, 1.0, n)
+
+
+class TestKernelSums:
+    """data.kernel_sums, from one sort, against the dense kernel matrix."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "count"])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n1, n0", [(1, 1), (3, 8), (350, 300), (420, 700)])
+    def test_matches_dense_kernel(self, n1, n0, ties, kind):
+        rng = np.random.default_rng(n1 + 7 * n0 + ties)
+        y1, y0 = outcomes(rng, n1, kind), outcomes(rng, n0, kind)
+        K = data.outcome_kernel(y1, y0, ties).astype(float)
+        # unweighted sums are multiples of 1/2: exact
+        got = data.kernel_sums(y1, y0, ties)
+        assert got.tobytes() == K.sum(axis=1).tobytes()
+        weights0 = rng.uniform(1.0, 50.0, n0)
+        got = data.kernel_sums(y1, y0, ties, weights0)
+        want = K @ weights0
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_outcomes_outside_and_on_the_controls(self):
+        y0 = np.array([2.0, 1.0, 2.0, 3.0])
+        y1 = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert data.kernel_sums(y1, y0, False).tolist() == [4, 4, 3, 1, 0]
+        assert data.kernel_sums(y1, y0, True).tolist() == [4, 3.5, 2, 0.5, 0]
+        w = np.array([1.0, 10.0, 100.0, 1000.0])
+        assert data.kernel_sums(y1, y0, True, w).tolist() \
+            == [1111.0, 1106.0, 1050.5, 500.0, 0.0]
+
+    def test_mww_matches_dense_bit_for_bit(self):
+        # n = 1500 count outcomes with heavy ties: the placement values and
+        # so delta and its standard error are those of the dense kernel
+        rng = np.random.default_rng(12)
+        z = (rng.random(1500) < 0.45).astype(int)
+        ds = Dataset(z, outcomes(rng, 1500, "count"), outcome_kind="count")
+        t, c = data.treated_control(ds)
+        K = data.outcome_kernel(ds.y[t], ds.y[c], True)
+        n1, n0 = len(t), len(c)
+        rows, cols = K.sum(axis=1), K.sum(axis=0)
+        delta = float(rows.sum() / (n1 * n0))
+        se = float(np.sqrt((rows / n0).var(ddof=1) / n1
+                           + (cols / n1).var(ddof=1) / n0))
+        est = mww_estimate(ds)
+        assert est.delta_hat.hex() == delta.hex()
+        assert est.se.hex() == se.hex()

@@ -3,10 +3,9 @@ import pytest
 
 from mwwdr.data import Dataset
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
-from mwwdr.estimators import PairSet
-from mwwdr.gpi import GpiModel, fit_gpi, model_covariates
+from mwwdr.gpi import GpiModel, fit_gpi
 from mwwdr.simstudy import ScenarioConfig, generate_dataset
-from mwwdr.ugee import FrmSpec, stacked_residual
+from mwwdr.ugee import FrmSpec, _Workspace, stacked_residual
 
 from oracles import _g_of, normal_ppf
 
@@ -20,10 +19,10 @@ def tile_g(m, w):
     """The tile kernel's g of every ordered pair of subjects with covariate
     rows w, held in the order given."""
     w = np.asarray(w, dtype=float)
-    pairs = PairSet(Dataset(np.ones(len(w), dtype=int), np.zeros(len(w)), w),
-                    False, m.link)
-    pairs.set_gamma(m.gamma, model_covariates(w, m.constant_only))
-    return pairs.tile().G
+    ws = _Workspace(Dataset(np.ones(len(w), dtype=int), np.zeros(len(w)), w),
+                    FrmSpec(link=m.link, constant_only_gpi=m.constant_only))
+    ws.set_gamma(m.gamma)
+    return ws.tile().G
 
 
 def g_value(m, w_first, w_second):
