@@ -116,6 +116,8 @@ def _estimates(ds, args, wanted, ties_override):
 
 
 def cmd_estimate(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValidationError("--alpha must lie in (0, 1)")
     if not os.path.exists(args.input):
         raise _IoFailure(f"input file not found: {args.input}")
     w_cols = tuple(c for c in (s.strip() for s in args.w_cols.split(",")) if c)

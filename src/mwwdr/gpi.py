@@ -3,21 +3,24 @@
 The model regresses that indicator on both subjects' covariates through a
 probit (default) or logit link: g = link_inv(g0 + g11'w_first + g10'w_second).
 Fitting uses every observed discordant (treated, control) pair with
-Bernoulli working variance g(1 - g).
+Bernoulli working variance g(1 - g). The Newton steps on the observed
+information, minus the exact Jacobian of that score, so it converges
+quadratically under either link; the sandwich's bread keeps the expected
+information. gamma_block gives both.
 """
 
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .data import kernel_sums, outcome_kernel, pair_tiles, treated_control
 from .errors import (ConvergenceError, EstimabilityError, SeparationError,
                      ValidationError)
 from .newton import newton
 from .parallel import TilePool
-from .special import expit, logit, std_normal_cdf, std_normal_pdf
+from .special import PROB_EPS, _check_finite, expit, logit
 
 LINKS = ("probit", "logit")
 SCORE_TOL = 1e-8
@@ -25,19 +28,20 @@ MAX_ITER = 100
 SEPARATION_BOUND = 30.0
 
 
-def link_inverse(link, a):
-    """g as a function of the linear predictor, clamped away from 0/1."""
-    if link == "probit":
-        return std_normal_cdf(a)
-    return expit(a)
-
-
-def link_derivative(link, a):
-    """d link_inv / d a, as a function of the linear predictor."""
-    if link == "probit":
-        return std_normal_pdf(a)
-    p = expit(a)
-    return p * (1.0 - p)
+def link_values(link, a):
+    """g and dg/da at the linear predictors a (an array), g clamped as
+    special's inverse links clamp it; a is not written to."""
+    if link == "logit":
+        g = expit(a)
+        return g, g * (1.0 - g)
+    _check_finite(a, "linear predictor")
+    g = ndtr(a)
+    np.clip(g, PROB_EPS, 1.0 - PROB_EPS, out=g)
+    d = np.multiply(a, -0.5)
+    d *= a
+    np.exp(d, out=d)
+    d /= np.sqrt(2.0 * np.pi)
+    return g, d
 
 
 def link_initial(link, mean):
@@ -77,26 +81,45 @@ def model_covariates(w, constant_only):
     return w[:, :0] if constant_only else w
 
 
-def gamma_block(K, G, D, w1, w0):
-    """Score, information and per-subject scores of the outcome block over
-    one block of treated x control pairs.
+def gamma_block(K, G, D, w1, w0, link=None, A=None):
+    """Score and information of the outcome block over one block of
+    treated x control pairs, with the per-subject scores or not.
 
     K, G and D are the block's matrices of the observed indicators, the
     modeled g and its derivative in the linear predictor; w1 and w0 the
     model's covariate rows of its treated and its control subjects. With
     u = (1, w_t, w_c) and v = g(1 - g), a pair contributes the score
-    d v^-1 (K - g) u and the information d^2 v^-1 u u'. Returns (score,
-    info, rows1, rows0): rows1[a] sums treated subject a's pair scores,
-    rows0[b] control subject b's, so both sum to the score. Every output
-    is a sum over the block's pairs, so the blocks of a tiling add up to
-    the whole treated x control block. Neither input is written to.
+    S u, S = d v^-1 (K - g), and the expected information d^2 v^-1 u u'.
+    Every output is a sum over the block's pairs, so the blocks of a tiling
+    add up to the whole treated x control block.
+
+    Without link (the sandwich's form) it returns (score, info, rows1,
+    rows0) with the expected information: rows1[a] sums treated subject
+    a's pair scores, rows0[b] control subject b's, so both sum to the
+    score; no input is written to. With link (the Newton's form) it
+    returns (score, info) with the observed information, minus the
+    Jacobian of the score: a pair's weight d^2 / v gains
+    S (d (1 - 2g) / v - d'/d), which is zero under logit, the canonical
+    link, and S (a + d (1 - 2g) / v) under probit, read from the block's
+    linear predictors A. The weight is then minus the second derivative
+    of K log g + (1 - K) log(1 - g) in a, positive for K in [0, 1] where
+    g is not clamped. G and A are overwritten.
     """
     V = 1.0 - G
     V *= G  # v
     S = D / V
     Q = D * D
     Q /= V
-    S *= np.subtract(K, G, out=V)
+    np.subtract(K, G, out=V)
+    if link == "probit":
+        G *= -2.0
+        G += 1.0
+        G *= S
+        A += G  # a + d (1 - 2g) / v
+    S *= V
+    if link == "probit":
+        A *= S
+        Q += A
     rs, cs = S.sum(axis=1), S.sum(axis=0)
     qr, qc = Q.sum(axis=1), Q.sum(axis=0)
     p = w1.shape[1]
@@ -109,6 +132,8 @@ def gamma_block(K, G, D, w1, w0):
     info[1 + p:, 1 + p:] = (w0 * qc[:, None]).T @ w0
     info[1:1 + p, 1 + p:] = w1.T @ Q @ w0
     info[1 + p:, 1:1 + p] = info[1:1 + p, 1 + p:].T
+    if link is not None:
+        return score, info
     rows1 = np.column_stack([rs, w1 * rs[:, None], S @ w0])
     rows0 = np.column_stack([cs, S.T @ w1, w0 * cs[:, None]])
     return score, info, rows1, rows0
@@ -119,8 +144,9 @@ def fit_gpi(dataset, constant_only=False, link="probit"):
 
     Score: sum over observed (treated, control) pairs of
     d * v^-1 * (indicator - g), with d the gradient of g in gamma and
-    v = g(1 - g). The blocks run on the caller's thread; solve_families
-    runs fit_gpi_pairs on its tile pool.
+    v = g(1 - g). Each step solves with the observed information
+    (gamma_block's Newton form). The blocks run on the caller's thread;
+    solve_families runs fit_gpi_pairs on its tile pool.
     """
     t, c = treated_control(dataset)
     w = model_covariates(dataset.w, constant_only)
@@ -159,10 +185,9 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
         def block_sums(block):
             a, b = block
             A = pair_predictor(gamma, w1[a], w0[b])
-            G, D = link_inverse(link, A), link_derivative(link, A)
-            del A
+            G, D = link_values(link, A)
             return gamma_block(outcome_kernel(y1[a], y0[b], ties), G, D,
-                               w1[a], w0[b])[:2]
+                               w1[a], w0[b], link, A)
 
         score = info = 0.0
         for s, q in pool.map(block_sums, blocks):

@@ -37,8 +37,7 @@ from scipy.special import ndtr, ndtri
 from .data import (Dataset, outcome_kernel, pair_tiles, subject_blocks,
                    treated_control)
 from .errors import ConvergenceError, MwwdrError, ValidationError
-from .gpi import (fit_gpi_pairs, gamma_block, link_derivative, link_inverse,
-                  model_covariates)
+from .gpi import fit_gpi_pairs, gamma_block, link_values, model_covariates
 from .newton import newton
 from .parallel import TilePool
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel, design_matrix,
@@ -222,15 +221,6 @@ class _Workspace:
                         slice(self.n1, self.n))
 
 
-def _link_values(link, A, zero_diagonal):
-    """g and dg/da at the linear predictors A (dg/da with a zero diagonal
-    when asked)."""
-    G, D = link_inverse(link, A), link_derivative(link, A)
-    if zero_diagonal:
-        np.fill_diagonal(D, 0.0)
-    return G, D
-
-
 def add_sums(v, sums):
     """Add a tile's per-subject sums, (subjects, values) pairs, to v."""
     for at, values in sums:
@@ -274,14 +264,17 @@ class PairTile:
     def _forward(self):
         """G and DG; DG, dg/da, is zero on a diagonal tile's diagonal."""
         a1, a0 = self.ws.a1, self.ws.a0
-        return _link_values(self.ws.link,
-                            a1[self.I][:, None] + a0[self.J][None, :], self.diag)
+        G, D = link_values(self.ws.link,
+                           a1[self.I][:, None] + a0[self.J][None, :])
+        if self.diag:
+            np.fill_diagonal(D, 0.0)
+        return G, D
 
     @cached_property
     def _backward(self):
         a1, a0 = self.ws.a1, self.ws.a0
-        return _link_values(self.ws.link,
-                            a0[self.I][:, None] + a1[self.J][None, :], False)
+        return link_values(self.ws.link,
+                           a0[self.I][:, None] + a1[self.J][None, :])
 
     G = property(lambda self: self._forward[0])
     DG = property(lambda self: self._forward[1])

@@ -49,6 +49,17 @@ class TestEstimate:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["2", "-1"])
+    def test_alpha_validated_before_any_fit(self, alpha, tmp_path, capsys):
+        # with one treated subject mww has no standard error, so no Wald
+        # test would ever read alpha
+        path = tmp_path / "one_treated.csv"
+        path.write_text("z,y\n1,1\n0,2\n0,3\n")
+        code = run(["estimate", "--input", path, "--z-col", "z",
+                    "--y-col", "y", "--estimator", "mww", "--alpha", alpha])
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, capsys):
         code = run(["estimate", "--input", FIXTURES / "nope.csv",
                     "--z-col", "z", "--y-col", "y"])
