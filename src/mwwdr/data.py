@@ -129,7 +129,7 @@ def kernel_sums(y1, y0, ties, weights0=None):
     return 0.5 * (at_least + above[np.searchsorted(y0, y1, "right")])
 
 
-# Subjects per block of the pair tiles above 2 * PAIR_TILE subjects. A
+# The most subjects in one block of the pair tiles, at every n. A
 # 256 x 256 float64 array is 0.5 MB, and one tile of the three-family pass
 # holds about nine at once (traced peak 4.5 MB, of which 2.7 MB are the
 # cached K, PT, g and dg/da), so a tile is not cache-resident in a 2 MiB L2.
@@ -140,11 +140,13 @@ PAIR_TILE = 256
 
 
 def _tile_size(n):
-    """Subjects per block of the pair tiles of n subjects: all of them up to
-    2 * PAIR_TILE, so that small data is one tile, else PAIR_TILE. A
-    function of n alone, so that the order of every pair sum, and with it
-    every reported number, does not depend on the machine."""
-    return n if n <= 2 * PAIR_TILE else PAIR_TILE
+    """Subjects per block of the pair tiles of n subjects: at most
+    PAIR_TILE, so that no tile's arrays outgrow the sizes that malloc
+    reuses (one 400 x 400 tile's 1.28 MB arrays were mapped and unmapped
+    on every pass). A function of n alone, so that the order of every pair
+    sum, and with it every reported number, does not depend on the
+    machine."""
+    return min(n, PAIR_TILE)
 
 
 def subject_blocks(n):

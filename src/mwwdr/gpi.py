@@ -11,16 +11,16 @@ information. gamma_block gives both.
 
 from dataclasses import dataclass
 from functools import partial
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .data import kernel_sums, outcome_kernel, pair_tiles, treated_control
 from .errors import (ConvergenceError, EstimabilityError, SeparationError,
                      ValidationError)
 from .newton import newton
 from .parallel import TilePool
-from .special import PROB_EPS, _check_finite, expit, logit
+from .special import _check_finite, expit, logit, normal_cdf_pdf
 
 LINKS = ("probit", "logit")
 SCORE_TOL = 1e-8
@@ -35,19 +35,13 @@ def link_values(link, a):
         g = expit(a)
         return g, g * (1.0 - g)
     _check_finite(a, "linear predictor")
-    g = ndtr(a)
-    np.clip(g, PROB_EPS, 1.0 - PROB_EPS, out=g)
-    d = np.multiply(a, -0.5)
-    d *= a
-    np.exp(d, out=d)
-    d /= np.sqrt(2.0 * np.pi)
-    return g, d
+    return normal_cdf_pdf(a)
 
 
 def link_initial(link, mean):
     mean = min(max(mean, 1e-6), 1.0 - 1e-6)
     if link == "probit":
-        return float(ndtri(mean))
+        return NormalDist().inv_cdf(mean)
     return logit(mean)
 
 

@@ -136,16 +136,29 @@ def true_delta(config, n_pairs=10_000_000, chunk=1_000_000):
     sw = math.sqrt(config.sigma2_w)
     sb = math.sqrt(config.sigma2_b / 2.0)
     se = math.sqrt(config.sigma2 / 2.0)
+    buffers = np.empty((3, min(chunk, n_pairs)))
     hits, total = 0, 0
     while total < n_pairs:
         m = min(chunk, n_pairs - total)
-        wi = gen.normal(config.mu_w, sw, m)
-        wj = gen.normal(config.mu_w, sw, m)
-        y1 = b1 + b2 * wi + (gen.standard_normal(m) ** 2 - 1.0) * sb \
-            + (gen.standard_normal(m) ** 2 - 1.0) * se
-        y0 = b2 * wj + (gen.standard_normal(m) ** 2 - 1.0) * sb \
-            + (gen.standard_normal(m) ** 2 - 1.0) * se
-        hits += int((y1 <= y0).sum())
+        # y1 = b1 + b2 wi + (u1^2 - 1) sb + (u2^2 - 1) se and y0 = b2 wj +
+        # (u3^2 - 1) sb + (u4^2 - 1) se, drawn wi, wj, u1, ..., u4 and summed
+        # left to right, in three buffers reused by every chunk
+        y1, y0, u = buffers[:, :m]
+        for w in (y1, y0):
+            gen.standard_normal(out=w)
+            w *= sw
+            w += config.mu_w
+        y1 *= b2
+        y1 += b1
+        y0 *= b2
+        for y in (y1, y0):
+            for scale in (sb, se):
+                gen.standard_normal(out=u)
+                np.square(u, out=u)
+                u -= 1.0
+                u *= scale
+                y += u
+        hits += int(np.count_nonzero(y1 <= y0))
         total += m
     return hits / total
 

@@ -27,12 +27,13 @@ The covariance of the stacked root is the U-statistic sandwich
 pair-level gradient of the residuals.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from statistics import NormalDist
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .data import (Dataset, outcome_kernel, pair_tiles, subject_blocks,
                    treated_control)
@@ -554,9 +555,9 @@ def wald(estimate, se, null_value=0.5, alpha=0.05, component="delta") -> WaldRes
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
     zval = (estimate - null_value) / se
-    crit = float(ndtri(1.0 - alpha / 2.0))
+    crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return WaldResult(component, estimate, se, float(zval),
-                      float(2.0 * ndtr(-abs(zval))),
+                      math.erfc(abs(zval) / math.sqrt(2.0)),
                       estimate - crit * se, estimate + crit * se, alpha,
                       null_value, bool(abs(zval) > crit))
 

@@ -70,6 +70,23 @@ class TestGValue:
                 want = _g_of(m.gamma, list(w[i]), list(w[j]), m.link, False)[0]
                 assert abs(G[i, j] - want) < 1e-12
 
+    def test_probit_density_is_the_four_step_formula(self):
+        # dg/da must not move by a bit: exp(a * -0.5 * a) / sqrt(2 pi), as
+        # the fits computed it before Phi came from the rational kernel
+        rng = np.random.default_rng(6)
+        A = np.concatenate([np.linspace(-45.0, 45.0, 90001),
+                            rng.normal(0.0, 3.0, 10000),
+                            [-1e300, -1e154, -38.7, 38.5, 1e-300, -0.0]])
+        with np.errstate(over="ignore"):
+            want = np.multiply(A, -0.5)
+            want *= A
+        np.exp(want, out=want)
+        want /= np.sqrt(2.0 * np.pi)
+        before = A.copy()
+        G, D = link_values("probit", A[None, :])
+        assert np.array_equal(D.ravel(), want)
+        assert np.array_equal(A, before)
+
 
 class TestFitGpi:
     def test_constant_only_closed_form(self, four_row_dataset):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mwwdr import gpi, propensity
 from mwwdr.data import Dataset
-from mwwdr.errors import MwwdrError
+from mwwdr.errors import ConvergenceError, MwwdrError
 from mwwdr.propensity import design_matrix
 from mwwdr.simstudy import synthetic_confounded_trial
 from mwwdr.special import expit
@@ -78,22 +78,33 @@ def test_every_fit_returns_or_raises_typed(case):
     assert all(np.all(np.isfinite(fit.theta)) for fit in fits)
 
 
-@pytest.mark.xfail(strict=True, raises=MwwdrError, reason=(
-    "the per-fit finite-difference check fails dr on this case (scaled "
-    "error 1.3e-2 against the 1e-5 threshold) from round-off in the central "
-    "difference, not from a wrong bread: the error grows as the step "
-    "shrinks (4.6e-4, 1.3e-2 and 0.165 at steps 1e-4, 1e-6 and 1e-8); g "
-    "sits at the 1e-12 clamp on 3 of the 12 ordered pairs, and dr's 1/V3 "
-    "pair weights reach 4.7e9"))
-def test_fd_check_of_a_dr_fit_with_clamped_g():
+def _clamped_g_case():
     # hard_fits's data at n = 4, p = 1, scale = 1e-6, seed 2, continuous
-    # outcomes; ipw and msi at the same root pass the check (errors at
-    # most 3e-11)
+    # outcomes
     rng = np.random.default_rng(2)
     w = rng.normal(0.0, 1.0, (4, 1))
     z = (rng.random(4) < expit(1e-6 * w[:, 0])).astype(int)
     ds = Dataset(z, w.sum(axis=1) + rng.normal(0.0, 1.0, 4), w)
-    spec = FrmSpec(link="probit", clip_eps=1e-6)
+    return ds, FrmSpec(link="probit", clip_eps=1e-6)
+
+
+def test_dr_fit_with_clamped_g_stops_at_the_stacked_residual():
+    # the fit stops before its finite-difference check runs
+    ds, spec = _clamped_g_case()
+    with pytest.raises(ConvergenceError,
+                       match="stacked system residual above tolerance"):
+        list(solve_families(ds, spec, ("dr",)))
+
+
+@pytest.mark.xfail(strict=True, raises=MwwdrError, reason=(
+    "dr's stacked system residual at the solved root is above its 1e-8 "
+    "tolerance on this case (4.5e-8; 9.6e-8 with scipy's ndtr), so the fit "
+    "raises ConvergenceError before the finite-difference check runs; g "
+    "sits at the 1e-12 clamp on 3 of the 12 ordered pairs, and dr's 1/V3 "
+    "pair weights reach 4.7e9"))
+def test_fd_check_of_a_dr_fit_with_clamped_g():
+    # ipw and msi at the same root pass the check (errors at most 4e-11)
+    ds, spec = _clamped_g_case()
     fits = list(solve_families(ds, spec, ("ipw", "msi")))
     assert all(fit.diagnostics["fd_check_max_err"] <= 1e-10 for fit in fits)
     dr, = solve_families(ds, spec, ("dr",))

@@ -92,6 +92,12 @@ class TestTrueValues:
         b = true_delta(cfg, n_pairs=200_000)
         assert a == b
 
+    def test_true_delta_oracle_pinned(self):
+        # the oracle's draws, their order and its sums are fixed: hits over
+        # the default 10^7 pairs at two seeds
+        assert true_delta(sim.preset_power(50, 200, 7)) == 0.2758941
+        assert true_delta(sim.preset_power(50, 200, 11)) == 0.2758956
+
     def test_true_delta_against_independent_mc(self):
         # fresh numpy-based pair simulation, different generator family
         cfg = ScenarioConfig(beta=(0.0, 1.0, 1.0), seed=9)

@@ -1,11 +1,14 @@
 import decimal
+import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from mwwdr import special
 from mwwdr.errors import ValidationError
-from mwwdr.special import expit, logit, std_normal_cdf, std_normal_pdf
+from mwwdr.special import (PROB_EPS, expit, logit, normal_cdf_pdf,
+                           std_normal_cdf, std_normal_pdf)
 
 
 def dec_expit_one():
@@ -59,6 +62,12 @@ class TestExpit:
         out = expit(np.zeros((3, 2)))
         assert out.shape == (3, 2)
 
+    def test_huge_inputs_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expit(np.array([-1e300, -800.0, 800.0, 1e300]))
+        assert out.tolist() == [1e-12, 1e-12, 1.0 - 1e-12, 1.0 - 1e-12]
+
 
 class TestStdNormalCdf:
     def test_symmetry(self):
@@ -81,6 +90,76 @@ class TestStdNormalCdf:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             std_normal_cdf(float("nan"))
+
+
+# Phi's error bound wherever it is not clamped, in units in the last place of
+# the exact value. Most of it is the rounding of a^2 / 2 before exp, which
+# exp turns into a relative error of up to a^2 / 2 half-ulps (about 16 ulp
+# at a = -7); the rational itself is within 7.5e-17 of exact.
+CDF_ULPS = 20
+
+
+class TestNormalCdfKernel:
+    def test_against_forty_digit_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        a = np.linspace(-8.0, 8.0, 16001)
+        g = normal_cdf_pdf(a)[0]
+        with mpmath.workdps(40):
+            exact = [mpmath.ncdf(v) for v in a.tolist()]
+            off = np.array([float(abs(mpmath.mpf(v) - e))
+                            for v, e in zip(g.tolist(), exact)])
+        exact = np.array(exact, dtype=float)
+        free = (exact > PROB_EPS) & (exact < 1.0 - PROB_EPS)
+        assert free.sum() > 14000  # Phi is clamped beyond |a| = 7.03
+        assert np.max(off[free] / np.spacing(exact[free])) <= CDF_ULPS
+
+    def test_tail_against_series_oracle(self):
+        # the lower tail, where Phi is not near 1 and every digit shows
+        for x in (-7.0, -6.3, -5.0, -3.3, -1.1, -0.2):
+            exact = float(dec_normal_cdf(x))
+            assert abs(std_normal_cdf(x) - exact) <= CDF_ULPS * np.spacing(exact)
+
+    def test_against_scipy(self):
+        scipy_special = pytest.importorskip("scipy.special")
+        a = np.linspace(-8.0, 8.0, 16001)
+        # scipy's ndtr is itself up to 75 ulp off on this grid
+        np.testing.assert_allclose(
+            normal_cdf_pdf(a)[0],
+            np.clip(scipy_special.ndtr(a), PROB_EPS, 1.0 - PROB_EPS),
+            rtol=2.5e-14, atol=0.0)
+
+    def test_center_and_exact_reflection(self):
+        assert normal_cdf_pdf(np.array([0.0, -0.0]))[0].tolist() == [0.5, 0.5]
+        a = np.linspace(1e-3, 10.0, 10000)
+        assert np.array_equal(std_normal_cdf(a), 1.0 - std_normal_cdf(-a))
+
+    def test_monotone_on_dense_grid(self):
+        g = std_normal_cdf(np.linspace(-8.5, 8.5, 170001))
+        assert np.all(np.diff(g) >= 0.0)
+
+    def test_huge_inputs_raise_no_warning(self):
+        a = np.array([-1e300, -1e160, -40.0, -8.5, 8.5, 40.0, 1e160, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, d = normal_cdf_pdf(a)
+            assert std_normal_cdf(1e300) == 1.0 - PROB_EPS
+        assert g.tolist() == [PROB_EPS] * 4 + [1.0 - PROB_EPS] * 4
+        assert d[[0, 1, 2, 5, 6, 7]].tolist() == [0.0] * 6
+
+    def test_small_and_large_blocks_agree_to_the_bit(self):
+        # blocks below _CDF_SMALL elements evaluate P and Q as one complex
+        # Horner loop, larger ones as two real loops
+        a = np.random.default_rng(1).normal(0.0, 4.0, (100, 100))
+        assert a.size >= special._CDF_SMALL > a.shape[1]
+        rows = [normal_cdf_pdf(row[None]) for row in a]
+        for whole, parts in zip(normal_cdf_pdf(a), zip(*rows)):
+            assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_scalar_and_shape(self):
+        assert isinstance(std_normal_cdf(1.0), float)
+        assert std_normal_cdf(np.zeros((3, 2))).shape == (3, 2)
+        g, d = normal_cdf_pdf(np.zeros((3, 2)))
+        assert g.shape == d.shape == (3, 2)
 
 
 def test_pdf_matches_derivative():
