@@ -141,11 +141,9 @@ PAIR_TILE = 256
 
 def _tile_size(n):
     """Subjects per block of the pair tiles of n subjects: at most
-    PAIR_TILE, so that no tile's arrays outgrow the sizes that malloc
-    reuses (one 400 x 400 tile's 1.28 MB arrays were mapped and unmapped
-    on every pass). A function of n alone, so that the order of every pair
-    sum, and with it every reported number, does not depend on the
-    machine."""
+    PAIR_TILE, so that one block size serves every n. A function of n
+    alone, so that the order of every pair sum, and with it every reported
+    number, does not depend on the machine."""
     return min(n, PAIR_TILE)
 
 

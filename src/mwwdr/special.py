@@ -23,12 +23,6 @@ _CDF_P = (0.5, 0.5797896517822086, 0.3373564836940517, 0.12100249836693701,
 _CDF_Q = (1.0, 1.9574638643672735, 1.7365431630966275, 0.9147955638155245,
           0.31418500000265964, 0.07238294189166662, 0.010991079871146772,
           0.0010141080169171035, 4.406254126588345e-05)
-# Below this many elements numpy's per-call overhead is most of a call, and
-# P and Q run as one Horner loop on complex numbers, P(x) + i Q(x) at the
-# real x: 16 numpy calls in place of 32, with the same roundings, so the
-# same bits. Above it the complex loop costs more per element.
-_CDF_SMALL = 4096
-_CDF_PQ = tuple(complex(p, q) for p, q in zip(_CDF_P, _CDF_Q))
 # |a| is cut to this before the kernel squares it: a^2 stays finite, and
 # exp(-a^2 / 2) is exactly 0 from |a| = 38.6 on either way.
 _CDF_CUT = 40.0
@@ -38,14 +32,6 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 def _check_finite(x, name):
     if not np.isfinite(x).all():
         raise ValidationError(f"{name} must be finite")
-
-
-def _clamp(p, out=None):
-    """p clamped to [PROB_EPS, 1 - PROB_EPS] in two ufunc calls: np.clip's
-    Python wrapper adds about 2 us a call, as much again on the small
-    blocks of a small fit."""
-    p = np.maximum(p, PROB_EPS, out=out)
-    return np.minimum(p, 1.0 - PROB_EPS, out=out)
 
 
 def _polynomial(coefs, x):
@@ -66,14 +52,9 @@ def normal_cdf_pdf(a):
     written to."""
     x = np.abs(a)
     np.minimum(x, _CDF_CUT, out=x)
-    if x.size < _CDF_SMALL:
-        pq = _polynomial(_CDF_PQ, x.astype(complex))
-        g = pq.real / pq.imag
-        q = None
-    else:
-        g = _polynomial(_CDF_P, x)
-        q = _polynomial(_CDF_Q, x)
-        g /= q
+    g = _polynomial(_CDF_P, x)
+    q = _polynomial(_CDF_Q, x)
+    g /= q
     # exp(-x^2 / 2), in Q's place: three arrays of a's size at most
     d = np.multiply(x, -0.5, out=q)
     d *= x
@@ -84,7 +65,7 @@ def normal_cdf_pdf(a):
     # 256 x 256 block, a quarter of the kernel)
     np.copysign(g, a, out=g)
     np.subtract(~np.signbit(a), g, out=g)
-    _clamp(g, g)
+    np.clip(g, PROB_EPS, 1.0 - PROB_EPS, out=g)
     d /= _SQRT_2PI
     return g, d
 
@@ -99,7 +80,8 @@ def expit(x):
     x = np.asarray(x, dtype=float)
     _check_finite(x, "expit argument")
     e = np.exp(-np.abs(x))
-    out = _clamp(np.where(x < 0.0, e, 1.0) / (1.0 + e))
+    out = np.clip(np.where(x < 0.0, e, 1.0) / (1.0 + e),
+                  PROB_EPS, 1.0 - PROB_EPS)
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,7 +5,6 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from mwwdr import special
 from mwwdr.errors import ValidationError
 from mwwdr.special import (PROB_EPS, expit, logit, normal_cdf_pdf,
                            std_normal_cdf, std_normal_pdf)
@@ -145,15 +144,6 @@ class TestNormalCdfKernel:
             assert std_normal_cdf(1e300) == 1.0 - PROB_EPS
         assert g.tolist() == [PROB_EPS] * 4 + [1.0 - PROB_EPS] * 4
         assert d[[0, 1, 2, 5, 6, 7]].tolist() == [0.0] * 6
-
-    def test_small_and_large_blocks_agree_to_the_bit(self):
-        # blocks below _CDF_SMALL elements evaluate P and Q as one complex
-        # Horner loop, larger ones as two real loops
-        a = np.random.default_rng(1).normal(0.0, 4.0, (100, 100))
-        assert a.size >= special._CDF_SMALL > a.shape[1]
-        rows = [normal_cdf_pdf(row[None]) for row in a]
-        for whole, parts in zip(normal_cdf_pdf(a), zip(*rows)):
-            assert np.array_equal(whole, np.concatenate(parts))
 
     def test_scalar_and_shape(self):
         assert isinstance(std_normal_cdf(1.0), float)
