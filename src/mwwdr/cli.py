@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .data import CsvSchema, load_csv
 from .errors import (ConvergenceError, EstimabilityError, MwwdrError,
@@ -47,7 +48,8 @@ def _build_parser():
     est.add_argument("--estimator", default="all", choices=ESTIMATOR_CHOICES)
     est.add_argument("--link", default="probit", choices=("probit", "logit"))
     est.add_argument("--ties", default="auto", choices=("auto", "on", "off"),
-                     help="half-tie kernel: auto scores ties only for count data")
+                     help="half-tie kernel: on scores tied outcomes 1/2 (count "
+                     "data); auto and off score them 1, as for continuous data")
     est.add_argument("--alpha", type=float, default=0.05)
     est.add_argument("--clip-eps", type=float, default=1e-6)
     est.add_argument("--hajek", action="store_true",
@@ -61,7 +63,8 @@ def _build_parser():
     src.add_argument("--preset", choices=sorted(PRESETS),
                      help="named scenario bundle")
     sim.add_argument("--n", type=int, default=None, help="sample size (presets)")
-    sim.add_argument("--reps", type=int, default=1000)
+    sim.add_argument("--reps", type=int, default=None,
+                     help="replications per scenario (presets; default 1000)")
     sim.add_argument("--seed", type=int, default=None,
                      help="required; all randomness flows from it")
     sim.add_argument("--threads", type=int, default=None,
@@ -86,11 +89,10 @@ class _IoFailure(Exception):
     pass
 
 
-def _estimates(ds, args, wanted, ties_override):
+def _estimates(ds, args, wanted):
     """The report entry of each wanted estimator, in order."""
     estimates = {}
-    fits = solve_families(ds, FrmSpec(link=args.link, clip_eps=args.clip_eps,
-                                      ties=ties_override),
+    fits = solve_families(ds, FrmSpec(link=args.link, clip_eps=args.clip_eps),
                           [name for name in wanted if name != "mww"])
     for name in wanted:
         if name == "mww":
@@ -124,7 +126,6 @@ def cmd_estimate(args) -> int:
     outcome_kind = "count" if args.ties == "on" else "continuous"
     ds = load_csv(args.input, CsvSchema(args.z_col, args.y_col, w_cols),
                   outcome_kind=outcome_kind)
-    ties_override = None if args.ties == "auto" else (args.ties == "on")
 
     wanted = ("mww", "ipw", "msi", "dr") if args.estimator == "all" \
         else (args.estimator,)
@@ -133,7 +134,7 @@ def cmd_estimate(args) -> int:
                        "rejected_rows": ds.n_rejected_rows},
               "alpha": args.alpha}
     try:
-        report["estimates"] = _estimates(ds, args, wanted, ties_override)
+        report["estimates"] = _estimates(ds, args, wanted)
     except MemoryError:
         raise EstimabilityError(
             f"not enough memory to fit n = {ds.n} subjects") from None
@@ -157,11 +158,14 @@ def cmd_simulate(args) -> int:
     if args.seed is None:
         raise ValidationError("--seed is required for simulate "
                               "(no silent nondeterminism)")
-    if args.reps < 1:
+    if args.reps is not None and args.reps < 1:
         raise ValidationError("--reps must be at least 1")
     if args.threads is not None and args.threads < 1:
         raise ValidationError("--threads must be at least 1")
     if args.scenario:
+        if args.n is not None or args.reps is not None:
+            raise ValidationError("--n and --reps apply to presets; a scenario "
+                                  "file sets its own n and reps")
         if not os.path.exists(args.scenario):
             raise _IoFailure(f"scenario file not found: {args.scenario}")
         with open(args.scenario, encoding="utf-8") as fh:
@@ -169,12 +173,13 @@ def cmd_simulate(args) -> int:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"scenario file is not valid JSON: {exc}") from None
-        raw["seed"] = args.seed
-        bundle = [("scenario", ScenarioConfig.from_json_dict(raw))]
+        bundle = [("scenario", replace(ScenarioConfig.from_json_dict(raw),
+                                       seed=args.seed))]
     else:
         if args.n is None:
             raise ValidationError("--n is required with --preset")
-        bundle = PRESETS[args.preset](args.n, args.reps, args.seed)
+        bundle = PRESETS[args.preset](
+            args.n, 1000 if args.reps is None else args.reps, args.seed)
 
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     summaries = {name: run_study(cfg, threads=threads) for name, cfg in bundle}

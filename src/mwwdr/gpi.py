@@ -61,12 +61,12 @@ class GpiModel:
     score_norm: float
 
 
-def pair_predictor(gamma, w_first, w_second):
-    """A[a, b] = g0 + g11'w_first[a] + g10'w_second[b], the linear predictor
-    of every ordered (first, second) pair."""
+def predictors(gamma, w_first, w_second):
+    """(a1, a0) with a1 = g0 + g11'w_first and a0 = g10'w_second, so that
+    the linear predictor of the ordered (first a, second b) pair is
+    a1[a] + a0[b]."""
     p = w_first.shape[1]
-    return gamma[0] + (w_first @ gamma[1:1 + p])[:, None] \
-        + (w_second @ gamma[1 + p:])[None, :]
+    return gamma[0] + w_first @ gamma[1:1 + p], w_second @ gamma[1 + p:]
 
 
 def model_covariates(w, constant_only):
@@ -175,10 +175,11 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
         if np.max(np.abs(gamma)) > SEPARATION_BOUND:
             raise SeparationError(
                 "outcome-model fit diverged; response may be degenerate")
+        a1, a0 = predictors(gamma, w1, w0)
 
         def block_sums(block):
             a, b = block
-            A = pair_predictor(gamma, w1[a], w0[b])
+            A = a1[a][:, None] + a0[b][None, :]
             G, D = link_values(link, A)
             return gamma_block(outcome_kernel(y1[a], y0[b], ties), G, D,
                                w1[a], w0[b], link, A)

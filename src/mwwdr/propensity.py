@@ -97,14 +97,17 @@ def fit_propensity(dataset, intercept_only=False, clip_eps=DEFAULT_CLIP_EPS):
                            fit.iterations, fit.score_norm, clip_eps)
 
 
+def clipped_propensities(X, eta, clip_eps):
+    """expit(X eta) clipped to [clip_eps, 1 - clip_eps], and the mask of the
+    subjects held at a bound."""
+    pi = np.clip(expit(X @ eta), clip_eps, 1.0 - clip_eps)
+    return pi, (pi <= clip_eps) | (pi >= 1.0 - clip_eps)
+
+
 def predict_pi_dataset(model, dataset):
     """Clipped propensities for every subject, plus the count at the bound."""
-    if model.intercept_only:
-        lin = np.full(dataset.n, model.eta[0])
-    else:
-        if dataset.p != len(model.eta) - 1:
-            raise ValidationError("covariate dimension does not match the model")
-        lin = model.eta[0] + dataset.w @ model.eta[1:]
-    pi = np.clip(expit(lin), model.clip_eps, 1.0 - model.clip_eps)
-    n_clipped = int(np.sum((pi <= model.clip_eps) | (pi >= 1.0 - model.clip_eps)))
-    return pi, n_clipped
+    if not model.intercept_only and dataset.p != len(model.eta) - 1:
+        raise ValidationError("covariate dimension does not match the model")
+    pi, at_bound = clipped_propensities(
+        design_matrix(dataset, model.intercept_only), model.eta, model.clip_eps)
+    return pi, int(at_bound.sum())

@@ -56,6 +56,10 @@ class ScenarioConfig:
         for name in ("sigma2", "sigma2_b", "sigma2_w"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
+        for name in ("n", "reps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer")
         if self.n < 4:
             raise ValidationError("n must be at least 4")
         if self.reps < 1:
@@ -79,6 +83,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValidationError("a scenario must be a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:
@@ -86,6 +92,8 @@ class ScenarioConfig:
         d = dict(d)
         for key in ("beta", "eta_true", "estimators"):
             if key in d:
+                if not isinstance(d[key], list):
+                    raise ValidationError(f"{key} must be a list")
                 d[key] = tuple(d[key])
         try:
             return cls(**d)

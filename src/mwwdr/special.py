@@ -96,13 +96,6 @@ def std_normal_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def std_normal_pdf(x):
-    """Standard normal density."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return float(out) if out.ndim == 0 else out
-
-
 def logit(p):
     """Inverse of expit on (0, 1)."""
     p = np.asarray(p, dtype=float)

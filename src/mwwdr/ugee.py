@@ -38,14 +38,18 @@ import numpy as np
 from .data import (Dataset, outcome_kernel, pair_tiles, subject_blocks,
                    treated_control)
 from .errors import ConvergenceError, MwwdrError, ValidationError
-from .gpi import fit_gpi_pairs, gamma_block, link_values, model_covariates
+from .gpi import (fit_gpi_pairs, gamma_block, link_values, model_covariates,
+                  predictors)
 from .newton import newton
 from .parallel import TilePool
-from .propensity import (DEFAULT_CLIP_EPS, PropensityModel, design_matrix,
-                         fit_propensity)
-from .special import expit
+from .propensity import (DEFAULT_CLIP_EPS, PropensityModel,
+                         clipped_propensities, design_matrix, fit_propensity)
 
 FAMILIES = ("dr", "ipw", "msi")
+# the treatment-block Newton's tolerance (TOL / 100 before its last cycle)
+# and step limit; the stacked-residual check of every fit accepts TOL too
+TOL = 1e-8
+MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,8 @@ class FrmSpec:
     family selects the blocks beside the delta row: "dr" (doubly robust)
     has both, "ipw" (weighting only) no outcome block, "msi" (imputation
     only) no propensity block. The misspecification switches force
-    intercept-only propensity or a constant outcome model. tol and max_iter
-    reach only the treatment-block Newton and the stacked-residual check;
-    the propensity and outcome-model fits keep their own.
+    intercept-only propensity or a constant outcome model. Tied outcomes
+    score 1/2 exactly when the dataset says so (Dataset.ties).
     """
 
     family: str = "dr"
@@ -65,10 +68,7 @@ class FrmSpec:
     intercept_only_propensity: bool = False
     constant_only_gpi: bool = False
     clip_eps: float = DEFAULT_CLIP_EPS
-    tol: float = 1e-8
-    max_iter: int = 100
     weighted_delta: bool = True
-    ties: Optional[bool] = None
     fd_check_pairs: int = 8
 
     def __post_init__(self):
@@ -121,16 +121,8 @@ class ThetaLayout:
                 float(theta[self.delta_index]))
 
 
-def _ties(dataset, spec):
-    return dataset.ties if spec.ties is None else spec.ties
-
-
 # ---------------------------------------------------------------------------
 # workspace on the tiled pair engine
-
-
-def _propensities(X, eta, spec):
-    return np.clip(expit(X @ eta), spec.clip_eps, 1.0 - spec.clip_eps)
 
 
 def _eta_block(X, z, pi, clipped, pool):
@@ -144,10 +136,10 @@ def _eta_block(X, z, pi, clipped, pool):
     terms of the clipped subjects, whose propensity is held at the bound
     and so does not move with eta. With M the n x n matrix of 1/V1 (zero
     diagonal), every pair sum is M times one of the columns (1, e, Ap,
-    e * Ap), or times the clipped subjects' rows of Ap. M is built and
-    multiplied one block of rows at a time (data.subject_blocks), so no
-    n x n array is held; the blocks write disjoint rows, and run through
-    the tile map of the TilePool pool.
+    e * Ap); M is symmetric, so the clipped subjects' terms are read off
+    M Ap too. M is built and multiplied one block of rows at a time
+    (data.subject_blocks), so no n x n array is held; the blocks write
+    disjoint rows, and run through the tile map of the TilePool pool.
     """
     pp = pi * (1.0 - pi)
     e = z - pi
@@ -155,14 +147,18 @@ def _eta_block(X, z, pi, clipped, pool):
     k = Ap.shape[1]
     C = np.column_stack([np.ones_like(e), e, Ap, e[:, None] * Ap])
     MC = np.empty_like(C)
-    mAc = np.empty_like(Ap)
 
+    # M is built in whole rows, 256 x n (4.1 MB at n = 2000), not over the
+    # tiles of data.pair_tiles: freeing so large a block raises glibc
+    # malloc's dynamic mmap threshold above the 0.5 MB tile arrays, which
+    # then reuse heap pages. Tiled, an n = 2000 estimate took 101,090 minor
+    # faults instead of 59, and 0.66-0.71 s instead of 0.46-0.51 s (2 vCPU
+    # VM).
     def rows(I):
         M = np.add.outer(pp[I], pp)
         np.divide(4.0, M, out=M)
         np.fill_diagonal(M[:, I], 0.0)
         MC[I] = M @ C
-        mAc[I] = M[:, clipped] @ Ap[clipped]
 
     for _ in pool.map(rows, subject_blocks(len(pi))):
         pass
@@ -171,7 +167,8 @@ def _eta_block(X, z, pi, clipped, pool):
     score = 0.5 * Ap.T @ cr
     proj = 0.5 * (Ap * cr[:, None] + 0.5 * (e[:, None] * mA + meA))
     Dp = np.where(clipped[:, None], 0.0, Ap)
-    jac = -0.25 * (Ap.T @ (Dp * m1[:, None]) + Ap.T @ mA - Ap.T @ mAc)
+    # Ap' M Ac = (M Ap)' Ac, Ac = Ap - Dp the clipped rows (zero if none)
+    jac = -0.25 * (Ap.T @ (Dp * m1[:, None]) + Ap.T @ mA - mA.T @ (Ap - Dp))
     return score, jac, proj
 
 
@@ -190,7 +187,7 @@ class _Workspace:
         self.order = np.concatenate([t, c])
         self.n, self.n1 = dataset.n, len(t)
         self.dataset, self.spec = dataset, spec
-        self.ties, self.link = _ties(dataset, spec), spec.link
+        self.ties, self.link = dataset.ties, spec.link
         self.npairs = self.n * (self.n - 1) // 2
         self.y = dataset.y[self.order]
         self.z = dataset.z[self.order].astype(float)
@@ -200,10 +197,9 @@ class _Workspace:
         self.pool = TilePool(len(pair_tiles(self.n, self.n1)))
 
     def set_eta(self, eta):
-        eps = self.spec.clip_eps
         self.eta = eta
-        self.pi = _propensities(self.X, eta, self.spec)
-        self.clipped = (self.pi <= eps) | (self.pi >= 1.0 - eps)
+        self.pi, self.clipped = clipped_propensities(self.X, eta,
+                                                     self.spec.clip_eps)
         self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
             self.X, self.z, self.pi, self.clipped, self.pool)
 
@@ -211,9 +207,7 @@ class _Workspace:
         """The outcome model's linear predictors at gamma, a1 on a subject's
         treated side (with the intercept) and a0 on its control side, so
         that g of the ordered pair (i, j) is link_inv(a1_i + a0_j)."""
-        p = self.wg.shape[1]
-        self.a1 = gamma[0] + self.wg @ gamma[1:1 + p]
-        self.a0 = self.wg @ gamma[1 + p:]
+        self.a1, self.a0 = predictors(gamma, self.wg, self.wg)
 
     def tile(self):
         """All the subjects as one diagonal tile."""
@@ -482,12 +476,12 @@ def _fit_eta_pairwise(ws, init=None):
             float(np.max(np.abs(ws.eta_score))) / ws.npairs
 
     eta = ws.mle.eta if init is None else np.asarray(init, dtype=float)
-    return newton(evaluate, eta, 0.01 * spec.tol, spec.max_iter,
+    return newton(evaluate, eta, 0.01 * TOL, MAX_ITER,
                   partial(ConvergenceError,
                           "treatment-block Newton did not converge"),
                   partial(ConvergenceError, "singular Jacobian in the treatment "
                           "block; consider intercept_only_propensity"),
-                  final_tol=spec.tol)
+                  final_tol=TOL)
 
 
 @dataclass
@@ -744,7 +738,7 @@ def _solve_family(dataset, spec, ws, row, eta_fit, gamma_fit):
     theta[layout.delta_index] = delta
 
     residual = float(np.max(np.abs(_stacked_u(ws, row, layout, delta))))
-    if residual > spec.tol:
+    if residual > TOL:
         raise ConvergenceError("stacked system residual above tolerance",
                                last_iterate=theta, residual=residual)
 
@@ -804,7 +798,7 @@ def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0,
         # moves ws's vectors, which nothing reads after the check
         eta, gamma, delta = layout.unpack(th)
         if layout.eta_dim:
-            ws.pi = _propensities(ws.X, eta, spec)
+            ws.pi = clipped_propensities(ws.X, eta, spec.clip_eps)[0]
         if layout.gamma_dim:
             ws.set_gamma(gamma)
         F3 = ws.tile().response(row.use_pt, row.use_g)

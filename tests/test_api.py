@@ -1,3 +1,5 @@
+import dataclasses
+
 import mwwdr
 
 
@@ -23,3 +25,11 @@ def test_public_names_pinned():
         "sandwich_covariance", "wald_test",
         "__version__",
     ])
+
+
+def test_frmspec_fields_are_the_ones_callers_vary():
+    # ties follow Dataset.ties, and the treatment block's tolerance and step
+    # limit are ugee.TOL and ugee.MAX_ITER, so none of them is a field
+    assert [f.name for f in dataclasses.fields(mwwdr.FrmSpec)] == [
+        "family", "link", "intercept_only_propensity", "constant_only_gpi",
+        "clip_eps", "weighted_delta", "fd_check_pairs"]

@@ -271,11 +271,32 @@ class TestSimulate:
         assert payload["scenario"]["n_reps_used"] == 6
 
     def test_invalid_scenario_field_named(self, tmp_path, capsys):
+        # each malformed file exits 2 with a message naming what is wrong
+        cases = [({"n": 40, "reps": 2, "bogus_field": 1}, "bogus_field"),
+                 ([{"n": 40, "reps": 2}], "JSON object"),
+                 ({"n": 40, "reps": 2, "beta": 5}, "beta must be a list"),
+                 ({"n": 40, "reps": 2, "eta_true": 1.0}, "eta_true must be a list"),
+                 ({"n": 40, "reps": 2, "estimators": "dr"},
+                  "estimators must be a list"),
+                 ({"n": 20.5, "reps": 2}, "n must be an integer"),
+                 ({"n": True, "reps": 2}, "n must be an integer"),
+                 ({"n": 40, "reps": 2.0}, "reps must be an integer"),
+                 ({"n": 40, "reps": False}, "reps must be an integer")]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"n": 40, "reps": 2, "bogus_field": 1}))
-        code = run(["simulate", "--scenario", bad, "--seed", "1"])
+        for content, named in cases:
+            bad.write_text(json.dumps(content))
+            code = run(["simulate", "--scenario", bad, "--seed", "1"])
+            assert code == 2, content
+            assert named in capsys.readouterr().err, content
+
+    @pytest.mark.parametrize("flag", [["--n", "40"], ["--reps", "2"]])
+    def test_scenario_rejects_preset_sizes(self, flag, capsys):
+        # a scenario file sets its own n and reps; --n or --reps beside it
+        # would otherwise be ignored without a word
+        code = run(["simulate", "--scenario", FIXTURES / "scenario_small.json",
+                    "--seed", "3", "--threads", "1"] + flag)
         assert code == 2
-        assert "bogus_field" in capsys.readouterr().err
+        assert "--n and --reps apply to presets" in capsys.readouterr().err
 
     def test_missing_scenario_file(self, capsys):
         code = run(["simulate", "--scenario", "missing.json", "--seed", "1"])

@@ -5,7 +5,7 @@ from mwwdr import gpi
 from mwwdr.data import Dataset, outcome_kernel
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
 from mwwdr.gpi import (GpiModel, fit_gpi, gamma_block, link_values,
-                       pair_predictor)
+                       predictors)
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
 from mwwdr.ugee import FrmSpec, _Workspace, stacked_residual
@@ -161,7 +161,8 @@ class TestFitGpi:
 
 def _block(gamma, K, w1, w0, link, newton):
     """gamma_block at gamma: the sandwich's form, or the Newton's form."""
-    A = pair_predictor(gamma, w1, w0)
+    a1, a0 = predictors(gamma, w1, w0)
+    A = a1[:, None] + a0[None, :]
     G, D = link_values(link, A)
     if newton:
         return gamma_block(K, G, D, w1, w0, link, A)
@@ -202,7 +203,8 @@ class TestNewtonInformation:
         rng = np.random.default_rng(4)
         w1, w0 = rng.normal(size=(6, 1)), rng.normal(size=(5, 1))
         K = outcome_kernel(rng.normal(size=6), rng.normal(size=5), False)
-        A = pair_predictor(np.array([0.2, -0.4, 0.6]), w1, w0)
+        a1, a0 = predictors(np.array([0.2, -0.4, 0.6]), w1, w0)
+        A = a1[:, None] + a0[None, :]
         G, D = link_values("probit", A)
         before = [x.copy() for x in (K, G, D, A)]
         gamma_block(K, G, D, w1, w0)

@@ -7,7 +7,7 @@ import pytest
 
 from mwwdr.errors import ValidationError
 from mwwdr.special import (PROB_EPS, expit, logit, normal_cdf_pdf,
-                           std_normal_cdf, std_normal_pdf)
+                           std_normal_cdf)
 
 
 def dec_expit_one():
@@ -156,7 +156,7 @@ def test_pdf_matches_derivative():
     x = np.linspace(-4, 4, 41)
     h = 1e-6
     fd = (std_normal_cdf(x + h) - std_normal_cdf(x - h)) / (2 * h)
-    assert np.max(np.abs(fd - std_normal_pdf(x))) < 1e-9
+    assert np.max(np.abs(fd - normal_cdf_pdf(x)[1])) < 1e-9
 
 
 def test_logit_inverts_expit():

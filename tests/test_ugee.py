@@ -9,7 +9,7 @@ from mwwdr import data, parallel, ugee
 from mwwdr.data import Dataset
 from mwwdr.errors import ConvergenceError, ValidationError
 from mwwdr.parallel import TilePool
-from mwwdr.propensity import design_matrix
+from mwwdr.propensity import clipped_propensities, design_matrix
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
 from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit,
@@ -111,8 +111,9 @@ class TestSolve:
                         list(theta), family=fam, clip_eps=clip_eps)
                     assert np.max(np.abs(ours - np.asarray(brute))) < 1e-12
                     if layout.eta_dim:
-                        pi = ugee._propensities(design_matrix(ds, False),
-                                                theta[layout.eta_slice], spec)
+                        pi = clipped_propensities(design_matrix(ds, False),
+                                                  theta[layout.eta_slice],
+                                                  clip_eps)[0]
                         clipped[fam] += int(np.sum((pi <= clip_eps)
                                                    | (pi >= 1 - clip_eps)))
             assert all((c > 0) == (clip_eps == 0.2) for c in clipped.values())
@@ -136,14 +137,14 @@ class TestSolve:
         assert max(abs(b) for b in brute) <= 1e-8
 
     def test_spec_ties_reach_outcome_block(self):
-        # continuous data with tied outcomes: FrmSpec(ties=True) must fit the
-        # outcome model on the half-tie kernel its workspace scores, so every
-        # family reaches the root of the half-tie system
+        # count data with tied outcomes: the outcome model must be fitted on
+        # the half-tie kernel its workspace scores, so every family reaches
+        # the root of the half-tie system
         base = small_sim_dataset(120, seed=3)
-        ds = Dataset(base.z, np.round(base.y), base.w)
-        assert not ds.ties and len(np.unique(ds.y)) < ds.n
+        ds = Dataset(base.z, np.round(base.y), base.w, outcome_kind="count")
+        assert ds.ties and len(np.unique(ds.y)) < ds.n
         for fam in ("dr", "ipw", "msi"):
-            fit = solve_ugee(ds, FrmSpec(family=fam, ties=True))
+            fit = solve_ugee(ds, FrmSpec(family=fam))
             brute = brute_ugee_residual(list(ds.z), list(ds.y),
                                         [list(r) for r in ds.w],
                                         list(fit.theta), family=fam, ties=True)
@@ -192,12 +193,14 @@ class TestSolve:
         assert np.allclose(base.theta, again.theta, atol=1e-9)
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-4])
-    def test_eta_score_norm_at_returned_theta(self, tol):
+    def test_eta_score_norm_at_returned_theta(self, tol, monkeypatch):
         # one Newton step from the maximum-likelihood start meets either
         # tolerance: the fit is accepted, and its score norm reported, at
         # the iterate it returns
         ds = small_sim_dataset()
-        spec = FrmSpec(family="ipw", tol=tol, max_iter=1)
+        monkeypatch.setattr(ugee, "TOL", tol)
+        monkeypatch.setattr(ugee, "MAX_ITER", 1)
+        spec = FrmSpec(family="ipw")
         fit = solve_ugee(ds, spec)
         u = stacked_residual(ds, fit.theta, spec)
         assert fit.diagnostics["eta_score_norm"] == pytest.approx(
@@ -217,8 +220,7 @@ class TestEtaBlock:
             ds = random_dataset(rng, n=int(rng.integers(4, 12)), p=p)
             X = design_matrix(ds, intercept_only)
             eta = rng.normal(0, 1.5, X.shape[1])
-            pi = ugee._propensities(X, eta, spec)
-            at_bound = (pi <= clip_eps) | (pi >= 1 - clip_eps)
+            pi, at_bound = clipped_propensities(X, eta, spec.clip_eps)
             clipped += int(np.sum(at_bound))
             ours = ugee._eta_block(X, ds.z.astype(float), pi, at_bound,
                                    TilePool())
@@ -257,7 +259,7 @@ class TestSolveFamilies:
 
     def test_each_block_fitted_once(self, monkeypatch):
         calls = {"fit_propensity": 0, "fit_gpi_pairs": 0, "_eta_block": 0,
-                 "_propensities": 0, "_pair_pass": 0}
+                 "clipped_propensities": 0, "_pair_pass": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(ugee, name), **kwargs):
                 calls[_name] += 1
@@ -274,13 +276,14 @@ class TestSolveFamilies:
         # its root
         newton = fits[0].diagnostics["eta_iterations"] + 1
         assert calls == {"fit_propensity": 1, "fit_gpi_pairs": 1,
-                         "_eta_block": newton, "_propensities": newton,
+                         "_eta_block": newton, "clipped_propensities": newton,
                          "_pair_pass": 1}
         for name in calls:
             calls[name] = 0
         list(solve_families(ds, spec, ("msi",)))
         assert calls == {"fit_propensity": 0, "fit_gpi_pairs": 1,
-                         "_eta_block": 0, "_propensities": 0, "_pair_pass": 1}
+                         "_eta_block": 0, "clipped_propensities": 0,
+                         "_pair_pass": 1}
 
 
 class TestPairTiles:
@@ -490,9 +493,11 @@ class TestWald:
             wald_test(self.fake_fit(0.5, 0.1), "delta", 0.5, 1.5)
 
 
-def test_nonconvergence_diagnostics():
+def test_nonconvergence_diagnostics(monkeypatch):
     # absurd tolerance forces the convergence failure path to carry data
     ds = small_sim_dataset()
+    monkeypatch.setattr(ugee, "TOL", 1e-300)
+    monkeypatch.setattr(ugee, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as err:
-        solve_ugee(ds, FrmSpec(tol=1e-300, max_iter=2))
+        solve_ugee(ds, FrmSpec())
     assert err.value.residual is not None
