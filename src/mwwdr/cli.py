@@ -20,8 +20,10 @@ from .data import CsvSchema, load_csv
 from .errors import (ConvergenceError, EstimabilityError, MwwdrError,
                      SeparationError, SingularDesignError, ValidationError)
 from .estimators import ipw_estimate, mww_estimate
-from .parallel import one_blas_thread
-from .simstudy import (PRESETS, ScenarioConfig, render_table, run_study)
+from .gpi import LINKS
+from .parallel import one_blas_thread, usable_cpus
+from .simstudy import (ESTIMATOR_NAMES, PRESETS, ScenarioConfig, render_table,
+                       run_study)
 from .ugee import FrmSpec, solve_families, wald, wald_test
 
 EXIT_OK = 0
@@ -29,8 +31,6 @@ EXIT_VALIDATION = 2
 EXIT_ESTIMABILITY = 3
 EXIT_CONVERGENCE = 4
 EXIT_IO = 5
-
-ESTIMATOR_CHOICES = ("mww", "ipw", "msi", "dr", "all")
 
 
 def _build_parser():
@@ -45,8 +45,9 @@ def _build_parser():
     est.add_argument("--y-col", required=True, help="outcome column")
     est.add_argument("--w-cols", default="",
                      help="comma-separated covariate columns")
-    est.add_argument("--estimator", default="all", choices=ESTIMATOR_CHOICES)
-    est.add_argument("--link", default="probit", choices=("probit", "logit"))
+    est.add_argument("--estimator", default="all",
+                     choices=(*ESTIMATOR_NAMES, "all"))
+    est.add_argument("--link", default="probit", choices=LINKS)
     est.add_argument("--ties", default="auto", choices=("auto", "on", "off"),
                      help="half-tie kernel: on scores tied outcomes 1/2 (count "
                      "data); auto and off score them 1, as for continuous data")
@@ -68,7 +69,8 @@ def _build_parser():
     sim.add_argument("--seed", type=int, default=None,
                      help="required; all randomness flows from it")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: available cores)")
+                     help="worker processes (default: the CPUs this "
+                     "process may use)")
     sim.add_argument("--output", default=None)
     sim.add_argument("--format", default="json", choices=("json", "table"))
     return parser
@@ -78,15 +80,8 @@ def _emit(text, path):
     if path is None:
         sys.stdout.write(text + "\n")
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from None
-
-
-class _IoFailure(Exception):
-    pass
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _estimates(ds, args, wanted):
@@ -121,14 +116,13 @@ def cmd_estimate(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValidationError("--alpha must lie in (0, 1)")
     if not os.path.exists(args.input):
-        raise _IoFailure(f"input file not found: {args.input}")
+        raise FileNotFoundError(f"input file not found: {args.input}")
     w_cols = tuple(c for c in (s.strip() for s in args.w_cols.split(",")) if c)
     outcome_kind = "count" if args.ties == "on" else "continuous"
     ds = load_csv(args.input, CsvSchema(args.z_col, args.y_col, w_cols),
                   outcome_kind=outcome_kind)
 
-    wanted = ("mww", "ipw", "msi", "dr") if args.estimator == "all" \
-        else (args.estimator,)
+    wanted = ESTIMATOR_NAMES if args.estimator == "all" else (args.estimator,)
     report = {"input": args.input,
               "data": {"n": ds.n, "n1": ds.n1, "n0": ds.n0, "p": ds.p,
                        "rejected_rows": ds.n_rejected_rows},
@@ -167,7 +161,7 @@ def cmd_simulate(args) -> int:
             raise ValidationError("--n and --reps apply to presets; a scenario "
                                   "file sets its own n and reps")
         if not os.path.exists(args.scenario):
-            raise _IoFailure(f"scenario file not found: {args.scenario}")
+            raise FileNotFoundError(f"scenario file not found: {args.scenario}")
         with open(args.scenario, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
@@ -181,7 +175,7 @@ def cmd_simulate(args) -> int:
         bundle = PRESETS[args.preset](
             args.n, 1000 if args.reps is None else args.reps, args.seed)
 
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    threads = args.threads if args.threads is not None else usable_cpus()
     summaries = {name: run_study(cfg, threads=threads) for name, cfg in bundle}
 
     if args.format == "json":
@@ -210,7 +204,7 @@ def _main(argv):
         if args.command == "estimate":
             return cmd_estimate(args)
         return cmd_simulate(args)
-    except _IoFailure as exc:
+    except OSError as exc:
         print(f"error (io): {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:
@@ -225,9 +219,6 @@ def _main(argv):
     except MwwdrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except OSError as exc:
-        print(f"error (io): {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

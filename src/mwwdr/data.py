@@ -87,9 +87,9 @@ class PotentialDataset:
     w: np.ndarray
     b: np.ndarray
 
-    def observed(self, outcome_kind="continuous"):
-        y = np.where(self.z == 1, self.y1, self.y0)
-        return Dataset(self.z, y, self.w, outcome_kind=outcome_kind)
+    def observed(self):
+        """The observed data: each subject's outcome under its own arm."""
+        return Dataset(self.z, np.where(self.z == 1, self.y1, self.y0), self.w)
 
 
 def treated_control(dataset):

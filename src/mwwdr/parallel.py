@@ -23,11 +23,14 @@ from contextlib import contextmanager
 _WORKERS = None
 
 
-def _tile_workers():
-    if _WORKERS:
-        return _WORKERS
+def usable_cpus():
+    """The number of CPUs this process may run on."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every OS
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _tile_workers():
+    return _WORKERS or usable_cpus()
 
 
 class TilePool:

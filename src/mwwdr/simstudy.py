@@ -21,6 +21,7 @@ import numpy as np
 from .data import Dataset, PotentialDataset
 from .errors import MwwdrError, ValidationError
 from .estimators import mww_estimate
+from .gpi import LINKS
 from .parallel import one_blas_thread, single_threaded
 from .special import expit
 from .streams import RngStream
@@ -28,6 +29,7 @@ from .ugee import FrmSpec, solve_families, wald, wald_test
 
 ESTIMATOR_NAMES = ("mww", "ipw", "msi", "dr")
 _ORACLE_STREAM = 1 << 48
+_ORACLE_CHUNK = 1_000_000  # pairs per draw of the true-delta oracle
 _MAX_REGEN_ATTEMPTS = 1000
 
 
@@ -71,8 +73,11 @@ class ScenarioConfig:
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad:
             raise ValidationError(f"unknown estimator(s): {bad}")
+        if self.link not in LINKS:
+            raise ValidationError(f"link must be one of {LINKS}")
         if self.on_degenerate not in ("regenerate", "error"):
             raise ValidationError("on_degenerate must be 'regenerate' or 'error'")
+        RngStream(self.seed)  # raises if the seed cannot key a stream
 
     def to_json_dict(self):
         d = asdict(self)
@@ -133,7 +138,7 @@ def true_gamma(config):
     return (-scale * b1, -scale * b2, scale * b2)
 
 
-def true_delta(config, n_pairs=10_000_000, chunk=1_000_000):
+def true_delta(config, n_pairs=10_000_000):
     """Monte Carlo oracle for P(treated potential <= control potential)
     across independent subjects. Exact 1/2 when beta1 = 0 (the two potential
     outcomes are exchangeable across subjects)."""
@@ -144,10 +149,10 @@ def true_delta(config, n_pairs=10_000_000, chunk=1_000_000):
     sw = math.sqrt(config.sigma2_w)
     sb = math.sqrt(config.sigma2_b / 2.0)
     se = math.sqrt(config.sigma2 / 2.0)
-    buffers = np.empty((3, min(chunk, n_pairs)))
+    buffers = np.empty((3, min(_ORACLE_CHUNK, n_pairs)))
     hits, total = 0, 0
     while total < n_pairs:
-        m = min(chunk, n_pairs - total)
+        m = min(_ORACLE_CHUNK, n_pairs - total)
         # y1 = b1 + b2 wi + (u1^2 - 1) sb + (u2^2 - 1) se and y0 = b2 wj +
         # (u3^2 - 1) sb + (u4^2 - 1) se, drawn wi, wj, u1, ..., u4 and summed
         # left to right, in three buffers reused by every chunk
@@ -236,15 +241,7 @@ class StudySummary:
     failures: list = field(default_factory=list)
 
     def to_json_dict(self):
-        return {
-            "config": self.config.to_json_dict(),
-            "true_delta": self.true_delta,
-            "estimators": self.estimators,
-            "n_reps_used": self.n_reps_used,
-            "n_failed": self.n_failed,
-            "n_regenerated": self.n_regenerated,
-            "failures": self.failures,
-        }
+        return {**asdict(self), "config": self.config.to_json_dict()}
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
@@ -306,7 +303,6 @@ def run_study(config, threads=1) -> StudySummary:
         with one_blas_thread():
             results = [_worker(j) for j in jobs]
 
-    results.sort(key=lambda t: t[0])
     records = [r for _, r, err in results if err is None]
     failures = [(rep, err) for rep, _, err in results if err is not None]
     if len(failures) > 0.01 * config.reps:

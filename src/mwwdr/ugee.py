@@ -38,8 +38,8 @@ import numpy as np
 from .data import (Dataset, outcome_kernel, pair_tiles, subject_blocks,
                    treated_control)
 from .errors import ConvergenceError, MwwdrError, ValidationError
-from .gpi import (fit_gpi_pairs, gamma_block, link_values, model_covariates,
-                  predictors)
+from .gpi import (LINKS, fit_gpi_pairs, gamma_block, link_values,
+                  model_covariates, predictors)
 from .newton import newton
 from .parallel import TilePool
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel,
@@ -50,6 +50,8 @@ FAMILIES = ("dr", "ipw", "msi")
 # and step limit; the stacked-residual check of every fit accepts TOL too
 TOL = 1e-8
 MAX_ITER = 100
+# the finite-difference check's relative step in each coordinate of theta
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,8 @@ class FrmSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}")
+        if self.link not in LINKS:
+            raise ValidationError(f"link must be one of {LINKS}")
         if not 0.0 < self.clip_eps < 0.5:
             raise ValidationError("clip_eps must lie in (0, 0.5)")
 
@@ -461,7 +465,7 @@ def _pair_pass(ws, rows):
             row.add(row_sums)
 
 
-def _fit_eta_pairwise(ws, init=None):
+def _fit_eta_pairwise(ws):
     """Newton solve of the treatment-row block, initialized at the
     maximum-likelihood logistic fit, which is kept as ws.mle. Every
     evaluation fills the workspace's treatment part, so on return it holds
@@ -475,8 +479,7 @@ def _fit_eta_pairwise(ws, init=None):
         return ws.eta_score, -ws.eta_jac, \
             float(np.max(np.abs(ws.eta_score))) / ws.npairs
 
-    eta = ws.mle.eta if init is None else np.asarray(init, dtype=float)
-    return newton(evaluate, eta, 0.01 * TOL, MAX_ITER,
+    return newton(evaluate, ws.mle.eta, 0.01 * TOL, MAX_ITER,
                   partial(ConvergenceError,
                           "treatment-block Newton did not converge"),
                   partial(ConvergenceError, "singular Jacobian in the treatment "
@@ -665,21 +668,17 @@ def stacked_residual(dataset, theta, spec: FrmSpec):
     return _stacked_u(*_at(dataset, spec, theta))
 
 
-def solve_ugee(dataset, spec: FrmSpec, init=None):
+def solve_ugee(dataset, spec: FrmSpec):
     """Fit the joint system and return a UgeeFit.
 
-    Default initialization: maximum-likelihood propensity coefficients for
-    the treatment block; the outcome block self-starts at the constant
-    solution. The delta equation is linear given the other blocks.
+    The treatment block starts at the maximum-likelihood propensity
+    coefficients; the outcome block self-starts at the constant solution.
+    The delta equation is linear given the other blocks.
     """
-    eta_init = None
-    if init is not None and spec.has_eta:
-        eta_init = np.asarray(init, dtype=float)[
-            ThetaLayout(dataset.p, spec).eta_slice]
-    return next(solve_families(dataset, spec, (spec.family,), eta_init))
+    return next(solve_families(dataset, spec, (spec.family,)))
 
 
-def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
+def solve_families(dataset, spec: FrmSpec, families=FAMILIES):
     """Fit the joint system of each family in turn and yield its UgeeFit.
 
     spec sets everything but the family. The families share one workspace:
@@ -688,7 +687,7 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
     fitted once if any family needs them, and one pass over the pair tiles
     then sums the outcome block at its root and every family's delta row.
     Each family gets its own residual check, sandwich and
-    finite-difference check. eta_init starts the treatment-block Newton.
+    finite-difference check.
 
     The tile work runs on a pool of threads, one per CPU the process may
     use (capped by the tile count), that is opened here and closed before
@@ -703,7 +702,7 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES, eta_init=None):
     eta_fit = gamma_fit = None
     with ws.pool:
         if any(fspec.has_eta for fspec in specs):
-            eta_fit = _fit_eta_pairwise(ws, eta_init)
+            eta_fit = _fit_eta_pairwise(ws)
         if any(fspec.has_gamma for fspec in specs):
             n1 = ws.n1
             gamma_fit = fit_gpi_pairs(ws.y[:n1], ws.y[n1:], ws.ties,
@@ -767,8 +766,7 @@ def _solve_family(dataset, spec, ws, row, eta_fit, gamma_fit):
 # finite-difference check of the bread's delta row
 
 
-def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0,
-                               step=1e-6):
+def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0):
     """Compare the bread's delta row with central finite differences.
 
     The n_pairs random pairs pick the subjects they touch; on the
@@ -808,7 +806,7 @@ def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0,
     fd = np.empty(layout.q)
     for k in range(layout.q):
         h = np.zeros(layout.q)
-        h[k] = step * max(1.0, abs(theta[k]))
+        h[k] = FD_STEP * max(1.0, abs(theta[k]))
         fd[k] = (residual(theta + h) - residual(theta - h)) / (2.0 * h[k])
     scale = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
     return float(np.max(np.abs(analytic - fd) / scale))

@@ -1,18 +1,23 @@
 """The benchmark under perfbench/ imports names from mwwdr and calls them
-with keyword arguments. Its traced mode is not exercised by the rest of the
-suite, so this module checks that every name it imports from mwwdr still
-exists and that every keyword it passes to one of them is still accepted.
-The benchmark's files are only read here.
+with keyword arguments. This module checks that every name it imports from
+mwwdr still exists and that every keyword it passes to one of them is still
+accepted, and runs the traced mode, whose replay calls the library directly,
+at smoke sizes. The benchmark's files are only read and run here; a run
+writes to the ignored perfbench/out/.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_FILES = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_FILES = sorted(BENCH_DIR.glob("*.py"))
 
 
 def _program_names(tree):
@@ -88,3 +93,14 @@ def test_call_keywords_accepted(bench_tree):
                 *range(len(call.args)), **{k.arg: None for k in call.keywords})
         except TypeError as exc:
             pytest.fail(f"line {line}: {text}(...): {exc}")
+
+
+@pytest.mark.parametrize("workload", ["estimate_n2000", "sim_misspec_n400"])
+def test_traced_run_passes_the_gate(workload):
+    pytest.importorskip("scipy")  # the run records scipy's version
+    proc = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload,
+         "--size", "smoke", "--trace", "1", "--seconds", "1"],
+        capture_output=True, text=True, timeout=300, cwd=BENCH_DIR.parent)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -281,7 +281,8 @@ class TestSimulate:
                  ({"n": 20.5, "reps": 2}, "n must be an integer"),
                  ({"n": True, "reps": 2}, "n must be an integer"),
                  ({"n": 40, "reps": 2.0}, "reps must be an integer"),
-                 ({"n": 40, "reps": False}, "reps must be an integer")]
+                 ({"n": 40, "reps": False}, "reps must be an integer"),
+                 ({"n": 40, "reps": 2, "link": "Probit"}, "link must be one of")]
         bad = tmp_path / "bad.json"
         for content, named in cases:
             bad.write_text(json.dumps(content))
@@ -301,6 +302,39 @@ class TestSimulate:
     def test_missing_scenario_file(self, capsys):
         code = run(["simulate", "--scenario", "missing.json", "--seed", "1"])
         assert code == 5
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("preset", ["table2", "table5"])
+    def test_bad_seed_refused_before_any_replication(self, preset, threads,
+                                                      monkeypatch, capsys):
+        import mwwdr.cli as cli
+
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran")
+
+        monkeypatch.setattr(cli, "run_study", no_study)
+        code = run(["simulate", "--preset", preset, "--n", "50", "--reps", "5",
+                    "--seed", "-1", "--threads", threads])
+        assert code == 2
+        assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+
+    def test_default_threads_are_the_usable_cpus(self, monkeypatch, capsys):
+        # one CPU allowed on a machine with more: one worker, not one per CPU
+        import mwwdr.cli as cli
+
+        seen, real_study = [], cli.run_study
+
+        def spy(config, threads):
+            seen.append(threads)
+            return real_study(config, threads=threads)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "run_study", spy)
+        assert run(["simulate", "--preset", "table2", "--n", "20", "--reps", "2",
+                    "--seed", "1"]) == 0
+        assert seen == [1]
 
     def test_table_output(self, capsys):
         code = run(["simulate", "--preset", "table5", "--n", "40", "--reps", "3",

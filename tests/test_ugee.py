@@ -86,6 +86,14 @@ class TestBuildPairResponse:
         with pytest.raises(ValidationError):
             stacked_residual(ds, np.zeros(3), FrmSpec())
 
+    @pytest.mark.parametrize("field, value", [("family", "ols"),
+                                              ("link", "Probit"),
+                                              ("clip_eps", 0.5)])
+    def test_spec_fields_checked_when_built(self, field, value):
+        # a bad spec is refused before any fit reads it
+        with pytest.raises(ValidationError, match=f"^{field} must"):
+            FrmSpec(**{field: value})
+
 
 class TestSolve:
     def test_residual_at_root(self):
@@ -185,12 +193,6 @@ class TestSolve:
         fit = solve_ugee(ds, FrmSpec())
         est = plugin_delta(ds, "dr", fit.theta[:2], fit.theta[2:5])
         assert abs(fit.delta_plain - est) < 1e-10
-
-    def test_init_passthrough(self):
-        ds = small_sim_dataset()
-        base = solve_ugee(ds, FrmSpec())
-        again = solve_ugee(ds, FrmSpec(), init=base.theta)
-        assert np.allclose(base.theta, again.theta, atol=1e-9)
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-4])
     def test_eta_score_norm_at_returned_theta(self, tol, monkeypatch):
