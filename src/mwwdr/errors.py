@@ -36,6 +36,11 @@ class SeparationError(MwwdrError):
     """Detected (quasi-)separation while fitting a binary-response model."""
 
 
+class DerivativeCheckError(MwwdrError):
+    """A fit's finite-difference check of its bread's delta row failed: the
+    reported standard errors would rest on a wrong derivative."""
+
+
 class ConvergenceError(MwwdrError):
     """Iterative solver failed to converge; carries last iterate and residual."""
 

@@ -1,5 +1,6 @@
 """Threads inside one process: the ordered tile map that spreads a fit's
-pair tiles over a thread pool, and the pin of OpenBLAS to one thread.
+pair tiles over a thread pool, the pin of OpenBLAS to one thread, and the
+set-up of run_study's worker processes.
 
 Every pair sum of a fit is a sum over the fixed tiles of data.pair_tiles.
 A TilePool evaluates the tiles on the caller's thread and on its own
@@ -114,12 +115,31 @@ class TilePool:
                 future.result()
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
 def single_threaded():
     """Initializer of run_study's worker processes, which already run in
-    parallel with each other: one thread for BLAS and for the tile maps."""
+    parallel with each other: one thread for BLAS and for the tile maps.
+
+    It also fixes glibc malloc's mmap threshold at 32 MiB (glibc's
+    largest) and its trim threshold at 256 MiB, where the C library has
+    mallopt. Under the defaults, blocks from 128 KiB up get pages of their
+    own, and the dynamic threshold and heap trimming keep handing the
+    0.17-0.5 MB pair-tile arrays of small fits fresh pages, which every fit
+    faults in again. The process that calls run_study keeps the defaults.
+    """
     global _WORKERS
     _WORKERS = 1
     set_blas_threads(1)
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library with mallopt
+        return
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 # ---------------------------------------------------------------------------

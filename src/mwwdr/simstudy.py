@@ -19,7 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from .data import Dataset, PotentialDataset
-from .errors import MwwdrError, ValidationError
+from .errors import DerivativeCheckError, MwwdrError, ValidationError
 from .estimators import mww_estimate
 from .gpi import LINKS
 from .parallel import one_blas_thread, single_threaded
@@ -58,7 +58,7 @@ class ScenarioConfig:
         for name in ("sigma2", "sigma2_b", "sigma2_w"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        for name in ("n", "reps"):
+        for name in ("n", "reps", "fd_check_pairs"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValidationError(f"{name} must be an integer")
@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ValidationError("n must be at least 4")
         if self.reps < 1:
             raise ValidationError("reps must be at least 1")
+        if self.fd_check_pairs < 0:
+            raise ValidationError("fd_check_pairs must not be negative")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
         if len(self.beta) != 3 or len(self.eta_true) != 2:
@@ -176,11 +178,13 @@ def true_delta(config, n_pairs=10_000_000):
     return hits / total
 
 
-def _frm_spec(config):
+def _frm_spec(config, rep_index):
+    # the study's one finite-difference check runs on replication 0, so it
+    # is the same check for any worker count
     return FrmSpec(link=config.link,
                    intercept_only_propensity=config.misspecify_propensity,
                    constant_only_gpi=config.misspecify_outcome,
-                   fd_check_pairs=config.fd_check_pairs)
+                   fd_check_pairs=config.fd_check_pairs if rep_index == 0 else 0)
 
 
 def _run_replication(config, rep_index):
@@ -196,7 +200,7 @@ def _run_replication(config, rep_index):
             raise MwwdrError(f"replication {rep_index} kept drawing single-arm samples")
 
     rec = {"regenerated": attempt}
-    fits = solve_families(ds, _frm_spec(config),
+    fits = solve_families(ds, _frm_spec(config, rep_index),
                           [name for name in config.estimators if name != "mww"])
     for name in config.estimators:
         if name == "mww":
@@ -224,6 +228,8 @@ def _worker(args):
     config, rep = args
     try:
         return rep, _run_replication(config, rep), None
+    except DerivativeCheckError:
+        raise  # a wrong derivative fails the study, not one replication
     except Exception as exc:  # surfaced and counted by run_study
         return rep, None, f"{type(exc).__name__}: {exc}"
 
@@ -287,7 +293,9 @@ def run_study(config, threads=1) -> StudySummary:
     (seed, rep_index) and aggregation walks replications in index order.
     Every fit runs with OpenBLAS on one thread, as it does in a worker;
     the workers already run in parallel, so their fits also evaluate the
-    pair tiles on one thread.
+    pair tiles on one thread. Replication 0 alone runs the
+    finite-difference check, with config.fd_check_pairs pairs; if it
+    fails, DerivativeCheckError fails the study.
     """
     jobs = [(config, rep) for rep in range(config.reps)]
     true_d = None

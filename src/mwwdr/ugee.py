@@ -37,7 +37,8 @@ import numpy as np
 
 from .data import (Dataset, outcome_kernel, pair_tiles, subject_blocks,
                    treated_control)
-from .errors import ConvergenceError, MwwdrError, ValidationError
+from .errors import (ConvergenceError, DerivativeCheckError, MwwdrError,
+                     ValidationError)
 from .gpi import (LINKS, fit_gpi_pairs, gamma_block, link_values,
                   model_covariates, predictors)
 from .newton import newton
@@ -753,7 +754,7 @@ def _solve_family(dataset, spec, ws, row, eta_fit, gamma_fit):
                                            n_pairs=spec.fd_check_pairs, seed=0)
         diagnostics["fd_check_max_err"] = worst
         if worst > 1e-5:
-            raise MwwdrError(
+            raise DerivativeCheckError(
                 f"finite-difference check of the bread's delta row failed "
                 f"(max scaled err {worst:.2e})")
 

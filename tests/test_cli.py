@@ -82,6 +82,9 @@ class TestEstimate:
         assert len(dr["fit"]["covariance"]) == 6
         assert "delta_plain" in dr
         assert "delta_hajek" in rep["estimates"]["ipw"]
+        # estimate checks every fit's derivatives, not once per call
+        for name in ("ipw", "msi", "dr"):
+            assert rep["estimates"][name]["fit"]["diagnostics"]["fd_check_max_err"] < 1e-5
 
     def test_a_probit_estimate_imports_no_scipy(self, tmp_path):
         # numpy is the one runtime dependency; scipy.special alone added
@@ -282,7 +285,11 @@ class TestSimulate:
                  ({"n": True, "reps": 2}, "n must be an integer"),
                  ({"n": 40, "reps": 2.0}, "reps must be an integer"),
                  ({"n": 40, "reps": False}, "reps must be an integer"),
-                 ({"n": 40, "reps": 2, "link": "Probit"}, "link must be one of")]
+                 ({"n": 40, "reps": 2, "link": "Probit"}, "link must be one of"),
+                 ({"n": 30, "reps": 3, "fd_check_pairs": 2.5},
+                  "fd_check_pairs must be an integer"),
+                 ({"n": 30, "reps": 3, "fd_check_pairs": -2},
+                  "fd_check_pairs must not be negative")]
         bad = tmp_path / "bad.json"
         for content, named in cases:
             bad.write_text(json.dumps(content))

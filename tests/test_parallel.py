@@ -1,5 +1,6 @@
 """The ordered tile map (parallel.TilePool) and the OpenBLAS pin."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -98,6 +99,27 @@ class TestTilePool:
             assert single.threads == 0
             assert list(single.map(fn, range(4))) == [0, 1, 2, 3]
         assert set(on) == {threading.current_thread()}
+
+
+def _no_c_library(name, *args, **kwargs):
+    raise OSError(f"cannot open {name}")
+
+
+@pytest.mark.parametrize("cdll", [lambda *args, **kwargs: object(), _no_c_library],
+                         ids=["no-mallopt", "no-c-library"])
+def test_worker_setup_without_mallopt(cdll, monkeypatch):
+    # where the C library has no mallopt, or cannot be opened, the worker
+    # initializer still gives the fits one tile worker and one BLAS thread
+    before = parallel.blas_threads()  # finds OpenBLAS before CDLL is faked
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(parallel, "_WORKERS", None)
+    try:
+        parallel.single_threaded()
+        assert parallel._tile_workers() == 1
+        assert parallel.blas_threads() == (None if before is None else 1)
+    finally:
+        if before is not None:
+            parallel.set_blas_threads(before)
 
 
 def blas_threads_in_subprocess(code, blas):

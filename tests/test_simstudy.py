@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import mwwdr.simstudy as sim
-from mwwdr.errors import MwwdrError, ValidationError
+from mwwdr import cli, ugee
+from mwwdr.errors import DerivativeCheckError, MwwdrError, ValidationError
 from mwwdr.simstudy import (ScenarioConfig, StudySummary, generate_dataset,
                             render_table, run_study, true_delta, true_gamma)
 
@@ -165,6 +166,34 @@ class TestRunStudy:
         cfg = ScenarioConfig(n=40, reps=9, seed=20, estimators=("mww",))
         with pytest.raises(MwwdrError, match="replications failed"):
             run_study(cfg, threads=1)
+
+    def test_one_derivative_check_per_study(self, monkeypatch):
+        # replication 0 alone is checked, once per fitted family, on the
+        # dataset it fitted
+        checked = []
+        real = ugee.check_residual_derivatives
+
+        def counting(dataset, theta, spec, n_pairs=100, seed=0):
+            checked.append((dataset.y.copy(), spec.family, n_pairs))
+            return real(dataset, theta, spec, n_pairs, seed)
+
+        monkeypatch.setattr(ugee, "check_residual_derivatives", counting)
+        cfg = ScenarioConfig(n=40, reps=5, seed=23, fd_check_pairs=3)
+        assert run_study(cfg, threads=1).n_failed == 0
+        assert [(family, pairs) for _, family, pairs in checked] == \
+            [("ipw", 3), ("msi", 3), ("dr", 3)]
+        _, rep0 = generate_dataset(cfg, 0)
+        assert all(np.array_equal(y, rep0.y) for y, _, _ in checked)
+
+    def test_failed_derivative_check_fails_the_study(self, monkeypatch, capsys):
+        monkeypatch.setattr(ugee, "check_residual_derivatives",
+                            lambda *args, **kwargs: 1.0)
+        with pytest.raises(DerivativeCheckError, match="finite-difference"):
+            run_study(ScenarioConfig(n=40, reps=5, seed=23), threads=1)
+        code = cli.main(["simulate", "--preset", "table5", "--n", "40",
+                         "--reps", "5", "--seed", "23", "--threads", "1"])
+        assert code == 4
+        assert "finite-difference check" in capsys.readouterr().err
 
     def test_misspecification_switches_apply(self):
         cfg = ScenarioConfig(n=60, reps=2, seed=21, misspecify_propensity=True,
