@@ -23,7 +23,7 @@ from .estimators import ipw_estimate, mww_estimate
 from .gpi import LINKS
 from .parallel import one_blas_thread, usable_cpus
 from .simstudy import (ESTIMATOR_NAMES, PRESETS, ScenarioConfig, render_table,
-                       run_study)
+                       run_studies)
 from .ugee import FrmSpec, solve_families, wald, wald_test
 
 EXIT_OK = 0
@@ -176,7 +176,8 @@ def cmd_simulate(args) -> int:
             args.n, 1000 if args.reps is None else args.reps, args.seed)
 
     threads = args.threads if args.threads is not None else usable_cpus()
-    summaries = {name: run_study(cfg, threads=threads) for name, cfg in bundle}
+    names, configs = zip(*bundle)
+    summaries = dict(zip(names, run_studies(configs, threads=threads)))
 
     if args.format == "json":
         payload = {name: s.to_json_dict() for name, s in summaries.items()}

@@ -38,6 +38,18 @@ def link_values(link, a):
     return normal_cdf_pdf(a)
 
 
+def pair_link_values(link, x, y, constant):
+    """(A, G, D), all writable: the predictors A = x[:, None] + y[None, :]
+    of a block of pairs and link_values there. A model without covariate
+    columns (constant) has one predictor: its link is evaluated once and
+    the three arrays are filled."""
+    if not constant:
+        A = x[:, None] + y[None, :]
+        return (A, *link_values(link, A))
+    a = x[:1] + y[:1]
+    return tuple(np.full((len(x), len(y)), v[0]) for v in (a, *link_values(link, a)))
+
+
 def link_initial(link, mean):
     mean = min(max(mean, 1e-6), 1.0 - 1e-6)
     if link == "probit":
@@ -162,6 +174,7 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
     m = n1 * n0
     if m == 0:
         raise EstimabilityError("no discordant pairs to fit the outcome model on")
+    p = w1.shape[1]
     blocks = [(rows, slice(cols.start - n1, cols.stop - n1))
               for _, _, rows, cols in pair_tiles(n1 + n0, n1)
               if rows.start < rows.stop and cols.start < cols.stop]
@@ -179,8 +192,7 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
 
         def block_sums(block):
             a, b = block
-            A = a1[a][:, None] + a0[b][None, :]
-            G, D = link_values(link, A)
+            A, G, D = pair_link_values(link, a1[a], a0[b], p == 0)
             return gamma_block(outcome_kernel(y1[a], y0[b], ties), G, D,
                                w1[a], w0[b], link, A)
 
@@ -190,7 +202,6 @@ def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
             info = info + q
         return score, info, float(np.max(np.abs(score)))
 
-    p = w1.shape[1]
     gamma = np.zeros(1 + 2 * p)
     gamma[0] = link_initial(link, mean_ind)
     fit = newton(evaluate, gamma, max(SCORE_TOL, m * 1e-13), MAX_ITER,

@@ -1,6 +1,6 @@
 """Threads inside one process: the ordered tile map that spreads a fit's
 pair tiles over a thread pool, the pin of OpenBLAS to one thread, and the
-set-up of run_study's worker processes.
+set-up of run_studies' worker processes.
 
 Every pair sum of a fit is a sum over the fixed tiles of data.pair_tiles.
 A TilePool evaluates the tiles on the caller's thread and on its own
@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 # Threads a fit's tiles may run on in this process; None: one per CPU the
-# process may run on. run_study's worker processes set 1 (single_threaded).
+# process may run on. run_studies' worker processes set 1 (single_threaded).
 _WORKERS = None
 
 
@@ -120,7 +120,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def single_threaded():
-    """Initializer of run_study's worker processes, which already run in
+    """Initializer of run_studies' worker processes, which already run in
     parallel with each other: one thread for BLAS and for the tile maps.
 
     It also fixes glibc malloc's mmap threshold at 32 MiB (glibc's
@@ -128,7 +128,7 @@ def single_threaded():
     mallopt. Under the defaults, blocks from 128 KiB up get pages of their
     own, and the dynamic threshold and heap trimming keep handing the
     0.17-0.5 MB pair-tile arrays of small fits fresh pages, which every fit
-    faults in again. The process that calls run_study keeps the defaults.
+    faults in again. The process that calls run_studies keeps the defaults.
     """
     global _WORKERS
     _WORKERS = 1

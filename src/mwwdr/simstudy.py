@@ -10,9 +10,10 @@ The data-generating process: for subject i,
 and the observed outcome is the potential outcome selected by z_i.
 """
 
+import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Tuple
 
@@ -230,7 +231,7 @@ def _worker(args):
         return rep, _run_replication(config, rep), None
     except DerivativeCheckError:
         raise  # a wrong derivative fails the study, not one replication
-    except Exception as exc:  # surfaced and counted by run_study
+    except Exception as exc:  # surfaced and counted by run_studies
         return rep, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -286,40 +287,46 @@ def _aggregate(config, records, true_d):
 
 
 def run_study(config, threads=1) -> StudySummary:
-    """Run all replications and aggregate.
+    """Run all replications and aggregate: run_studies of one scenario."""
+    return run_studies([config], threads)[0]
 
-    Replications are independent streamed jobs; the summary is identical for
-    any worker count because each replication's result depends only on
-    (seed, rep_index) and aggregation walks replications in index order.
-    Every fit runs with OpenBLAS on one thread, as it does in a worker;
-    the workers already run in parallel, so their fits also evaluate the
-    pair tiles on one thread. Replication 0 alone runs the
-    finite-difference check, with config.fd_check_pairs pairs; if it
-    fails, DerivativeCheckError fails the study.
-    """
-    jobs = [(config, rep) for rep in range(config.reps)]
-    true_d = None
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads,
-                                 initializer=single_threaded) as pool:
-            # the oracle is submitted first, so that it runs beside the
-            # replications instead of after them
-            oracle = pool.submit(true_delta, config)
-            results = list(pool.map(_worker, jobs, chunksize=max(1, config.reps // (8 * threads))))
-            true_d = oracle.result()
-    else:
+
+def run_studies(configs, threads=1):
+    """run_study of each scenario in the sequence configs, on one pool of
+    threads worker processes: a list of StudySummary. The pool takes each
+    scenario's oracle first, so that it runs beside the replications, then
+    every replication, scenario by scenario. A summary is identical for any
+    worker count: a replication's result depends only on (config,
+    rep_index), and a scenario aggregates in replication order. Every fit
+    runs OpenBLAS and its pair tiles on one thread, as in a worker.
+    Replication 0 of a scenario alone runs the finite-difference check,
+    with config.fd_check_pairs pairs; if it fails, DerivativeCheckError
+    fails the study."""
+    jobs = [(config, rep) for config in configs for rep in range(config.reps)]
+    if not threads or threads < 2:
         with one_blas_thread():
-            results = [_worker(j) for j in jobs]
+            results, oracles = map(_worker, jobs), map(true_delta, configs)
+            return [_summarize(config, results, oracles) for config in configs]
+    import numpy.random  # noqa: F401 -- once, before the fork, not in each worker
+    pool = ProcessPoolExecutor(max_workers=threads, initializer=single_threaded)
+    try:
+        oracles = map(Future.result, [pool.submit(true_delta, c) for c in configs])
+        results = pool.map(_worker, jobs, chunksize=max(1, len(jobs) // (8 * threads)))
+        return [_summarize(config, results, oracles) for config in configs]
+    finally:
+        pool.shutdown(cancel_futures=True)  # a failed study drops unstarted jobs
 
+
+def _summarize(config, results, oracles):
+    """config's summary from its config.reps next results and next oracle."""
+    results = list(itertools.islice(results, config.reps))
     records = [r for _, r, err in results if err is None]
     failures = [(rep, err) for rep, _, err in results if err is not None]
     if len(failures) > 0.01 * config.reps:
         raise MwwdrError(f"{len(failures)} of {config.reps} replications failed; "
                          f"first: rep {failures[0][0]}: {failures[0][1]}")
-
-    if true_d is None:
-        true_d = true_delta(config)
-    summary = StudySummary(
+    true_d = next(oracles)
+    return StudySummary(
         config=config,
         true_delta=float(true_d),
         estimators=_aggregate(config, records, true_d),
@@ -328,7 +335,6 @@ def run_study(config, threads=1) -> StudySummary:
         n_regenerated=int(sum(r["regenerated"] for r in records)),
         failures=[f"rep {rep}: {err}" for rep, err in failures[:20]],
     )
-    return summary
 
 
 # ---------------------------------------------------------------------------

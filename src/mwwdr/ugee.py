@@ -39,8 +39,8 @@ from .data import (Dataset, outcome_kernel, pair_tiles, subject_blocks,
                    treated_control)
 from .errors import (ConvergenceError, DerivativeCheckError, MwwdrError,
                      ValidationError)
-from .gpi import (LINKS, fit_gpi_pairs, gamma_block, link_values,
-                  model_covariates, predictors)
+from .gpi import (LINKS, fit_gpi_pairs, gamma_block, model_covariates,
+                  pair_link_values, predictors)
 from .newton import newton
 from .parallel import TilePool
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel,
@@ -198,6 +198,7 @@ class _Workspace:
         self.z = dataset.z[self.order].astype(float)
         self.X = design_matrix(dataset, spec.intercept_only_propensity)[self.order]
         self.wg = model_covariates(dataset.w, spec.constant_only_gpi)[self.order]
+        self.constant = self.wg.shape[1] == 0  # the outcome model's g is constant
         self.pi = self.a1 = self.a0 = None
         self.pool = TilePool(len(pair_tiles(self.n, self.n1)))
 
@@ -263,18 +264,16 @@ class PairTile:
     @cached_property
     def _forward(self):
         """G and DG; DG, dg/da, is zero on a diagonal tile's diagonal."""
-        a1, a0 = self.ws.a1, self.ws.a0
-        G, D = link_values(self.ws.link,
-                           a1[self.I][:, None] + a0[self.J][None, :])
+        ws = self.ws
+        _, G, D = pair_link_values(ws.link, ws.a1[self.I], ws.a0[self.J], ws.constant)
         if self.diag:
             np.fill_diagonal(D, 0.0)
         return G, D
 
     @cached_property
     def _backward(self):
-        a1, a0 = self.ws.a1, self.ws.a0
-        return link_values(self.ws.link,
-                           a0[self.I][:, None] + a1[self.J][None, :])
+        ws = self.ws
+        return pair_link_values(ws.link, ws.a0[self.I], ws.a1[self.J], ws.constant)[1:]
 
     G = property(lambda self: self._forward[0])
     DG = property(lambda self: self._forward[1])

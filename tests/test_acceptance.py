@@ -8,7 +8,9 @@ process (see the xfail reasons, which carry the measured values) are
 asserted verbatim and marked xfail(strict=True) so a change in behavior
 cannot pass silently.
 
-Studies are cached per module; the whole file takes ~10 minutes on 2 cores.
+Studies are cached per module; the whole file took 59 s on a 2 vCPU VM
+(Python 3.11, numpy 2.4 with OpenBLAS), nearly all of it in the
+1000-replication studies.
 """
 
 import json

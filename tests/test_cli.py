@@ -319,7 +319,7 @@ class TestSimulate:
         def no_study(*args, **kwargs):
             raise AssertionError("a study ran")
 
-        monkeypatch.setattr(cli, "run_study", no_study)
+        monkeypatch.setattr(cli, "run_studies", no_study)
         code = run(["simulate", "--preset", preset, "--n", "50", "--reps", "5",
                     "--seed", "-1", "--threads", threads])
         assert code == 2
@@ -329,16 +329,16 @@ class TestSimulate:
         # one CPU allowed on a machine with more: one worker, not one per CPU
         import mwwdr.cli as cli
 
-        seen, real_study = [], cli.run_study
+        seen, real_studies = [], cli.run_studies
 
-        def spy(config, threads):
+        def spy(configs, threads):
             seen.append(threads)
-            return real_study(config, threads=threads)
+            return real_studies(configs, threads=threads)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(cli, "run_study", spy)
+        monkeypatch.setattr(cli, "run_studies", spy)
         assert run(["simulate", "--preset", "table2", "--n", "20", "--reps", "2",
                     "--seed", "1"]) == 0
         assert seen == [1]

@@ -4,8 +4,8 @@ import pytest
 from mwwdr import gpi
 from mwwdr.data import Dataset, outcome_kernel
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
-from mwwdr.gpi import (GpiModel, fit_gpi, gamma_block, link_values,
-                       predictors)
+from mwwdr.gpi import (LINKS, GpiModel, fit_gpi, gamma_block, link_values,
+                       pair_link_values, predictors)
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
 from mwwdr.ugee import FrmSpec, _Workspace, stacked_residual
@@ -86,6 +86,47 @@ class TestGValue:
         G, D = link_values("probit", A[None, :])
         assert np.array_equal(D.ravel(), want)
         assert np.array_equal(A, before)
+
+
+class TestPairLinkValues:
+    """A constant model's block: the link at one predictor, filled."""
+
+    # 0, the rational's end 7.1 and the cut 40, on both sides, and past them
+    VALUES = (0.0, -0.0, 7.1, -7.1, 40.0, -40.0, 45.0, -45.0, 0.6744897501,
+              -1.3, 3.75, 1e-300)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (256, 256)])
+    @pytest.mark.parametrize("link", LINKS)
+    def test_filled_block_is_the_per_element_kernel(self, link, shape):
+        for value in self.VALUES:
+            # the two sides of a constant model's predictor, as
+            # predictors gives them: the intercept and a zero
+            for x0, y0 in ((value, 0.0), (0.0, value), (value, -0.25)):
+                x, y = np.full(shape[0], x0), np.full(shape[1], y0)
+                filled = pair_link_values(link, x, y, True)
+                per_element = pair_link_values(link, x, y, False)
+                for got, want in zip(filled, per_element):
+                    assert got.shape == shape
+                    assert got.tobytes() == want.tobytes(), (value, x0, y0)
+                    assert got.flags.writeable
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_gamma_block_writes_only_g_and_a(self, link):
+        rng = np.random.default_rng(8)
+        K = outcome_kernel(rng.normal(size=6), rng.normal(size=5), False)
+        w1, w0 = np.zeros((6, 0)), np.zeros((5, 0))
+        x, y = np.full(6, 0.4), np.zeros(5)
+        A, G, D = pair_link_values(link, x, y, True)
+        before = [v.copy() for v in (K, A, G, D)]
+        got = gamma_block(K, G, D, w1, w0, link, A)
+        assert np.array_equal(K, before[0]) and np.array_equal(D, before[3])
+        # the Newton's form writes G and A under probit only
+        written = link == "probit"
+        assert np.array_equal(A, before[1]) != written
+        assert np.array_equal(G, before[2]) != written
+        A, G, D = pair_link_values(link, x, y, False)
+        want = gamma_block(K, G, D, w1, w0, link, A)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestFitGpi:

@@ -1,13 +1,23 @@
 import json
+import multiprocessing
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mwwdr.simstudy as sim
 from mwwdr import cli, ugee
-from mwwdr.errors import DerivativeCheckError, MwwdrError, ValidationError
+from mwwdr.errors import (ConvergenceError, DerivativeCheckError, MwwdrError,
+                          ValidationError)
 from mwwdr.simstudy import (ScenarioConfig, StudySummary, generate_dataset,
-                            render_table, run_study, true_delta, true_gamma)
+                            render_table, run_studies, run_study, true_delta,
+                            true_gamma)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# a test that patches the library reaches the workers only if they are forked
+forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="worker processes are not forked")
 
 
 class TestScenarioConfig:
@@ -208,6 +218,90 @@ class TestRunStudy:
         text = render_table(s)
         assert "MWW" in text and "DR" in text and "delta" in text
         assert "(" in text  # the mean (ASE/ESE) cells
+
+
+class TestRunStudies:
+    """One pool of worker processes runs every scenario of a command."""
+
+    BUNDLES = {
+        "table3": [cfg for _, cfg in sim.PRESETS["table3"](40, 4, 31)],
+        "table4": [cfg for _, cfg in sim.PRESETS["table4"](60, 3, 31)],
+        # two true deltas (about 0.276, and 1/2), each of which must reach its
+        # own scenario
+        "power_and_null": [sim.preset_power(40, 3, 31), sim.preset_null(40, 2, 32)],
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", BUNDLES)
+    def test_bundle_equals_single_studies(self, name, threads):
+        bundle = self.BUNDLES[name]
+        together = run_studies(bundle, threads=threads)
+        assert len(together) == len(bundle)
+        for cfg, summary in zip(bundle, together):
+            assert summary.config == cfg
+            assert summary.to_json() == run_study(cfg, threads=1).to_json()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_scenario_file_equals_single_study(self, threads, capsys):
+        code = cli.main(["simulate", "--scenario",
+                         str(FIXTURES / "scenario_small.json"), "--seed", "8",
+                         "--threads", threads])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        raw = json.loads((FIXTURES / "scenario_small.json").read_text())
+        cfg = replace(ScenarioConfig.from_json_dict(raw), seed=8)
+        assert payload == {"scenario": run_study(cfg, threads=1).to_json_dict()}
+
+    @forked
+    def test_failed_check_in_the_second_scenario(self, monkeypatch, capsys):
+        # the check fails in misspecified_outcome, the second scenario of
+        # table3, after the pool has run the first one's replications
+        real = ugee.check_residual_derivatives
+
+        def fails_constant_model(dataset, theta, spec, **kwargs):
+            if spec.constant_only_gpi:
+                return 1.0
+            return real(dataset, theta, spec, **kwargs)
+
+        monkeypatch.setattr(ugee, "check_residual_derivatives",
+                            fails_constant_model)
+        errors = []
+        for threads in ("1", "2"):
+            code = cli.main(["simulate", "--preset", "table3", "--n", "40",
+                             "--reps", "6", "--seed", "23", "--threads", threads])
+            assert code == 4
+            errors.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert "finite-difference check" in errors[0]
+        assert errors[0] == errors[1]
+
+    def test_no_worker_left_after_success(self, capsys):
+        code = cli.main(["simulate", "--preset", "table3", "--n", "40",
+                         "--reps", "3", "--seed", "23", "--threads", "2"])
+        assert code == 0
+        assert multiprocessing.active_children() == []
+
+    @forked
+    def test_failure_budget_of_a_pooled_scenario(self, monkeypatch):
+        # every replication of the first scenario fails: the study stops
+        # there, with the message run_study gives, and leaves no worker
+        real = sim.solve_families
+
+        def fails_intercept_only(dataset, spec, families):
+            if spec.intercept_only_propensity:
+                raise ConvergenceError("no root")
+            return real(dataset, spec, families)
+
+        monkeypatch.setattr(sim, "solve_families", fails_intercept_only)
+        bundle = [cfg for _, cfg in sim.PRESETS["table3"](40, 4, 5)]
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(MwwdrError) as info:
+                run_studies(bundle, threads=threads)
+            messages.append(str(info.value))
+            assert multiprocessing.active_children() == []
+        assert messages[0] == messages[1] == \
+            "4 of 4 replications failed; first: rep 0: ConvergenceError: no root"
 
 
 class TestConfoundedFixture:

@@ -456,6 +456,27 @@ class TestSandwich:
         assert json.loads(json.dumps(rep))["components"]["delta"]["estimate"] == fit.delta
 
 
+class TestMetamorphic:
+    """Relations between the fits of two datasets that need no oracle."""
+
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    def test_increasing_map_of_y_keeps_every_bit(self, link):
+        # y enters only through the pair kernel K, which a strictly
+        # increasing map that keeps every order and tie leaves as it is
+        ds = synthetic_confounded_trial(n=150, seed=3)
+        mapped = Dataset(ds.z, 3.0 * np.arctan(ds.y) + 1.0, ds.w,
+                         outcome_kind=ds.outcome_kind)
+        order = np.sign(ds.y[:, None] - ds.y[None, :])
+        assert np.array_equal(order, np.sign(mapped.y[:, None] - mapped.y[None, :]))
+        families = ("dr", "ipw", "msi")
+        spec = FrmSpec(link=link)
+        fits = list(zip(solve_families(ds, spec, families),
+                        solve_families(mapped, spec, families)))
+        assert [a.spec.family for a, _ in fits] == list(families)
+        for a, b in fits:
+            assert same_bits(a.theta, b.theta) and same_bits(a.se, b.se)
+
+
 class TestWald:
     def fake_fit(self, est, se):
         return UgeeFit(FrmSpec(), ("delta",), np.array([est]), np.array([se]),
