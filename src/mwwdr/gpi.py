@@ -3,26 +3,22 @@
 The model regresses that indicator on both subjects' covariates through a
 probit (default) or logit link: g = link_inv(g0 + g11'w_first + g10'w_second).
 Fitting uses every observed discordant (treated, control) pair with
-Bernoulli working variance g(1 - g). The Newton steps on the observed
-information, minus the exact Jacobian of that score, so it converges
-quadratically under either link; the sandwich's bread keeps the expected
-information. gamma_block gives both.
+Bernoulli working variance g(1 - g). Its Newton, ugee._fit_gamma_pairwise,
+sets the pair workspace's predictors at every step and steps on the
+observed information, minus the exact Jacobian of that score, so it
+converges quadratically under either link; the sandwich's bread keeps the
+expected information. gamma_block gives both.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
-from .data import kernel_sums, outcome_kernel, pair_tiles, treated_control
-from .errors import (ConvergenceError, EstimabilityError, SeparationError,
-                     ValidationError)
-from .newton import newton
-from .parallel import TilePool
 from .special import _check_finite, expit, logit, normal_cdf_pdf
 
 LINKS = ("probit", "logit")
+# the settings of the outcome Newton, ugee._fit_gamma_pairwise
 SCORE_TOL = 1e-8
 MAX_ITER = 100
 SEPARATION_BOUND = 30.0
@@ -79,12 +75,6 @@ def predictors(gamma, w_first, w_second):
     a1[a] + a0[b]."""
     p = w_first.shape[1]
     return gamma[0] + w_first @ gamma[1:1 + p], w_second @ gamma[1 + p:]
-
-
-def model_covariates(w, constant_only):
-    """The covariate columns the model reads: none for the constant model,
-    which every formula here then treats as the model with p = 0."""
-    return w[:, :0] if constant_only else w
 
 
 def gamma_block(K, G, D, w1, w0, link=None, A=None):
@@ -151,61 +141,10 @@ def fit_gpi(dataset, constant_only=False, link="probit"):
     Score: sum over observed (treated, control) pairs of
     d * v^-1 * (indicator - g), with d the gradient of g in gamma and
     v = g(1 - g). Each step solves with the observed information
-    (gamma_block's Newton form). The blocks run on the caller's thread;
-    solve_families runs fit_gpi_pairs on its tile pool.
+    (gamma_block's Newton form). This is the outcome fit of solve_families
+    (ugee._fit_gamma_pairwise) on a workspace of its own, which sets the
+    predictors at every step; its tiles run on the caller's thread.
     """
-    t, c = treated_control(dataset)
-    w = model_covariates(dataset.w, constant_only)
-    return fit_gpi_pairs(dataset.y[t], dataset.y[c], dataset.ties,
-                         w[t], w[c], link, TilePool())
-
-
-def fit_gpi_pairs(y1, y0, ties, w1, w0, link, pool):
-    """fit_gpi on the outcomes y1 of the treated and y0 of the control
-    subjects, scored with or without ties, and their model covariate rows
-    w1, w0 (zero columns for the constant model). The mean indicator it
-    starts from is taken from one sort (data.kernel_sums); every pair sum of
-    the Newton streams over the treated x control blocks of pair_tiles, the
-    blocks the sandwich's pass reads, through the tile map of the TilePool
-    pool."""
-    if link not in LINKS:
-        raise ValidationError(f"link must be one of {LINKS}")
-    n1, n0 = len(y1), len(y0)
-    m = n1 * n0
-    if m == 0:
-        raise EstimabilityError("no discordant pairs to fit the outcome model on")
-    p = w1.shape[1]
-    blocks = [(rows, slice(cols.start - n1, cols.stop - n1))
-              for _, _, rows, cols in pair_tiles(n1 + n0, n1)
-              if rows.start < rows.stop and cols.start < cols.stop]
-    mean_ind = float(kernel_sums(y1, y0, ties).sum()) / m
-    if mean_ind in (0.0, 1.0):
-        raise SeparationError(
-            f"all observed pair indicators equal {int(mean_ind)}; "
-            "the outcome model intercept diverges")
-
-    def evaluate(gamma):
-        if np.max(np.abs(gamma)) > SEPARATION_BOUND:
-            raise SeparationError(
-                "outcome-model fit diverged; response may be degenerate")
-        a1, a0 = predictors(gamma, w1, w0)
-
-        def block_sums(block):
-            a, b = block
-            A, G, D = pair_link_values(link, a1[a], a0[b], p == 0)
-            return gamma_block(outcome_kernel(y1[a], y0[b], ties), G, D,
-                               w1[a], w0[b], link, A)
-
-        score = info = 0.0
-        for s, q in pool.map(block_sums, blocks):
-            score = score + s
-            info = info + q
-        return score, info, float(np.max(np.abs(score)))
-
-    gamma = np.zeros(1 + 2 * p)
-    gamma[0] = link_initial(link, mean_ind)
-    fit = newton(evaluate, gamma, max(SCORE_TOL, m * 1e-13), MAX_ITER,
-                 partial(ConvergenceError,
-                         "outcome-model Newton iteration did not converge"),
-                 partial(ConvergenceError, "singular Jacobian in outcome-model fit"))
-    return GpiModel(fit.x, link, p == 0, p, True, fit.iterations, fit.score_norm)
+    from .ugee import FrmSpec, _fit_gamma_pairwise, _Workspace  # ugee imports gpi
+    spec = FrmSpec(link=link, constant_only_gpi=constant_only)
+    return _fit_gamma_pairwise(_Workspace(dataset, spec))

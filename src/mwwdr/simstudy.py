@@ -13,6 +13,7 @@ and the observed outcome is the potential outcome selected by z_i.
 import itertools
 import json
 import math
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Tuple
@@ -32,6 +33,14 @@ ESTIMATOR_NAMES = ("mww", "ipw", "msi", "dr")
 _ORACLE_STREAM = 1 << 48
 _ORACLE_CHUNK = 1_000_000  # pairs per draw of the true-delta oracle
 _MAX_REGEN_ATTEMPTS = 1000
+
+
+def _finite_real(value):
+    """Whether value is an int or a float (numpy's too), not a bool, and
+    finite as a float. abs(value) is compared with the largest float, since
+    math.isfinite overflows on an int beyond it."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,12 @@ class ScenarioConfig:
     fd_check_pairs: int = 4
 
     def __post_init__(self):
+        for name in ("misspecify_propensity", "misspecify_outcome"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"{name} must be true or false")
+        for name in ("sigma2", "sigma2_b", "sigma2_w", "mu_w", "alpha"):
+            if not _finite_real(getattr(self, name)):
+                raise ValidationError(f"{name} must be a finite number")
         for name in ("sigma2", "sigma2_b", "sigma2_w"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -73,6 +88,9 @@ class ScenarioConfig:
             raise ValidationError("alpha must lie in (0, 1)")
         if len(self.beta) != 3 or len(self.eta_true) != 2:
             raise ValidationError("beta must have 3 entries and eta_true 2")
+        for name in ("beta", "eta_true"):
+            if not all(map(_finite_real, getattr(self, name))):
+                raise ValidationError(f"every entry of {name} must be a finite number")
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad:
             raise ValidationError(f"unknown estimator(s): {bad}")

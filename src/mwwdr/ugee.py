@@ -35,12 +35,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .data import (Dataset, outcome_kernel, pair_tiles, subject_blocks,
-                   treated_control)
-from .errors import (ConvergenceError, DerivativeCheckError, MwwdrError,
-                     ValidationError)
-from .gpi import (LINKS, fit_gpi_pairs, gamma_block, model_covariates,
-                  pair_link_values, predictors)
+from . import gpi
+from .data import (Dataset, kernel_sums, outcome_kernel, pair_tiles,
+                   subject_blocks, treated_control)
+from .errors import (ConvergenceError, DerivativeCheckError, EstimabilityError,
+                     MwwdrError, SeparationError, ValidationError)
+from .gpi import (LINKS, GpiModel, gamma_block, link_initial, pair_link_values,
+                  predictors)
 from .newton import newton
 from .parallel import TilePool
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel,
@@ -182,9 +183,10 @@ class _Workspace:
     shares, filled only when some family has them. The subjects are held
     treated first (order[k] is held subject k's dataset position), with the
     O(n) vectors the tiles read: y, z, the propensity design X, the outcome
-    model's covariates wg and, once set, the propensities pi (set_eta also
-    fills clipped and _eta_block's value) and the outcome model's
-    predictors (set_gamma; _pair_pass then fills its block). The tile maps
+    model's covariates wg and, once set, the propensities pi (set_eta, by
+    each step of _fit_eta_pairwise, also fills clipped and _eta_block's
+    value) and the outcome model's predictors (set_gamma, by each step of
+    _fit_gamma_pairwise; _pair_pass then fills its block). The tile maps
     run on pool, on the caller's thread until pool is entered."""
 
     def __init__(self, dataset, spec):
@@ -197,7 +199,10 @@ class _Workspace:
         self.y = dataset.y[self.order]
         self.z = dataset.z[self.order].astype(float)
         self.X = design_matrix(dataset, spec.intercept_only_propensity)[self.order]
-        self.wg = model_covariates(dataset.w, spec.constant_only_gpi)[self.order]
+        # the constant model reads no covariate column: every formula then
+        # treats it as the model with p = 0
+        w = dataset.w[self.order]
+        self.wg = w[:, :0] if spec.constant_only_gpi else w
         self.constant = self.wg.shape[1] == 0  # the outcome model's g is constant
         self.pi = self.a1 = self.a0 = None
         self.pool = TilePool(len(pair_tiles(self.n, self.n1)))
@@ -487,6 +492,53 @@ def _fit_eta_pairwise(ws):
                   final_tol=TOL)
 
 
+def _fit_gamma_pairwise(ws):
+    """Newton solve of the outcome block, from the constant model at the
+    mean observed indicator (one sort, data.kernel_sums). Every evaluation
+    sets the workspace's predictors and sums gamma_block's Newton form over
+    the tiles' treated x control pairs, so on return they are at the root."""
+    n1 = ws.n1
+    m = n1 * (ws.n - n1)
+    if m == 0:
+        raise EstimabilityError("no discordant pairs to fit the outcome model on")
+    mean_ind = float(kernel_sums(ws.y[:n1], ws.y[n1:], ws.ties).sum()) / m
+    if mean_ind in (0.0, 1.0):
+        raise SeparationError(
+            f"all observed pair indicators equal {int(mean_ind)}; "
+            "the outcome model intercept diverges")
+
+    tiles = [s for s in pair_tiles(ws.n, n1) if PairTile(ws, *s).has_tc]
+
+    def tile_sums(tile_spec):
+        tile = PairTile(ws, *tile_spec)
+        # not tile.G[tile.tc]: that evaluates the link on all of I x J
+        A, G, D = pair_link_values(ws.link, ws.a1[tile.rows], ws.a0[tile.cols],
+                                   ws.constant)
+        return gamma_block(tile.K, G, D, ws.wg[tile.rows], ws.wg[tile.cols],
+                           ws.link, A)
+
+    def evaluate(gamma):
+        if np.max(np.abs(gamma)) > gpi.SEPARATION_BOUND:
+            raise SeparationError(
+                "outcome-model fit diverged; response may be degenerate")
+        ws.set_gamma(gamma)
+        score = info = 0.0
+        for s, q in ws.pool.map(tile_sums, tiles):
+            score = score + s
+            info = info + q
+        return score, info, float(np.max(np.abs(score)))
+
+    p = ws.wg.shape[1]
+    gamma = np.zeros(1 + 2 * p)
+    gamma[0] = link_initial(ws.link, mean_ind)
+    fit = newton(evaluate, gamma, max(gpi.SCORE_TOL, m * 1e-13), gpi.MAX_ITER,
+                 partial(ConvergenceError,
+                         "outcome-model Newton iteration did not converge"),
+                 partial(ConvergenceError, "singular Jacobian in outcome-model fit"))
+    return GpiModel(fit.x, ws.link, ws.constant, p, True, fit.iterations,
+                    fit.score_norm)
+
+
 @dataclass
 class UgeeFit:
     """Joint root, sandwich covariance, and diagnostics. plugin is the
@@ -704,11 +756,7 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES):
         if any(fspec.has_eta for fspec in specs):
             eta_fit = _fit_eta_pairwise(ws)
         if any(fspec.has_gamma for fspec in specs):
-            n1 = ws.n1
-            gamma_fit = fit_gpi_pairs(ws.y[:n1], ws.y[n1:], ws.ties,
-                                      ws.wg[:n1], ws.wg[n1:], spec.link,
-                                      ws.pool)
-            ws.set_gamma(gamma_fit.gamma)
+            gamma_fit = _fit_gamma_pairwise(ws)
         rows = [_DeltaRow(ws, fspec) for fspec in specs]
         _pair_pass(ws, rows)
     for fspec, row in zip(specs, rows):

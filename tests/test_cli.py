@@ -289,7 +289,27 @@ class TestSimulate:
                  ({"n": 30, "reps": 3, "fd_check_pairs": 2.5},
                   "fd_check_pairs must be an integer"),
                  ({"n": 30, "reps": 3, "fd_check_pairs": -2},
-                  "fd_check_pairs must not be negative")]
+                  "fd_check_pairs must not be negative"),
+                 # each of these used to run every replication: a string
+                 # switch ran the misspecified study, and a bad number
+                 # failed every replication (exit 4 after all of them)
+                 ({"n": 20, "reps": 3, "misspecify_outcome": "no"},
+                  "misspecify_outcome must be true or false"),
+                 ({"n": 20, "reps": 3, "misspecify_propensity": 1},
+                  "misspecify_propensity must be true or false"),
+                 ({"n": 20, "reps": 3, "beta": ["a", 1, 1]},
+                  "every entry of beta must be a finite number"),
+                 ({"n": 20, "reps": 3, "beta": [0, True, 1]},
+                  "every entry of beta must be a finite number"),
+                 ({"n": 20, "reps": 3, "eta_true": [1, None]},
+                  "every entry of eta_true must be a finite number"),
+                 ({"n": 20, "reps": 3, "mu_w": "x"}, "mu_w must be a finite number"),
+                 ({"n": 20, "reps": 3, "sigma2": float("nan")},
+                  "sigma2 must be a finite number"),
+                 ({"n": 20, "reps": 3, "sigma2_w": float("inf")},
+                  "sigma2_w must be a finite number"),
+                 ({"n": 20, "reps": 3, "alpha": "0.05"},
+                  "alpha must be a finite number")]
         bad = tmp_path / "bad.json"
         for content, named in cases:
             bad.write_text(json.dumps(content))

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mwwdr import gpi
+from mwwdr import data, gpi
 from mwwdr.data import Dataset, outcome_kernel
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
 from mwwdr.gpi import (LINKS, GpiModel, fit_gpi, gamma_block, link_values,
                        pair_link_values, predictors)
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
-from mwwdr.ugee import FrmSpec, _Workspace, stacked_residual
+from mwwdr.ugee import FrmSpec, _Workspace, solve_families, stacked_residual
 
 from oracles import _g_of, normal_ppf
 
@@ -169,6 +169,29 @@ class TestFitGpi:
                                     constant_only=constant_only)
         npairs = 80 * 79 / 2
         assert max(abs(r) for r in resid[:-1]) * npairs < 1e-6
+
+    @pytest.mark.parametrize("link", LINKS)
+    @pytest.mark.parametrize("constant_only", [False, True])
+    @pytest.mark.parametrize("count", [False, True])
+    def test_public_fit_is_the_programs_fit(self, link, constant_only, count,
+                                            monkeypatch):
+        # fit_gpi and solve_families run one outcome Newton on one kind of
+        # workspace, so they agree bit for bit; 7-subject tiles give blocks
+        # that hold both arms and tiles with no treated x control pair
+        monkeypatch.setattr(data, "_tile_size", lambda n: 7)
+        _, ds = generate_dataset(ScenarioConfig(n=60, reps=1, seed=5), 0)
+        if count:
+            ds = Dataset(ds.z, np.round(ds.y), ds.w, outcome_kind="count")
+            assert ds.ties and len(np.unique(ds.y)) < ds.n
+        assert any(I.start < ds.n1 < I.stop for I in data.subject_blocks(ds.n))
+        assert not all(rows.start < rows.stop and cols.start < cols.stop
+                       for _, _, rows, cols in data.pair_tiles(ds.n, ds.n1))
+        m = fit_gpi(ds, constant_only, link)
+        fit, = solve_families(ds, FrmSpec(link=link, constant_only_gpi=constant_only),
+                              ("msi",))
+        assert m.gamma.tobytes() == fit.theta[:-1].tobytes()  # msi: (gamma, delta)
+        assert m.iterations == fit.diagnostics["gamma_iterations"]
+        assert m.score_norm == fit.diagnostics["gamma_score_norm"]
 
     def test_antisymmetry_of_slopes_under_null(self):
         # under a null generator the fitted slopes are opposite and the
