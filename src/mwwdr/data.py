@@ -129,6 +129,17 @@ def kernel_sums(y1, y0, ties, weights0=None):
     return 0.5 * (at_least + above[np.searchsorted(y0, y1, "right")])
 
 
+def indicator_sums(y1, y0, ties, w1, w0):
+    """The sums of the kernel K = outcome_kernel(y1, y0, ties) that a
+    constant outcome model's block reads (gpi.flat_gamma_block): its row
+    sums, its column sums (from the negated outcomes, as I(y_t <= y_c) =
+    I(-y_c <= -y_t)) and w1' K w0, one weighted call per column of w0."""
+    Kw0 = np.empty((len(y1), w0.shape[1]))
+    for k, col in enumerate(w0.T):
+        Kw0[:, k] = kernel_sums(y1, y0, ties, col)
+    return kernel_sums(y1, y0, ties), kernel_sums(-y0, -y1, ties), w1.T @ Kw0
+
+
 # The most subjects in one block of the pair tiles, at every n. A
 # 256 x 256 float64 array is 0.5 MB, and one tile of the three-family pass
 # holds about nine at once (traced peak 4.5 MB, of which 2.7 MB are the

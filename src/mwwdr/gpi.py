@@ -7,7 +7,10 @@ Bernoulli working variance g(1 - g). Its Newton, ugee._fit_gamma_pairwise,
 sets the pair workspace's predictors at every step and steps on the
 observed information, minus the exact Jacobian of that score, so it
 converges quadratically under either link; the sandwich's bread keeps the
-expected information. gamma_block gives both.
+expected information. gamma_block gives both. At zero slopes every pair has
+one predictor, and flat_gamma_block gives the Newton's form from kernel
+sums without visiting a pair: the fit's first evaluation, and every one of
+a constant model.
 """
 
 from dataclasses import dataclass
@@ -34,16 +37,11 @@ def link_values(link, a):
     return normal_cdf_pdf(a)
 
 
-def pair_link_values(link, x, y, constant):
+def pair_link_values(link, x, y):
     """(A, G, D), all writable: the predictors A = x[:, None] + y[None, :]
-    of a block of pairs and link_values there. A model without covariate
-    columns (constant) has one predictor: its link is evaluated once and
-    the three arrays are filled."""
-    if not constant:
-        A = x[:, None] + y[None, :]
-        return (A, *link_values(link, A))
-    a = x[:1] + y[:1]
-    return tuple(np.full((len(x), len(y)), v[0]) for v in (a, *link_values(link, a)))
+    of a block of pairs and link_values there."""
+    A = x[:, None] + y[None, :]
+    return (A, *link_values(link, A))
 
 
 def link_initial(link, mean):
@@ -117,22 +115,52 @@ def gamma_block(K, G, D, w1, w0, link=None, A=None):
         A *= S
         Q += A
     rs, cs = S.sum(axis=1), S.sum(axis=0)
-    qr, qc = Q.sum(axis=1), Q.sum(axis=0)
-    p = w1.shape[1]
-    score = np.concatenate([[rs.sum()], w1.T @ rs, w0.T @ cs])
-    info = np.empty((1 + 2 * p, 1 + 2 * p))
-    info[0, 0] = Q.sum()
-    info[0, 1:1 + p] = info[1:1 + p, 0] = w1.T @ qr
-    info[0, 1 + p:] = info[1 + p:, 0] = w0.T @ qc
-    info[1:1 + p, 1:1 + p] = (w1 * qr[:, None]).T @ w1
-    info[1 + p:, 1 + p:] = (w0 * qc[:, None]).T @ w0
-    info[1:1 + p, 1 + p:] = w1.T @ Q @ w0
-    info[1 + p:, 1:1 + p] = info[1:1 + p, 1 + p:].T
+    score, info = _score_info(rs, cs, Q.sum(axis=1), Q.sum(axis=0), Q.sum(),
+                              w1.T @ Q @ w0, w1, w0)
     if link is not None:
         return score, info
     rows1 = np.column_stack([rs, w1 * rs[:, None], S @ w0])
     rows0 = np.column_stack([cs, S.T @ w1, w0 * cs[:, None]])
     return score, info, rows1, rows0
+
+
+def _score_info(rs, cs, qr, qc, qtotal, cross, w1, w0):
+    """The outcome block's score and information from the sums of its pair
+    terms: rs and qr sum the score term S and the weight over each treated
+    subject's pairs, cs and qc over each control subject's, qtotal sums the
+    weight over the block and cross is w1' Q w0, Q the weights."""
+    p = w1.shape[1]
+    score = np.concatenate([[rs.sum()], w1.T @ rs, w0.T @ cs])
+    info = np.empty((1 + 2 * p, 1 + 2 * p))
+    info[0, 0] = qtotal
+    info[0, 1:1 + p] = info[1:1 + p, 0] = w1.T @ qr
+    info[0, 1 + p:] = info[1 + p:, 0] = w0.T @ qc
+    info[1:1 + p, 1:1 + p] = (w1 * qr[:, None]).T @ w1
+    info[1 + p:, 1 + p:] = (w0 * qc[:, None]).T @ w0
+    info[1:1 + p, 1 + p:] = cross
+    info[1 + p:, 1:1 + p] = cross.T
+    return score, info
+
+
+def flat_gamma_block(sums, a, g, d, w1, w0, link):
+    """gamma_block's Newton form, (score, info), over a treated x control
+    block whose pairs all have the predictor a, so that g and dg/da take
+    one value, g and d. A pair's score term S = c (K - g), c = d / v, and
+    its weight d^2 / v + e S, with e = a + c (1 - 2g) under probit and 0
+    under logit, are then linear in the indicator K, so every sum comes
+    from sums = (k1, k0, kw): each treated subject's kernel sum over the
+    controls, each control's over the treated, and w1' K w0. No pair is
+    visited."""
+    k1, k0, kw = sums
+    n1, n0 = len(k1), len(k0)
+    v = g * (1.0 - g)
+    c, q = d / v, d * d / v
+    e = a + c * (1.0 - 2.0 * g) if link == "probit" else 0.0
+    rs, cs = c * (k1 - n0 * g), c * (k0 - n1 * g)
+    ss = np.outer(w1.sum(axis=0), w0.sum(axis=0))  # w1' 1 1' w0
+    return _score_info(rs, cs, n0 * q + e * rs, n1 * q + e * cs,
+                       n1 * n0 * q + e * rs.sum(), q * ss + e * c * (kw - g * ss),
+                       w1, w0)
 
 
 def fit_gpi(dataset, constant_only=False, link="probit"):

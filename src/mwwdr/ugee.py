@@ -36,12 +36,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import gpi
-from .data import (Dataset, kernel_sums, outcome_kernel, pair_tiles,
+from .data import (Dataset, indicator_sums, outcome_kernel, pair_tiles,
                    subject_blocks, treated_control)
 from .errors import (ConvergenceError, DerivativeCheckError, EstimabilityError,
                      MwwdrError, SeparationError, ValidationError)
-from .gpi import (LINKS, GpiModel, gamma_block, link_initial, pair_link_values,
-                  predictors)
+from .gpi import (LINKS, GpiModel, flat_gamma_block, gamma_block, link_initial,
+                  link_values, pair_link_values, predictors)
 from .newton import newton
 from .parallel import TilePool
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel,
@@ -203,8 +203,7 @@ class _Workspace:
         # treats it as the model with p = 0
         w = dataset.w[self.order]
         self.wg = w[:, :0] if spec.constant_only_gpi else w
-        self.constant = self.wg.shape[1] == 0  # the outcome model's g is constant
-        self.pi = self.a1 = self.a0 = None
+        self.pi = self.a1 = self.a0 = self.flat = None
         self.pool = TilePool(len(pair_tiles(self.n, self.n1)))
 
     def set_eta(self, eta):
@@ -219,6 +218,10 @@ class _Workspace:
         treated side (with the intercept) and a0 on its control side, so
         that g of the ordered pair (i, j) is link_inv(a1_i + a0_j)."""
         self.a1, self.a0 = predictors(gamma, self.wg, self.wg)
+        # at zero slopes (always, in the constant model) every pair has one
+        # predictor: flat holds its g and dg/da, which the tiles fill
+        self.flat = None if np.any(gamma[1:]) else \
+            link_values(self.link, self.a1[:1] + self.a0[:1])
 
     def tile(self):
         """All the subjects as one diagonal tile."""
@@ -266,19 +269,25 @@ class PairTile:
         pi = self.ws.pi
         return np.outer(pi[self.rows], 1.0 - pi[self.cols])
 
+    def _link(self, x, y):
+        """g and dg/da of the pairs with predictors x[:, None] + y[None, :],
+        filled from the workspace's flat values when it has them."""
+        ws = self.ws
+        if ws.flat is None:
+            return pair_link_values(ws.link, x, y)[1:]
+        return [np.full(self.shape, v[0]) for v in ws.flat]
+
     @cached_property
     def _forward(self):
         """G and DG; DG, dg/da, is zero on a diagonal tile's diagonal."""
-        ws = self.ws
-        _, G, D = pair_link_values(ws.link, ws.a1[self.I], ws.a0[self.J], ws.constant)
+        G, D = self._link(self.ws.a1[self.I], self.ws.a0[self.J])
         if self.diag:
             np.fill_diagonal(D, 0.0)
         return G, D
 
     @cached_property
     def _backward(self):
-        ws = self.ws
-        return pair_link_values(ws.link, ws.a0[self.I], ws.a1[self.J], ws.constant)[1:]
+        return self._link(self.ws.a0[self.I], self.ws.a1[self.J])
 
     G = property(lambda self: self._forward[0])
     DG = property(lambda self: self._forward[1])
@@ -492,50 +501,82 @@ def _fit_eta_pairwise(ws):
                   final_tol=TOL)
 
 
-def _fit_gamma_pairwise(ws):
+def _predicts_final(norms, tol):
+    """Whether quadratic convergence from the last two judged score norms,
+    norm_k (norm_k / norm_k-1)^2, puts the next one within tol."""
+    return len(norms) > 1 and norms[-1] * (norms[-1] / norms[-2]) ** 2 <= tol
+
+
+def _fit_gamma_pairwise(ws, judge=None):
     """Newton solve of the outcome block, from the constant model at the
-    mean observed indicator (one sort, data.kernel_sums). Every evaluation
-    sets the workspace's predictors and sums gamma_block's Newton form over
-    the tiles' treated x control pairs, so on return they are at the root."""
+    mean observed indicator. An evaluation at zero slopes (the first, and
+    every one of a constant model) is gpi.flat_gamma_block, from
+    data.indicator_sums, and visits no pair; any other sums gamma_block's
+    Newton form over the tiles' treated x control pairs. Every evaluation
+    sets the workspace's predictors, so on return they are at the root.
+
+    judge(gamma), when given, is the pair pass at the predictors just set,
+    which leaves the outcome block's score in ws.gamma_score: gamma_block's
+    other form, with the same score bits. The Newton hands it the first
+    tiled iterate that _predicts_final calls final, once per fit. If that
+    score's norm passes, the iterate is the root, judged by the pass, and
+    its tiles are not swept twice; if not, the Newton form is evaluated
+    there as well and the Newton goes on."""
     n1 = ws.n1
     m = n1 * (ws.n - n1)
     if m == 0:
         raise EstimabilityError("no discordant pairs to fit the outcome model on")
-    mean_ind = float(kernel_sums(ws.y[:n1], ws.y[n1:], ws.ties).sum()) / m
+    w1, w0 = ws.wg[:n1], ws.wg[n1:]
+    sums = indicator_sums(ws.y[:n1], ws.y[n1:], ws.ties, w1, w0)
+    mean_ind = float(sums[0].sum()) / m
     if mean_ind in (0.0, 1.0):
         raise SeparationError(
             f"all observed pair indicators equal {int(mean_ind)}; "
             "the outcome model intercept diverges")
 
     tiles = [s for s in pair_tiles(ws.n, n1) if PairTile(ws, *s).has_tc]
+    tol = max(gpi.SCORE_TOL, m * 1e-13)
+    norms = []
 
     def tile_sums(tile_spec):
         tile = PairTile(ws, *tile_spec)
         # not tile.G[tile.tc]: that evaluates the link on all of I x J
-        A, G, D = pair_link_values(ws.link, ws.a1[tile.rows], ws.a0[tile.cols],
-                                   ws.constant)
+        A, G, D = pair_link_values(ws.link, ws.a1[tile.rows], ws.a0[tile.cols])
         return gamma_block(tile.K, G, D, ws.wg[tile.rows], ws.wg[tile.cols],
                            ws.link, A)
 
     def evaluate(gamma):
+        nonlocal judge
         if np.max(np.abs(gamma)) > gpi.SEPARATION_BOUND:
             raise SeparationError(
                 "outcome-model fit diverged; response may be degenerate")
         ws.set_gamma(gamma)
-        score = info = 0.0
-        for s, q in ws.pool.map(tile_sums, tiles):
-            score = score + s
-            info = info + q
-        return score, info, float(np.max(np.abs(score)))
+        if ws.flat is not None:
+            (g,), (d,) = ws.flat
+            score, info = flat_gamma_block(sums, ws.a1[0] + ws.a0[0], g, d,
+                                           w1, w0, ws.link)
+        else:
+            if judge is not None and _predicts_final(norms, tol):
+                judge(gamma)
+                score, judge = ws.gamma_score, None
+                norm = float(np.max(np.abs(score)))
+                if norm <= tol:
+                    return score, None, norm
+            score = info = 0.0
+            for s, q in ws.pool.map(tile_sums, tiles):
+                score = score + s
+                info = info + q
+        norms.append(float(np.max(np.abs(score))))
+        return score, info, norms[-1]
 
-    p = ws.wg.shape[1]
+    p = w1.shape[1]
     gamma = np.zeros(1 + 2 * p)
     gamma[0] = link_initial(ws.link, mean_ind)
-    fit = newton(evaluate, gamma, max(gpi.SCORE_TOL, m * 1e-13), gpi.MAX_ITER,
+    fit = newton(evaluate, gamma, tol, gpi.MAX_ITER,
                  partial(ConvergenceError,
                          "outcome-model Newton iteration did not converge"),
                  partial(ConvergenceError, "singular Jacobian in outcome-model fit"))
-    return GpiModel(fit.x, ws.link, ws.constant, p, True, fit.iterations,
+    return GpiModel(fit.x, ws.link, p == 0, p, True, fit.iterations,
                     fit.score_norm)
 
 
@@ -751,14 +792,24 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES):
     dataset.require_both_arms()
     specs = [replace(spec, family=family) for family in families]
     ws = _Workspace(dataset, spec)
-    eta_fit = gamma_fit = None
+    eta_fit = gamma_fit = rows = passed = None
+
+    def pass_at(gamma):
+        """Every family's delta row, and the outcome block at the predictors
+        of gamma once set, from one pass."""
+        nonlocal rows, passed
+        rows, passed = [_DeltaRow(ws, fspec) for fspec in specs], gamma
+        _pair_pass(ws, rows)
+
     with ws.pool:
         if any(fspec.has_eta for fspec in specs):
             eta_fit = _fit_eta_pairwise(ws)
         if any(fspec.has_gamma for fspec in specs):
-            gamma_fit = _fit_gamma_pairwise(ws)
-        rows = [_DeltaRow(ws, fspec) for fspec in specs]
-        _pair_pass(ws, rows)
+            gamma_fit = _fit_gamma_pairwise(ws, pass_at)
+        # the root the outcome Newton returns is the very array it handed
+        # to pass_at when the pass judged it
+        if gamma_fit is None or passed is not gamma_fit.gamma:
+            pass_at(None)
     for fspec, row in zip(specs, rows):
         yield _solve_family(dataset, fspec, ws, row, eta_fit, gamma_fit)
 

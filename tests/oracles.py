@@ -114,12 +114,12 @@ def _dg_of(a, link):
     return p * (1.0 - p)
 
 
-def brute_ugee_residual(z, y, w, theta, family="dr", link="probit",
-                        intercept_only=False, constant_only=False,
-                        ties=False, weighted_delta=True, clip_eps=1e-6):
-    """Stacked estimating function, one explicit loop over unordered pairs,
-    normalized by the pair count. Parameter order matches the package:
-    (eta block | gamma block | delta)."""
+def _pair_scores(z, y, w, theta, family, link, intercept_only, constant_only,
+                 ties, weighted_delta, clip_eps):
+    """(q, scores): the stacked system's length and, for every unordered
+    pair (i, j) in one explicit loop, (i, j, its stacked estimating-function
+    terms). Parameter order matches the package: (eta block | gamma block |
+    delta)."""
     n = len(z)
     p = len(w[0]) if w and len(w[0]) else 0
     eta_dim = (1 if (intercept_only or p == 0) else 1 + p) if family in ("dr", "ipw") else 0
@@ -129,62 +129,92 @@ def brute_ugee_residual(z, y, w, theta, family="dr", link="probit",
     gamma = theta[eta_dim:eta_dim + gamma_dim]
     delta = theta[-1]
 
-    U = [0.0] * q
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if eta_dim:
-                pi_i = _pi_of(eta, w[i], intercept_only, clip_eps)
-                pi_j = _pi_of(eta, w[j], intercept_only, clip_eps)
-                x_i = [1.0] if (intercept_only or p == 0) else [1.0, *w[i]]
-                x_j = [1.0] if (intercept_only or p == 0) else [1.0, *w[j]]
-                f1 = 0.5 * (z[i] + z[j])
-                h1 = 0.5 * (pi_i + pi_j)
-                V1 = 0.25 * (pi_i * (1 - pi_i) + pi_j * (1 - pi_j))
-                d1 = [0.5 * (pi_i * (1 - pi_i) * a + pi_j * (1 - pi_j) * b)
-                      for a, b in zip(x_i, x_j)]
-                for k in range(eta_dim):
-                    U[k] += d1[k] * (f1 - h1) / V1
-            if gamma_dim:
-                g_ij, a_ij = _g_of(gamma, w[i], w[j], link, constant_only or p == 0)
-                g_ji, a_ji = _g_of(gamma, w[j], w[i], link, constant_only or p == 0)
-                if z[i] != z[j]:
-                    if z[i] == 1:
-                        g_obs, a_obs = g_ij, a_ij
-                        resid = ind(y[i], y[j], ties) - g_obs
-                        u = [1.0] if (constant_only or p == 0) else [1.0, *w[i], *w[j]]
-                    else:
-                        g_obs, a_obs = g_ji, a_ji
-                        resid = ind(y[j], y[i], ties) - g_obs
-                        u = [1.0] if (constant_only or p == 0) else [1.0, *w[j], *w[i]]
-                    dg = _dg_of(a_obs, link)
-                    v = g_obs * (1.0 - g_obs)
-                    for k in range(gamma_dim):
-                        U[eta_dim + k] += dg * u[k] * resid / v
+    def scores():
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                U = [0.0] * q
+                if eta_dim:
+                    pi_i = _pi_of(eta, w[i], intercept_only, clip_eps)
+                    pi_j = _pi_of(eta, w[j], intercept_only, clip_eps)
+                    x_i = [1.0] if (intercept_only or p == 0) else [1.0, *w[i]]
+                    x_j = [1.0] if (intercept_only or p == 0) else [1.0, *w[j]]
+                    f1 = 0.5 * (z[i] + z[j])
+                    h1 = 0.5 * (pi_i + pi_j)
+                    V1 = 0.25 * (pi_i * (1 - pi_i) + pi_j * (1 - pi_j))
+                    d1 = [0.5 * (pi_i * (1 - pi_i) * a + pi_j * (1 - pi_j) * b)
+                          for a, b in zip(x_i, x_j)]
+                    for k in range(eta_dim):
+                        U[k] = d1[k] * (f1 - h1) / V1
+                if gamma_dim:
+                    g_ij, a_ij = _g_of(gamma, w[i], w[j], link, constant_only or p == 0)
+                    g_ji, a_ji = _g_of(gamma, w[j], w[i], link, constant_only or p == 0)
+                    if z[i] != z[j]:
+                        t, c = (i, j) if z[i] == 1 else (j, i)
+                        g_obs, a_obs = (g_ij, a_ij) if z[i] == 1 else (g_ji, a_ji)
+                        resid = ind(y[t], y[c], ties) - g_obs
+                        u = [1.0] if (constant_only or p == 0) else [1.0, *w[t], *w[c]]
+                        dg = _dg_of(a_obs, link)
+                        v = g_obs * (1.0 - g_obs)
+                        for k in range(gamma_dim):
+                            U[eta_dim + k] = dg * u[k] * resid / v
 
-            rij = z[i] * (1 - z[j])
-            rji = z[j] * (1 - z[i])
-            if family == "ipw":
-                pt_ij = pi_i * (1 - pi_j)
-                pt_ji = pi_j * (1 - pi_i)
-                f3 = 0.5 * (rij / pt_ij * ind(y[i], y[j], ties)
-                            + rji / pt_ji * ind(y[j], y[i], ties))
-                wdel = 1.0
-            elif family == "msi":
-                f3 = 0.5 * (rij * ind(y[i], y[j], ties) + (1 - rij) * g_ij
-                            + rji * ind(y[j], y[i], ties) + (1 - rji) * g_ji)
-                wdel = 1.0
-            else:
-                pt_ij = pi_i * (1 - pi_j)
-                pt_ji = pi_j * (1 - pi_i)
-                f3 = 0.5 * (rij / pt_ij * ind(y[i], y[j], ties)
-                            + (1.0 - rij / pt_ij) * g_ij
-                            + rji / pt_ji * ind(y[j], y[i], ties)
-                            + (1.0 - rji / pt_ji) * g_ji)
-                V3 = 0.25 * (g_ij * (1 - g_ij) / pt_ij + g_ji * (1 - g_ji) / pt_ji)
-                wdel = 1.0 / V3 if weighted_delta else 1.0
-            U[q - 1] += wdel * (f3 - delta)
-    npairs = n * (n - 1) / 2.0
+                rij = z[i] * (1 - z[j])
+                rji = z[j] * (1 - z[i])
+                if family == "ipw":
+                    pt_ij = pi_i * (1 - pi_j)
+                    pt_ji = pi_j * (1 - pi_i)
+                    f3 = 0.5 * (rij / pt_ij * ind(y[i], y[j], ties)
+                                + rji / pt_ji * ind(y[j], y[i], ties))
+                    wdel = 1.0
+                elif family == "msi":
+                    f3 = 0.5 * (rij * ind(y[i], y[j], ties) + (1 - rij) * g_ij
+                                + rji * ind(y[j], y[i], ties) + (1 - rji) * g_ji)
+                    wdel = 1.0
+                else:
+                    pt_ij = pi_i * (1 - pi_j)
+                    pt_ji = pi_j * (1 - pi_i)
+                    f3 = 0.5 * (rij / pt_ij * ind(y[i], y[j], ties)
+                                + (1.0 - rij / pt_ij) * g_ij
+                                + rji / pt_ji * ind(y[j], y[i], ties)
+                                + (1.0 - rji / pt_ji) * g_ji)
+                    V3 = 0.25 * (g_ij * (1 - g_ij) / pt_ij + g_ji * (1 - g_ji) / pt_ji)
+                    wdel = 1.0 / V3 if weighted_delta else 1.0
+                U[q - 1] = wdel * (f3 - delta)
+                yield i, j, U
+
+    return q, scores()
+
+
+def brute_ugee_residual(z, y, w, theta, family="dr", link="probit",
+                        intercept_only=False, constant_only=False,
+                        ties=False, weighted_delta=True, clip_eps=1e-6):
+    """Stacked estimating function, the sum of the pair terms of
+    _pair_scores, normalized by the pair count."""
+    q, scores = _pair_scores(z, y, w, theta, family, link, intercept_only,
+                             constant_only, ties, weighted_delta, clip_eps)
+    U = [0.0] * q
+    for _, _, terms in scores:
+        for k in range(q):
+            U[k] += terms[k]
+    npairs = len(z) * (len(z) - 1) / 2.0
     return [u / npairs for u in U]
+
+
+def brute_projections(z, y, w, theta, family="dr", link="probit",
+                      intercept_only=False, constant_only=False, ties=False,
+                      weighted_delta=True, clip_eps=1e-6):
+    """Each subject's average pair score over its n - 1 partners: the rows
+    of the sandwich's per-subject projections, in the package's parameter
+    order, from the pair terms of _pair_scores."""
+    n = len(z)
+    q, scores = _pair_scores(z, y, w, theta, family, link, intercept_only,
+                             constant_only, ties, weighted_delta, clip_eps)
+    proj = [[0.0] * q for _ in range(n)]
+    for i, j, terms in scores:
+        for k in range(q):
+            proj[i][k] += terms[k]
+            proj[j][k] += terms[k]
+    return [[v / (n - 1) for v in row] for row in proj]
 
 
 def _dpi_factor(pi, clip_eps):

@@ -4,11 +4,12 @@ import pytest
 from mwwdr import data, gpi
 from mwwdr.data import Dataset, outcome_kernel
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
-from mwwdr.gpi import (LINKS, GpiModel, fit_gpi, gamma_block, link_values,
-                       pair_link_values, predictors)
+from mwwdr.gpi import (LINKS, GpiModel, fit_gpi, flat_gamma_block, gamma_block,
+                       link_initial, link_values, pair_link_values, predictors)
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
-from mwwdr.ugee import FrmSpec, _Workspace, solve_families, stacked_residual
+from mwwdr.ugee import (FrmSpec, PairTile, _Workspace, solve_families,
+                        stacked_residual)
 
 from oracles import _g_of, normal_ppf
 
@@ -89,7 +90,7 @@ class TestGValue:
 
 
 class TestPairLinkValues:
-    """A constant model's block: the link at one predictor, filled."""
+    """A block of pairs with one predictor: the link at it, filled."""
 
     # 0, the rational's end 7.1 and the cut 40, on both sides, and past them
     VALUES = (0.0, -0.0, 7.1, -7.1, 40.0, -40.0, 45.0, -45.0, 0.6744897501,
@@ -98,16 +99,29 @@ class TestPairLinkValues:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (256, 256)])
     @pytest.mark.parametrize("link", LINKS)
     def test_filled_block_is_the_per_element_kernel(self, link, shape):
-        for value in self.VALUES:
-            # the two sides of a constant model's predictor, as
-            # predictors gives them: the intercept and a zero
-            for x0, y0 in ((value, 0.0), (0.0, value), (value, -0.25)):
-                x, y = np.full(shape[0], x0), np.full(shape[1], y0)
-                filled = pair_link_values(link, x, y, True)
-                per_element = pair_link_values(link, x, y, False)
-                for got, want in zip(filled, per_element):
+        # at zero slopes the workspace evaluates the link once and a tile
+        # fills its g and dg/da, forward and backward: in the constant
+        # model, and in a covariate model, whose predictors g0 + w'0 and
+        # w'0 then hold zeros of either sign
+        r, c = shape
+        rng = np.random.default_rng(5)
+        ds = Dataset(np.repeat([1, 0], shape), rng.normal(size=r + c),
+                     rng.normal(size=(r + c, 2)))
+        I, J = slice(0, r), slice(r, r + c)
+        for constant in (True, False):
+            ws = _Workspace(ds, FrmSpec(link=link, constant_only_gpi=constant))
+            for value in self.VALUES:
+                gamma = np.zeros(1 + 2 * ws.wg.shape[1])
+                gamma[0] = value
+                ws.set_gamma(gamma)
+                tile = PairTile(ws, I, J, I, J)
+                per_element = (*pair_link_values(link, ws.a1[I], ws.a0[J])[1:],
+                               *pair_link_values(link, ws.a0[I], ws.a1[J])[1:])
+                assert ws.flat is not None
+                for got, want in zip((tile.G, tile.DG, tile.Gb, tile.DGb),
+                                     per_element):
                     assert got.shape == shape
-                    assert got.tobytes() == want.tobytes(), (value, x0, y0)
+                    assert got.tobytes() == want.tobytes(), (value, constant)
                     assert got.flags.writeable
 
     @pytest.mark.parametrize("link", LINKS)
@@ -116,7 +130,7 @@ class TestPairLinkValues:
         K = outcome_kernel(rng.normal(size=6), rng.normal(size=5), False)
         w1, w0 = np.zeros((6, 0)), np.zeros((5, 0))
         x, y = np.full(6, 0.4), np.zeros(5)
-        A, G, D = pair_link_values(link, x, y, True)
+        A, G, D = pair_link_values(link, x, y)
         before = [v.copy() for v in (K, A, G, D)]
         got = gamma_block(K, G, D, w1, w0, link, A)
         assert np.array_equal(K, before[0]) and np.array_equal(D, before[3])
@@ -124,7 +138,7 @@ class TestPairLinkValues:
         written = link == "probit"
         assert np.array_equal(A, before[1]) != written
         assert np.array_equal(G, before[2]) != written
-        A, G, D = pair_link_values(link, x, y, False)
+        A, G, D = pair_link_values(link, x, y)
         want = gamma_block(K, G, D, w1, w0, link, A)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
@@ -279,3 +293,39 @@ class TestNewtonInformation:
         m = fit_gpi(synthetic_confounded_trial(n=300, seed=7))
         assert m.iterations <= 6
         assert m.score_norm <= gpi.SCORE_TOL
+
+
+class TestFlatBlock:
+    """The outcome block's Newton form at zero slopes, from kernel sums."""
+
+    @pytest.mark.parametrize("mean", [0.37, 1e-7])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    @pytest.mark.parametrize("link", LINKS)
+    def test_matches_the_tile_sum(self, link, p, ties, mean):
+        # the start of a fit at a mean indicator of 0.37, and one clamped
+        # at 1e-6 (g near 1e-6, so d / v is large), against the sum of
+        # gamma_block's Newton form over every treated x control pair.
+        # Measured: within 2.0e-15 of the largest entry of each
+        rng = np.random.default_rng([p, ties])
+        n = 90
+        z = (rng.random(n) < 0.45).astype(int)
+        y = rng.normal(0.3 * z, 1.0)
+        ds = Dataset(z, np.round(y) if ties else y, rng.normal(0.5, 1.0, (n, p)),
+                     outcome_kind="count" if ties else "continuous")
+        assert ds.ties == ties and (len(np.unique(ds.y)) < n) == ties
+        ws = _Workspace(ds, FrmSpec(link=link))
+        gamma = np.zeros(1 + 2 * p)
+        gamma[0] = link_initial(link, mean)
+        ws.set_gamma(gamma)
+        n1 = ws.n1
+        w1, w0 = ws.wg[:n1], ws.wg[n1:]
+        (g,), (d,) = ws.flat
+        sums = data.indicator_sums(ws.y[:n1], ws.y[n1:], ties, w1, w0)
+        got = flat_gamma_block(sums, ws.a1[0] + ws.a0[0], g, d, w1, w0, link)
+        A, G, D = pair_link_values(link, ws.a1[:n1], ws.a0[n1:])
+        K = outcome_kernel(ws.y[:n1], ws.y[n1:], ties)
+        want = gamma_block(K, G, D, w1, w0, link, A)
+        for x, y_ in zip(got, want):
+            assert x.shape == y_.shape
+            assert np.max(np.abs(x - y_)) <= 1e-12 * np.max(np.abs(y_))

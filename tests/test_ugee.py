@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mwwdr import data, parallel, ugee
+from mwwdr import data, gpi, parallel, ugee
 from mwwdr.data import Dataset
 from mwwdr.errors import ConvergenceError, ValidationError
 from mwwdr.parallel import TilePool
@@ -18,7 +18,8 @@ from mwwdr.ugee import (FrmSpec, ThetaLayout, UgeeFit,
                         wald_test)
 
 from conftest import plugin_delta, random_dataset
-from oracles import brute_bread, brute_eta_block, brute_ugee_residual
+from oracles import (brute_bread, brute_eta_block, brute_projections,
+                     brute_ugee_residual)
 
 
 def same_bits(x, y):
@@ -403,6 +404,43 @@ class TestSandwich:
             if layout.eta_dim:
                 assert (clipped > 0) == (clip_eps == 0.2)
 
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    @pytest.mark.parametrize("constant_only_gpi", [False, True])
+    @pytest.mark.parametrize("intercept_only_propensity", [False, True])
+    @pytest.mark.parametrize("family", ugee.FAMILIES)
+    def test_projections_match_brute_force(self, family, intercept_only_propensity,
+                                           constant_only_gpi, link):
+        # vhat at the fitted root, whose outcome block the pass sums at the
+        # iterate the outcome Newton hands it, against each subject's
+        # average pair score by a double loop; then the standard errors
+        # from the brute-force projections and bread. Measured over these
+        # cases: within 5.2e-12 (vhat) and 4.9e-12 (se) relative
+        base = small_sim_dataset(40, seed=5)
+        rng = np.random.default_rng(3)
+        w = rng.normal(0, 1, 60)
+        z = (rng.random(60) < 1 / (1 + np.exp(-(0.3 + w)))).astype(int)
+        clip = Dataset(z, rng.normal(0, 1, 60) + 0.5 * z + w, w[:, None])
+        count = Dataset(base.z, np.round(base.y), base.w, outcome_kind="count")
+        assert count.ties and len(np.unique(count.y)) < count.n
+        for ds, clip_eps in ((base, FrmSpec.clip_eps), (count, FrmSpec.clip_eps),
+                             (clip, 0.1)):
+            spec = FrmSpec(family=family, link=link, clip_eps=clip_eps,
+                           intercept_only_propensity=intercept_only_propensity,
+                           constant_only_gpi=constant_only_gpi, fd_check_pairs=0)
+            fit = solve_ugee(ds, spec)
+            if spec.has_eta and not intercept_only_propensity:
+                assert (fit.diagnostics["clipped_propensities"] > 0) == (ds is clip)
+            args = (list(ds.z), list(ds.y), [list(r) for r in ds.w], list(fit.theta))
+            kw = dict(family=family, link=link, ties=ds.ties, clip_eps=clip_eps,
+                      intercept_only=intercept_only_propensity,
+                      constant_only=constant_only_gpi)
+            V = np.asarray(brute_projections(*args, **kw))
+            assert V.shape == fit.vhat.shape
+            assert np.max(np.abs(fit.vhat - V)) <= 1e-10 * max(1.0, np.max(np.abs(V)))
+            Binv = np.linalg.inv(np.asarray(brute_bread(*args, **kw)))
+            se = np.sqrt(np.diag(4.0 * Binv @ (V.T @ V / ds.n) @ Binv.T) / ds.n)
+            assert np.max(np.abs(se - fit.se) / fit.se) <= 1e-10
+
     def test_analytic_gradient_vs_finite_differences(self):
         ds = small_sim_dataset(80, seed=14)
         for fam in ("dr", "ipw", "msi"):
@@ -520,6 +558,96 @@ class TestMetamorphic:
                         solve_families(mirrored, spec, families)):
             assert a.spec.family == b.spec.family
             assert abs(a.delta + b.delta - 1.0) <= 5.1e-14
+
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    def test_affine_map_of_w_moves_only_round_off(self, link):
+        # w -> 2w + 1 maps each model's coefficients onto others that give
+        # the same propensities and pair probabilities, so delta and its se
+        # move only as far as the Newton tolerances let the roots. Measured
+        # under both links: delta within 7.2e-13 (dr), 3.5e-11 (ipw) and
+        # 2.2e-16 (msi), and se(delta) within 1.6e-10 relative; the bounds
+        # allow 10 times that
+        ds = synthetic_confounded_trial(n=150, seed=3)
+        mapped = Dataset(ds.z, ds.y, 2.0 * ds.w + 1.0, outcome_kind=ds.outcome_kind)
+        bound = {"dr": 7.2e-12, "ipw": 3.5e-10, "msi": 2.2e-15}
+        spec = FrmSpec(link=link)
+        for a, b in zip(solve_families(ds, spec), solve_families(mapped, spec)):
+            assert a.spec.family == b.spec.family
+            assert abs(b.delta - a.delta) <= bound[a.spec.family]
+            assert abs(b.se[-1] - a.se[-1]) <= 1.6e-9 * a.se[-1]
+
+
+class TestOutcomeNewton:
+    """The outcome Newton's tile sweeps: none at zero slopes, and none for
+    the iterate it hands to the pass when the pass accepts it."""
+
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        # a sweep of the Newton's form is one gamma_block call with a link
+        # per tile holding treated x control pairs
+        calls = {"newton": 0, "pass": 0}
+        block, pair_pass = ugee.gamma_block, ugee._pair_pass
+
+        def counted_block(*args, **kwargs):
+            calls["newton"] += len(args) > 5
+            return block(*args, **kwargs)
+
+        def counted_pass(*args):
+            calls["pass"] += 1
+            return pair_pass(*args)
+
+        monkeypatch.setattr(ugee, "gamma_block", counted_block)
+        monkeypatch.setattr(ugee, "_pair_pass", counted_pass)
+        return calls
+
+    def test_tile_sweeps_per_fit(self, monkeypatch):
+        calls = self.count_sweeps(monkeypatch)
+        ds = synthetic_confounded_trial(n=2000, seed=7)
+        tiles = [t for t in data.pair_tiles(ds.n, ds.n1) if t[2].start < t[2].stop
+                 and t[3].start < t[3].stop]
+        spec = FrmSpec(fd_check_pairs=0)
+        # 7 evaluations: the first at zero slopes, the last in the pass
+        dr, = solve_families(ds, spec, ("dr",))
+        assert dr.diagnostics["gamma_iterations"] == 6
+        assert calls == {"newton": 5 * len(tiles), "pass": 1}
+        for key in calls:
+            calls[key] = 0
+        # fit_gpi has no pass, so it evaluates its root itself
+        assert gpi.fit_gpi(ds).iterations == 6
+        assert calls == {"newton": 6 * len(tiles), "pass": 0}
+        for key in calls:
+            calls[key] = 0
+        for constant in (FrmSpec(constant_only_gpi=True, fd_check_pairs=0),
+                         FrmSpec(fd_check_pairs=0)):
+            no_w = ds if constant.constant_only_gpi else Dataset(ds.z, ds.y)
+            list(solve_families(no_w, constant))
+        assert calls == {"newton": 0, "pass": 2}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_missed_speculation_changes_no_bit(self, workers, monkeypatch):
+        # the pass judges the first tiled iterate, which misses; the Newton
+        # evaluates it again, goes on, and the pass runs again at the root
+        calls = self.count_sweeps(monkeypatch)
+        monkeypatch.setattr(data, "_tile_size", lambda n: 7)
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: workers)
+        ds = small_sim_dataset(60, seed=5)
+        spec = FrmSpec(fd_check_pairs=0)
+        rules = {"never": lambda norms, tol: False,
+                 "miss": lambda norms, tol: len(norms) == 1,
+                 "predicted": ugee._predicts_final}
+        fits, passes = {}, {}
+        for name, rule in rules.items():
+            monkeypatch.setattr(ugee, "_predicts_final", rule)
+            calls["pass"] = 0
+            fits[name] = list(solve_families(ds, spec))
+            passes[name] = calls["pass"]
+        assert passes == {"never": 1, "miss": 2, "predicted": 1}
+        for name in ("miss", "predicted"):
+            for a, b in zip(fits["never"], fits[name]):
+                for field in ("theta", "se", "B_hat", "Sigma_theta", "vhat",
+                              "delta_plain"):
+                    assert same_bits(getattr(a, field), getattr(b, field)), field
+                assert a.diagnostics == b.diagnostics
 
 
 class TestWald:
