@@ -158,20 +158,16 @@ def _tile_size(n):
     return min(n, PAIR_TILE)
 
 
-def subject_blocks(n):
-    """Consecutive slices of _tile_size(n) subjects covering 0..n-1."""
-    b = _tile_size(n)
-    return [slice(s, min(s + b, n)) for s in range(0, n, b)]
-
-
 def pair_tiles(n, n1):
     """The tiles of the ordered pairs of n subjects held treated first (the
-    first n1 are treated), in a fixed order: (I, J, rows, cols) for subject
-    blocks I <= J. Tile (I, J) holds the pairs (i, j), i in I, j in J, and,
-    for I < J, their reverses (j, i). rows x cols (subject slices, possibly
-    empty) are its treated x control pairs; a reverse (j, i) is never one,
-    since j > i is treated only when i is."""
-    blocks = subject_blocks(n)
+    first n1 are treated), in a fixed order: (I, J, rows, cols) for blocks
+    I <= J of _tile_size(n) consecutive subjects (fewer in the last). Tile
+    (I, J) holds the pairs (i, j), i in I, j in J, and, for I < J, their
+    reverses (j, i). rows x cols (subject slices, possibly empty) are its
+    treated x control pairs; a reverse (j, i) is never one, since j > i is
+    treated only when i is."""
+    b = _tile_size(n)
+    blocks = [slice(s, min(s + b, n)) for s in range(0, n, b)]
     return [(I, J, slice(I.start, min(I.stop, n1)), slice(max(J.start, n1), J.stop))
             for k, I in enumerate(blocks) for J in blocks[k:]]
 

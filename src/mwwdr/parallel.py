@@ -1,13 +1,13 @@
 """Threads inside one process: the ordered tile map that spreads a fit's
-pair tiles over a thread pool, the pin of OpenBLAS to one thread, and the
-set-up of run_studies' worker processes.
+pair tiles over a thread pool, with its malloc policy, the pin of OpenBLAS
+to one thread, and the set-up of run_studies' worker processes.
 
 Every pair sum of a fit is a sum over the fixed tiles of data.pair_tiles.
 A TilePool evaluates the tiles on the caller's thread and on its own
 threads, and hands the results back in tile order, so that the caller adds
 them up in the same order for any number of threads, and every reported
 number is the same bit for bit. Importing this module starts no thread and
-changes no BLAS setting.
+changes no BLAS or malloc setting.
 """
 
 import ctypes
@@ -66,7 +66,9 @@ class TilePool:
         reads. An exception of fn is raised at the first item that raised
         one, after the results before it, as the loop on one thread would
         raise it; no item is claimed after it, and map returns once every
-        claimed item is done."""
+        claimed item is done. The first map of the process applies
+        malloc_policy."""
+        malloc_policy()
         items = list(items)
         if self._executor is None or len(items) < 2:
             for item in items:
@@ -115,31 +117,29 @@ class TilePool:
                 future.result()
 
 
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
 def single_threaded():
     """Initializer of run_studies' worker processes, which already run in
-    parallel with each other: one thread for BLAS and for the tile maps.
-
-    It also fixes glibc malloc's mmap threshold at 32 MiB (glibc's
-    largest) and its trim threshold at 256 MiB, where the C library has
-    mallopt. Under the defaults, blocks from 128 KiB up get pages of their
-    own, and the dynamic threshold and heap trimming keep handing the
-    0.17-0.5 MB pair-tile arrays of small fits fresh pages, which every fit
-    faults in again. The process that calls run_studies keeps the defaults.
-    """
+    parallel with each other: one thread for BLAS and for the tile maps."""
     global _WORKERS
     _WORKERS = 1
     set_blas_threads(1)
+
+
+@functools.cache
+def malloc_policy():
+    """Fix glibc malloc's mmap threshold at 32 MiB (its largest) and its
+    trim threshold at 256 MiB, where the C library has mallopt: once per
+    process, at its first tile map, never at import. Under the defaults,
+    the dynamic mmap threshold and heap trimming keep handing the
+    0.17-0.5 MB tile arrays fresh pages, which every fit faults in again.
+    The setting holds for the whole process and the processes it forks."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no C library with mallopt
         return
     mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD (malloc.h)
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import gpi
 from .data import (Dataset, indicator_sums, outcome_kernel, pair_tiles,
-                   subject_blocks, treated_control)
+                   treated_control)
 from .errors import (ConvergenceError, DerivativeCheckError, EstimabilityError,
                      MwwdrError, SeparationError, ValidationError)
 from .gpi import (LINKS, GpiModel, flat_gamma_block, gamma_block, link_initial,
@@ -131,7 +131,7 @@ class ThetaLayout:
 # workspace on the tiled pair engine
 
 
-def _eta_block(X, z, pi, clipped, pool):
+def _eta_block(X, z, pi, clipped, tiles, pool):
     """Score and Jacobian of the treatment block at propensities pi, and
     each subject's sum of its pair scores.
 
@@ -143,31 +143,29 @@ def _eta_block(X, z, pi, clipped, pool):
     and so does not move with eta. With M the n x n matrix of 1/V1 (zero
     diagonal), every pair sum is M times one of the columns (1, e, Ap,
     e * Ap); M is symmetric, so the clipped subjects' terms are read off
-    M Ap too. M is built and multiplied one block of rows at a time
-    (data.subject_blocks), so no n x n array is held; the blocks write
-    disjoint rows, and run through the tile map of the TilePool pool.
+    M Ap too. M is built one pair tile (I, J) of tiles (data.pair_tiles) at
+    a time, on the tile map of the TilePool pool, so no n x n array is
+    held: the tile adds M_IJ C_J to I's rows and, off the diagonal,
+    M_IJ' C_I to J's rows, in tile order.
     """
     pp = pi * (1.0 - pi)
     e = z - pi
     Ap = X * pp[:, None]
     k = Ap.shape[1]
     C = np.column_stack([np.ones_like(e), e, Ap, e[:, None] * Ap])
-    MC = np.empty_like(C)
 
-    # M is built in whole rows, 256 x n (4.1 MB at n = 2000), not over the
-    # tiles of data.pair_tiles: freeing so large a block raises glibc
-    # malloc's dynamic mmap threshold above the 0.5 MB tile arrays, which
-    # then reuse heap pages. Tiled, an n = 2000 estimate took 101,090 minor
-    # faults instead of 59, and 0.66-0.71 s instead of 0.46-0.51 s (2 vCPU
-    # VM).
-    def rows(I):
-        M = np.add.outer(pp[I], pp)
+    def tile_sums(tile):
+        I, J = tile[:2]
+        M = np.add.outer(pp[I], pp[J])
         np.divide(4.0, M, out=M)
-        np.fill_diagonal(M[:, I], 0.0)
-        MC[I] = M @ C
+        if I == J:
+            np.fill_diagonal(M, 0.0)
+            return [(I, M @ C[I])]
+        return [(I, M @ C[J]), (J, M.T @ C[I])]
 
-    for _ in pool.map(rows, subject_blocks(len(pi))):
-        pass
+    MC = np.zeros_like(C)
+    for sums in pool.map(tile_sums, tiles):
+        add_sums(MC, sums)
     m1, me, mA, meA = MC[:, 0], MC[:, 1], MC[:, 2:2 + k], MC[:, 2 + k:]
     cr = 0.5 * (e * m1 + me)  # each subject's sum of V1^-1 (f1 - h1)
     score = 0.5 * Ap.T @ cr
@@ -186,8 +184,9 @@ class _Workspace:
     model's covariates wg and, once set, the propensities pi (set_eta, by
     each step of _fit_eta_pairwise, also fills clipped and _eta_block's
     value) and the outcome model's predictors (set_gamma, by each step of
-    _fit_gamma_pairwise; _pair_pass then fills its block). The tile maps
-    run on pool, on the caller's thread until pool is entered."""
+    _fit_gamma_pairwise; _pair_pass then fills its block). Every pair sum
+    maps over its one tiling, tiles (data.pair_tiles), on pool, on the
+    caller's thread until pool is entered."""
 
     def __init__(self, dataset, spec):
         t, c = treated_control(dataset)
@@ -204,14 +203,15 @@ class _Workspace:
         w = dataset.w[self.order]
         self.wg = w[:, :0] if spec.constant_only_gpi else w
         self.pi = self.a1 = self.a0 = self.flat = None
-        self.pool = TilePool(len(pair_tiles(self.n, self.n1)))
+        self.tiles = pair_tiles(self.n, self.n1)
+        self.pool = TilePool(len(self.tiles))
 
     def set_eta(self, eta):
         self.eta = eta
         self.pi, self.clipped = clipped_propensities(self.X, eta,
                                                      self.spec.clip_eps)
         self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
-            self.X, self.z, self.pi, self.clipped, self.pool)
+            self.X, self.z, self.pi, self.clipped, self.tiles, self.pool)
 
     def set_gamma(self, gamma):
         """The outcome model's linear predictors at gamma, a1 on a subject's
@@ -469,7 +469,7 @@ def _pair_pass(ws, rows):
             block = score, info, [(tile.rows, rows1), (tile.cols, rows0)]
         return block, [row.tile_sums(tile) for row in rows]
 
-    for block, sums in ws.pool.map(tile_sums, pair_tiles(ws.n, ws.n1)):
+    for block, sums in ws.pool.map(tile_sums, ws.tiles):
         if block is not None:
             score, info, proj = block
             ws.gamma_score += score
@@ -534,7 +534,17 @@ def _fit_gamma_pairwise(ws, judge=None):
             f"all observed pair indicators equal {int(mean_ind)}; "
             "the outcome model intercept diverges")
 
-    tiles = [s for s in pair_tiles(ws.n, n1) if PairTile(ws, *s).has_tc]
+    p = w1.shape[1]
+    # the information is singular unless each arm's covariates, centred,
+    # have rank p (round-off then decides how the Newton ends)
+    for arm, w in (("treated", w1), ("control", w0)) if p else ():
+        tol = max(w.shape) * np.finfo(float).eps * np.linalg.norm(w)
+        if np.linalg.matrix_rank(w - w.mean(axis=0), tol) < p:
+            raise EstimabilityError(
+                f"the {arm} arm's covariates, centred, have rank below {p}; "
+                "the outcome model is not identified")
+
+    tiles = [s for s in ws.tiles if PairTile(ws, *s).has_tc]
     tol = max(gpi.SCORE_TOL, m * 1e-13)
     norms = []
 
@@ -569,7 +579,6 @@ def _fit_gamma_pairwise(ws, judge=None):
         norms.append(float(np.max(np.abs(score))))
         return score, info, norms[-1]
 
-    p = w1.shape[1]
     gamma = np.zeros(1 + 2 * p)
     gamma[0] = link_initial(ws.link, mean_ind)
     fit = newton(evaluate, gamma, tol, gpi.MAX_ITER,

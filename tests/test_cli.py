@@ -40,6 +40,16 @@ class TestEstimate:
         assert code == 3
         assert "estimability" in capsys.readouterr().err
 
+    def test_unidentified_outcome_model_exit_code(self, tmp_path, capsys):
+        # one treated subject: the outcome model's slope is not identified
+        path = tmp_path / "one_treated.csv"
+        path.write_text("z,y,w\n1,0.3,0.5\n0,-1,1.2\n0,1,-0.7\n0,-2,0.1\n"
+                        "0,2,2.0\n0,0.5,-1.1\n")
+        code = run(["estimate", "--input", path, "--z-col", "z", "--y-col", "y",
+                    "--w-cols", "w", "--estimator", "msi"])
+        assert code == 3
+        assert "the treated arm's covariates" in capsys.readouterr().err
+
     def test_bad_z_exit_code(self, capsys):
         code = run(["estimate", "--input", FIXTURES / "bad_z.csv",
                     "--z-col", "z", "--y-col", "y"])

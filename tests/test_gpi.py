@@ -143,6 +143,21 @@ class TestPairLinkValues:
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
+def unidentified_dataset(case):
+    """(dataset, arm): an outcome model with covariates that one arm's
+    covariate rows do not identify, and that arm; the pair indicators are
+    not all equal."""
+    rng = np.random.default_rng(3)
+    y = np.array([0.0, 0.3, -1.0, 1.0, -2.0, 2.0, 0.5, -0.5, 1.5, -1.5])
+    if case == "one_treated":  # one row, centred, is zero at p = 1
+        return Dataset([1] + [0] * 6, y[:7], rng.normal(size=(7, 1))), "treated"
+    if case == "two_treated_p2":  # two rows, centred, have rank 1
+        return Dataset([1, 1] + [0] * 6, y[:8], rng.normal(size=(8, 2))), "treated"
+    w = rng.normal(size=(10, 2))
+    w[5:, 1] = 0.1  # constant within the control arm
+    return Dataset([1] * 5 + [0] * 5, y, w), "control"
+
+
 class TestFitGpi:
     def test_constant_only_closed_form(self, four_row_dataset):
         # observed indicators over (treated, control) pairs: (1, 1, 0, 1)
@@ -164,6 +179,25 @@ class TestFitGpi:
         ds = Dataset([1, 1, 1], [1.0, 2.0, 3.0])
         with pytest.raises(EstimabilityError):
             fit_gpi(ds)
+
+    @pytest.mark.parametrize("link", LINKS)
+    @pytest.mark.parametrize("case", ["one_treated", "two_treated_p2",
+                                      "constant_in_control"])
+    def test_unidentified_model_rejected_before_newton(self, case, link):
+        # an arm whose covariates, centred, have rank below p leaves the
+        # information singular; before the rank check, round-off decided
+        # between "diverged", "singular Jacobian" and a meaningless fit
+        ds, arm = unidentified_dataset(case)
+        for fit in (lambda: fit_gpi(ds, link=link),
+                    lambda: list(solve_families(ds, FrmSpec(
+                        link=link, intercept_only_propensity=True), ("msi",)))):
+            with pytest.raises(EstimabilityError, match=f"the {arm} arm's"):
+                fit()
+        # the constant model reads no covariate and fits as before
+        m = fit_gpi(ds, constant_only=True, link=link)
+        msi, = solve_families(ds, FrmSpec(link=link, constant_only_gpi=True),
+                              ("msi",))
+        assert m.converged and m.gamma.tobytes() == msi.theta[:-1].tobytes()
 
     @pytest.mark.parametrize("constant_only", [False, True])
     @pytest.mark.parametrize("p", [1, 2])
@@ -197,9 +231,10 @@ class TestFitGpi:
         if count:
             ds = Dataset(ds.z, np.round(ds.y), ds.w, outcome_kind="count")
             assert ds.ties and len(np.unique(ds.y)) < ds.n
-        assert any(I.start < ds.n1 < I.stop for I in data.subject_blocks(ds.n))
+        tiles = data.pair_tiles(ds.n, ds.n1)
+        assert any(I.start < ds.n1 < I.stop for I, _, _, _ in tiles)
         assert not all(rows.start < rows.stop and cols.start < cols.stop
-                       for _, _, rows, cols in data.pair_tiles(ds.n, ds.n1))
+                       for _, _, rows, cols in tiles)
         m = fit_gpi(ds, constant_only, link)
         fit, = solve_families(ds, FrmSpec(link=link, constant_only_gpi=constant_only),
                               ("msi",))

@@ -1,4 +1,5 @@
-"""The ordered tile map (parallel.TilePool) and the OpenBLAS pin."""
+"""The ordered tile map (parallel.TilePool), its malloc policy and the
+OpenBLAS pin."""
 
 import ctypes
 import os
@@ -11,6 +12,11 @@ import pytest
 
 from mwwdr import cli, parallel
 from mwwdr.simstudy import synthetic_confounded_trial, write_dataset_csv
+
+try:
+    import resource
+except ImportError:  # not on every OS
+    resource = None
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -108,10 +114,19 @@ def _no_c_library(name, *args, **kwargs):
 @pytest.mark.parametrize("cdll", [lambda *args, **kwargs: object(), _no_c_library],
                          ids=["no-mallopt", "no-c-library"])
 def test_worker_setup_without_mallopt(cdll, monkeypatch):
-    # where the C library has no mallopt, or cannot be opened, the worker
-    # initializer still gives the fits one tile worker and one BLAS thread
-    before = parallel.blas_threads()  # finds OpenBLAS before CDLL is faked
+    # where the C library has no mallopt, or cannot be opened, the malloc
+    # policy does nothing, and the tile map that applies it still runs
     monkeypatch.setattr(ctypes, "CDLL", cdll)
+    parallel.malloc_policy.cache_clear()
+    try:
+        assert list(parallel.TilePool().map(abs, [-1, 2])) == [1, 2]
+        assert parallel.malloc_policy.cache_info().misses == 1
+    finally:
+        parallel.malloc_policy.cache_clear()  # the next map applies it
+
+
+def test_worker_initializer_sets_one_thread(monkeypatch):
+    before = parallel.blas_threads()
     monkeypatch.setattr(parallel, "_WORKERS", None)
     try:
         parallel.single_threaded()
@@ -122,12 +137,57 @@ def test_worker_setup_without_mallopt(cdll, monkeypatch):
             parallel.set_blas_threads(before)
 
 
-def blas_threads_in_subprocess(code, blas):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas),
+def python_in_subprocess(code, **env):
+    """The whitespace-separated words code prints in a fresh interpreter."""
+    env = dict(os.environ, **env,
                PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     return out.stdout.split()
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestMallocPolicy:
+    def test_first_tile_map_applies_it_once(self):
+        # importing the package and its command line opens no C library;
+        # the first fit's first tile map does, once for the process
+        code = ("import ctypes\n"
+                "opened, real = [], ctypes.CDLL\n"
+                "def recording(name, *args, **kwargs):\n"
+                "    opened.append(name)\n"
+                "    return real(name, *args, **kwargs)\n"
+                "ctypes.CDLL = recording\n"
+                "import mwwdr, mwwdr.cli\n"
+                "print(opened.count(None))\n"
+                "ds = mwwdr.synthetic_confounded_trial(n=40, seed=1)\n"
+                "for _ in range(2):\n"
+                "    list(mwwdr.solve_families(ds, mwwdr.FrmSpec()))\n"
+                "print(opened.count(None))\n")
+        assert python_in_subprocess(code) == ["0", "1"]
+
+    @pytest.mark.skipif(resource is None or not _has_mallopt(),
+                        reason="no resource module or no mallopt")
+    def test_fits_after_the_first_fault_in_few_pages(self):
+        # a library caller's repeated n = 1000 fits reuse heap pages: 3-4
+        # minor faults per fit after the first on a 2 vCPU VM, where
+        # glibc's default thresholds gave 2.2k-3.6k
+        code = ("import resource\n"
+                "from mwwdr import FrmSpec, solve_families\n"
+                "from mwwdr import synthetic_confounded_trial\n"
+                "ds = synthetic_confounded_trial(n=1000, seed=7)\n"
+                "for _ in range(3):\n"
+                "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    list(solve_families(ds, FrmSpec()))\n"
+                "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+                " - before)\n")
+        faults = [int(v) for v in python_in_subprocess(code)]
+        assert all(f < 500 for f in faults[1:]), faults
 
 
 class TestBlasPin:
@@ -137,7 +197,7 @@ class TestBlasPin:
                 "import mwwdr\n"
                 "from mwwdr.parallel import blas_threads\n"
                 "print(blas_threads())\n")
-        assert blas_threads_in_subprocess(code, 2) == ["2"]
+        assert python_in_subprocess(code, OPENBLAS_NUM_THREADS="2") == ["2"]
 
     @pytest.mark.skipif(parallel.blas_threads() is None, reason="no OpenBLAS")
     def test_cli_pins_one_thread_and_restores(self, monkeypatch, tmp_path):

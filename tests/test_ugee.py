@@ -214,7 +214,8 @@ class TestEtaBlock:
     @pytest.mark.parametrize("p, intercept_only, clip_eps", [
         (1, True, 1e-6), (1, False, 1e-6), (2, False, 1e-6), (2, False, 0.2)],
         ids=["intercept-only", "p1", "p2", "p2-clipped"])
-    def test_matches_brute_force(self, p, intercept_only, clip_eps):
+    def test_matches_brute_force(self, p, intercept_only, clip_eps,
+                                 monkeypatch):
         rng = np.random.default_rng(41 + p)
         spec = FrmSpec(intercept_only_propensity=intercept_only,
                        clip_eps=clip_eps)
@@ -225,15 +226,30 @@ class TestEtaBlock:
             eta = rng.normal(0, 1.5, X.shape[1])
             pi, at_bound = clipped_propensities(X, eta, spec.clip_eps)
             clipped += int(np.sum(at_bound))
-            ours = ugee._eta_block(X, ds.z.astype(float), pi, at_bound,
-                                   TilePool())
+            z = ds.z.astype(float)
+            ours = ugee._eta_block(X, z, pi, at_bound,
+                                   data.pair_tiles(ds.n, ds.n1), TilePool())
+            # 3-subject tiles, so that the block spans off-diagonal tiles,
+            # on one tile thread and on two: the same bits either way
+            with monkeypatch.context() as m:
+                m.setattr(data, "_tile_size", lambda n: 3)
+                tiles = data.pair_tiles(ds.n, ds.n1)
+                assert any(I != J for I, J, _, _ in tiles)
+                tiled = []
+                for workers in (1, 2):
+                    m.setattr(parallel, "_tile_workers", lambda: workers)
+                    with TilePool(len(tiles)) as pool:
+                        tiled.append(ugee._eta_block(X, z, pi, at_bound, tiles,
+                                                     pool))
+            assert all(same_bits(a, b) for a, b in zip(*tiled))
             brute = brute_eta_block(list(ds.z), [list(r) for r in ds.w],
                                     list(eta), intercept_only, clip_eps)
-            for got, want in zip(ours, brute):
-                want = np.asarray(want)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) \
-                    <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            for run in (ours, tiled[0]):
+                for got, want in zip(run, brute):
+                    want = np.asarray(want)
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) \
+                        <= 1e-12 * max(1.0, np.max(np.abs(want)))
         assert (clipped > 0) == (clip_eps == 0.2)
 
 
@@ -309,7 +325,7 @@ class TestPairTiles:
         # 7-subject blocks: the last one is partial, and one block holds
         # both treated and control subjects
         monkeypatch.setattr(data, "_tile_size", lambda n: 7)
-        blocks = data.subject_blocks(ds.n)
+        blocks = [I for I, J, _, _ in data.pair_tiles(ds.n, ds.n1) if I == J]
         assert len(blocks) == 9 and blocks[-1].stop - blocks[-1].start == 4
         assert any(I.start < ds.n1 < I.stop for I in blocks)
         # the tiles on one thread and on two: the sums are added in tile
@@ -332,9 +348,9 @@ class TestPairTiles:
             assert a.diagnostics == b.diagnostics
 
     def test_peak_memory_streams_over_tiles(self):
-        # the largest pair arrays of a fit at n = 1000 are its tiles and the
-        # treatment block's rows of 1/V1: under 16 MB in all, where one
-        # n x n float64 array alone is 8 MB
+        # the largest pair arrays of a fit at n = 1000 are its tiles, the
+        # treatment block's blocks of 1/V1 among them: under 16 MB in all,
+        # where one n x n float64 array alone is 8 MB
         ds = synthetic_confounded_trial(n=1000, seed=7)
         tracemalloc.start()
         try:
