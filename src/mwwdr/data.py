@@ -112,32 +112,54 @@ def outcome_kernel(y1, y0, ties):
     return y1 <= y0
 
 
+class OutcomeSort:
+    """One stable sort of each arm's outcomes, for the sums of the kernel
+    K = outcome_kernel(y1, y0, ties) of the treated outcomes y1 against the
+    control outcomes y0: each side holds one arm's sort order and the
+    other arm's positions in it ("left", and "right" under ties), the
+    treated's among the controls and, as I(y_t <= y_c) = I(-y_c <= -y_t),
+    the negated controls' among the negated treated."""
+
+    def __init__(self, y1, y0, ties):
+        self.y1, self.y0, self.ties = y1, y0, ties
+        self._sides = [self._side(y0, y1, ties), self._side(-y1, -y0, ties)]
+
+    @staticmethod
+    def _side(y, at, ties):
+        order = np.argsort(y, kind="stable")
+        return order, [np.searchsorted(y[order], at, side)
+                       for side in (("left", "right") if ties else ("left",))]
+
+    def sums(self, weights=None, rows=True):
+        """K @ weights, each treated subject's sum over the controls (rows),
+        or K' @ weights, each control's over the treated, weighted by the
+        rows of weights (a vector or a matrix of columns; 1 when None). Each
+        sum adds the weights of a suffix of the sorted arm from the top, so
+        that no sum is a difference; unweighted sums are exact."""
+        order, positions = self._sides[0 if rows else 1]
+        # above[k]: the weight of the sorted subjects k, k + 1, ...
+        above = np.zeros((len(order) + 1, *np.shape(weights)[1:]))
+        if weights is None:
+            above[:-1] = 1.0
+        else:
+            np.take(weights, order, axis=0, out=above[:-1])
+        np.cumsum(above[-2::-1], axis=0, out=above[-2::-1])
+        if len(positions) == 1:
+            return above[positions[0]]
+        return 0.5 * (above[positions[0]] + above[positions[1]])
+
+
 def kernel_sums(y1, y0, ties, weights0=None):
-    """Each treated outcome's kernel sum over the control outcomes, each
-    control weighted by weights0 (1 when None): outcome_kernel(y1, y0,
-    ties) @ weights0, from one sort of y0. Each sum adds the weights of a
-    suffix of the sorted controls, accumulated from the top, so that no sum
-    is a difference; unweighted sums are multiples of 1/2 and so exact."""
-    order = np.argsort(y0, kind="stable")
-    w = np.ones(len(y0)) if weights0 is None else weights0[order]
-    # above[k]: the weight of the sorted controls k, k + 1, ...
-    above = np.append(np.cumsum(w[::-1])[::-1], 0.0)
-    y0 = y0[order]
-    at_least = above[np.searchsorted(y0, y1, "left")]  # y_c >= y_t
-    if not ties:
-        return at_least
-    return 0.5 * (at_least + above[np.searchsorted(y0, y1, "right")])
+    """outcome_kernel(y1, y0, ties) @ weights0 (OutcomeSort.sums)."""
+    return OutcomeSort(y1, y0, ties).sums(weights0)
 
 
-def indicator_sums(y1, y0, ties, w1, w0):
-    """The sums of the kernel K = outcome_kernel(y1, y0, ties) that a
-    constant outcome model's block reads (gpi.flat_gamma_block): its row
-    sums, its column sums (from the negated outcomes, as I(y_t <= y_c) =
-    I(-y_c <= -y_t)) and w1' K w0, one weighted call per column of w0."""
-    Kw0 = np.empty((len(y1), w0.shape[1]))
-    for k, col in enumerate(w0.T):
-        Kw0[:, k] = kernel_sums(y1, y0, ties, col)
-    return kernel_sums(y1, y0, ties), kernel_sums(-y0, -y1, ties), w1.T @ Kw0
+def indicator_sums(y1, y0, ties, w1, w0, sort=None):
+    """The kernel sums a constant outcome model's block reads
+    (gpi.flat_gamma_block): K's row sums, its column sums and w1' K w0,
+    from sort, the OutcomeSort of y1 and y0 (a new one when None)."""
+    sort = sort or OutcomeSort(y1, y0, ties)
+    return sort.sums(), sort.sums(rows=False), w1.T @ sort.sums(w0)
 
 
 # The most subjects in one block of the pair tiles, at every n. A

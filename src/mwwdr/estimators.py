@@ -1,8 +1,8 @@
 """The rank-sum and inverse-probability weighted point estimators of
 delta = P(treated outcome <= control outcome). Both are sums of each
 treated subject's kernel sum over the controls, its placement value, which
-data.kernel_sums takes from one sort; no pair array is built. The msi and
-dr point estimates are the delta_plain of ugee.py's fits.
+data.OutcomeSort takes from one sort of each arm; no pair array is built.
+The msi and dr point estimates are the delta_plain of ugee.py's fits.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import kernel_sums, treated_control
+from .data import OutcomeSort, treated_control
 from .errors import ValidationError
 from .propensity import predict_pi_dataset
 
@@ -58,9 +58,8 @@ def mww_estimate(dataset) -> EstimateResult:
     """
     dataset.require_both_arms()
     t, c = treated_control(dataset)
-    y1, y0 = dataset.y[t], dataset.y[c]
-    sums1 = kernel_sums(y1, y0, dataset.ties)
-    sums0 = kernel_sums(-y0, -y1, dataset.ties)
+    sort = OutcomeSort(dataset.y[t], dataset.y[c], dataset.ties)
+    sums1, sums0 = sort.sums(), sort.sums(rows=False)
     n1, n0 = dataset.n1, dataset.n0
     delta = float(sums1.sum() / (n1 * n0))
     notes = {"ties": dataset.ties}
@@ -86,8 +85,8 @@ def ipw_estimate(dataset, propensity, hajek=False) -> EstimateResult:
     t, c = treated_control(dataset)
     # the weight 1 / (pi_t (1 - pi_c)) of a treated x control pair factors
     w0 = 1.0 / (1.0 - pi[c])
-    total = float(np.sum(kernel_sums(dataset.y[t], dataset.y[c], dataset.ties,
-                                     w0) / pi[t]))
+    sort = OutcomeSort(dataset.y[t], dataset.y[c], dataset.ties)
+    total = float(np.sum(sort.sums(w0) / pi[t]))
     if hajek:
         # so the realized weights sum to a product of two sums
         delta = total / float(np.sum(1.0 / pi[t]) * np.sum(w0))

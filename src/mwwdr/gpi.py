@@ -7,10 +7,13 @@ Bernoulli working variance g(1 - g). Its Newton, ugee._fit_gamma_pairwise,
 sets the pair workspace's predictors at every step and steps on the
 observed information, minus the exact Jacobian of that score, so it
 converges quadratically under either link; the sandwich's bread keeps the
-expected information. gamma_block gives both. At zero slopes every pair has
-one predictor, and flat_gamma_block gives the Newton's form from kernel
-sums without visiting a pair: the fit's first evaluation, and every one of
-a constant model.
+expected information. gamma_block gives both, summed over pairs; the
+Newton's evaluations visit no pair. At zero slopes every pair has one
+predictor, and flat_gamma_block gives the Newton's form from kernel sums
+exactly: the fit's first evaluation, and every one of a constant model.
+At other slopes interpolated_gamma_block interpolates the pair functions
+in one arm's predictor at NODES Chebyshev points, and only the pair pass,
+which sums gamma_block's other form, judges a root.
 """
 
 from dataclasses import dataclass
@@ -18,13 +21,21 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .special import _check_finite, expit, logit, normal_cdf_pdf
+from .data import PAIR_TILE, outcome_kernel
+from .special import PROB_EPS, _check_finite, expit, logit, normal_cdf_pdf
 
 LINKS = ("probit", "logit")
 # the settings of the outcome Newton, ugee._fit_gamma_pairwise
 SCORE_TOL = 1e-8
 MAX_ITER = 100
 SEPARATION_BOUND = 30.0
+# Chebyshev points per panel of interpolated_gamma_block's predictors, and
+# the widest panel: its pair functions' complex poles nearest the real axis
+# lie 2.8 off it (probit; pi under logit), so on a panel of half-width 3.5
+# the points interpolate them to within about 1e-15 (Trefethen, Approximation
+# Theory and Approximation Practice, 2013, ch. 8)
+NODES = 48
+PANEL = 7.0
 
 
 def link_values(link, a):
@@ -163,6 +174,105 @@ def flat_gamma_block(sums, a, g, d, w1, w0, link):
                        w1, w0)
 
 
+def _lagrange(x):
+    """(nodes, L): the interpolation nodes of the values x and the Lagrange
+    weights L[j, k] = ell_k(x_j). The nodes are NODES Chebyshev points of
+    each of the fewest equal panels of [min x, max x] no wider than PANEL,
+    with the weights of the barycentric formula on x's panel (Berrut &
+    Trefethen 2004, SIAM Rev. 46:501); where x has at most NODES distinct
+    values, they are those values, whose weights pick each x exactly."""
+    nodes = np.unique(x)
+    if len(nodes) <= NODES:
+        return nodes, (x[:, None] == nodes).astype(float)
+    lo, hi = x.min(), x.max()
+    edges = np.linspace(lo, hi, 1 + int(np.ceil((hi - lo) / PANEL)))
+    k = np.arange(NODES)
+    b = np.where(k % 2, -1.0, 1.0) * np.where(k % (NODES - 1), 1.0, 0.5)
+    unit = 0.5 * (1.0 + np.cos(np.pi * k / (NODES - 1)))
+    nodes, L = [], np.zeros((len(x), NODES * (len(edges) - 1)))
+    panel = np.minimum(np.searchsorted(edges, x, "right"), len(edges) - 1) - 1
+    for p, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        nodes.append(lo + (hi - lo) * unit)
+        j = np.flatnonzero(panel == p)
+        D = x[j, None] - nodes[-1]
+        at = D == 0.0
+        W = b / np.where(at, 1.0, D)
+        W /= W.sum(axis=1, keepdims=True)
+        hit = at.any(axis=1)
+        W[hit] = at[hit]
+        L[j, p * NODES:(p + 1) * NODES] = W
+    return np.concatenate(nodes), L
+
+
+def _newton_terms(link, A):
+    """(c, c g, q - e c g, e c, g) at the predictors A: a pair's score term
+    in gamma_block's Newton form is S = c K - c g, and its weight is
+    Q = (q - e c g) + e c K, with c = d / v, q = c d and e as there."""
+    if link == "logit":
+        g, d = link_values(link, A)
+        c, ec = np.ones_like(d), np.zeros_like(d)  # d = v
+    else:
+        # v = t (1 - t) from the tail t = Phi(-|a|), so that it keeps its
+        # digits where g nears 1 and 1 - g does not
+        t, d = normal_cdf_pdf(-np.abs(A))
+        g = np.where(A < 0.0, t, 1.0 - t)
+        c = d / (t * (1.0 - t))
+        ec = c * (A + c * (1.0 - 2.0 * g))
+    return c, c * g, c * d - ec * g, ec, g
+
+
+def interpolated_gamma_block(sort, a1, a0, w1, w0, link):
+    """gamma_block's Newton form, (score, info), over the treated x control
+    block of the predictors a1 + a0, from kernel sums. A treated subject's
+    sums interpolate each pair function h of _newton_terms in the control
+    predictor, h(a1_i + a0_j) ~ sum_k h(a1_i + y_k) ell_k(a0_j) (_lagrange),
+    so they need h at the nodes and the kernel sums of the Lagrange weights
+    (times w0's columns for w1' Q w0) from sort, the block's
+    data.OutcomeSort; a control subject's interpolate in the treated
+    predictor. Each subject's weights sum to 1, so S's terms at the middle
+    node sum to c k - c g n exactly from its kernel sum k, and only the rest
+    is interpolated, which keeps round-off to what varies over the nodes.
+    Where a subject's predictors reach the link's clamp, its terms have a
+    kink that no polynomial follows, and its sums are taken pair by pair,
+    as are those of a block no larger than one pair tile, whose n1 x n0
+    terms cost less than its interpolants' (n1 + n0) R."""
+    if len(a1) * len(a0) <= PAIR_TILE ** 2:
+        A, G, D = pair_link_values(link, a1, a0)
+        K = outcome_kernel(sort.y1, sort.y0, sort.ties)
+        return gamma_block(K, G, D, w1, w0, link, A)
+    parts = []
+    for rows, a, b, w in ((True, a1, a0, w0), (False, a0, a1, w1[:, :0])):
+        nodes, L = _lagrange(b)
+        R = len(nodes)
+        # K L and, where Q reads K (probit), K (L * w_m) for w's columns w_m
+        u = np.column_stack([np.ones(len(b)), w if link == "probit" else w[:, :0]])
+        KL = sort.sums((u[:, :, None] * L[:, None]).reshape(len(b), -1), rows)
+        KL = KL.reshape(len(a), -1, R)
+        c, cg, qa, ec, g = _newton_terms(link, a[:, None] + nodes)
+        total = L.sum(axis=0)
+        c0, cg0 = c[:, R // 2].copy(), cg[:, R // 2].copy()
+        c -= c0[:, None]
+        cg -= cg0[:, None]
+        S = np.einsum("ik,ik->i", c, KL[:, 0]) - cg @ total \
+            + (c0 * sort.sums(rows=rows) - cg0 * len(b))
+        Q = qa @ total + np.einsum("ik,ik->i", ec, KL[:, 0])
+        Qw = qa @ (L.T @ w)
+        if u.shape[1] > 1:
+            Qw += np.einsum("ik,imk->im", ec, KL[:, 1:])
+        near = np.flatnonzero((g.min(axis=1) <= PROB_EPS)
+                              | (g.max(axis=1) >= 1.0 - PROB_EPS))
+        step = max(1, PAIR_TILE ** 2 // len(b))  # a tile's worth of pairs
+        for at in (near[k:k + step] for k in range(0, len(near), step)):
+            K = outcome_kernel(sort.y1[at], sort.y0, sort.ties) if rows else \
+                outcome_kernel(sort.y1, sort.y0[at], sort.ties).T
+            c, cg, qa, ec, _ = _newton_terms(link, a[at, None] + b)
+            S[at], Q[at] = (c * K - cg).sum(axis=1), (qa + ec * K).sum(axis=1)
+            Qw[at] = (qa + ec * K) @ w
+        parts.append((S, Q, Qw))
+    (rs, qr, Qw0), (cs, qc, _) = parts
+    return _score_info(rs, cs, qr, qc, qr.sum(), w1.T @ Qw0, w1, w0)
+
+
 def fit_gpi(dataset, constant_only=False, link="probit"):
     """Newton solve of the discordant-pair estimating equation.
 
@@ -171,7 +281,8 @@ def fit_gpi(dataset, constant_only=False, link="probit"):
     v = g(1 - g). Each step solves with the observed information
     (gamma_block's Newton form). This is the outcome fit of solve_families
     (ugee._fit_gamma_pairwise) on a workspace of its own, which sets the
-    predictors at every step; its tiles run on the caller's thread.
+    predictors at every step, and judges its root by a pair pass with no
+    delta row; its tiles run on the caller's thread.
     """
     from .ugee import FrmSpec, _fit_gamma_pairwise, _Workspace  # ugee imports gpi
     spec = FrmSpec(link=link, constant_only_gpi=constant_only)

@@ -2,11 +2,11 @@
 pair tiles over a thread pool, with its malloc policy, the pin of OpenBLAS
 to one thread, and the set-up of run_studies' worker processes.
 
-Every pair sum of a fit is a sum over the fixed tiles of data.pair_tiles.
-A TilePool evaluates the tiles on the caller's thread and on its own
-threads, and hands the results back in tile order, so that the caller adds
-them up in the same order for any number of threads, and every reported
-number is the same bit for bit. Importing this module starts no thread and
+Every sum of a fit's pair pass is a sum over the fixed tiles of
+data.pair_tiles. A TilePool evaluates the tiles on the caller's thread and
+on its own threads, and hands the results back in tile order, so that the
+caller adds them up in the same order for any number of threads, and every
+reported number is the same bit for bit. Importing this module starts no thread and
 changes no BLAS or malloc setting.
 """
 
@@ -129,9 +129,10 @@ def single_threaded():
 def malloc_policy():
     """Fix glibc malloc's mmap threshold at 32 MiB (its largest) and its
     trim threshold at 256 MiB, where the C library has mallopt: once per
-    process, at its first tile map, never at import. Under the defaults,
-    the dynamic mmap threshold and heap trimming keep handing the
-    0.17-0.5 MB tile arrays fresh pages, which every fit faults in again.
+    process, at its first workspace or tile map, never at import. Under
+    the defaults, the dynamic mmap threshold and heap trimming keep handing
+    the 0.17-2 MB tile and Newton arrays fresh pages, which every fit
+    faults in again.
     The setting holds for the whole process and the processes it forks."""
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -16,10 +16,12 @@ Unobserved indicator components are dropped from the system together with
 the matching rows of the gradient and working variance, so the treatment
 and outcome blocks reproduce the standalone propensity and pairwise-outcome
 fits, and the delta equation is linear given the other blocks. One
-workspace per dataset holds the blocks every family shares and is the pair
-engine: every sum over pairs streams over the fixed tiles of
-data.pair_tiles, which PairTile evaluates on the threads of a TilePool's
-ordered map, and is added in tile order, so no n x n array is built.
+workspace per dataset holds the blocks every family shares. Only its pair
+pass visits pairs: it streams over the fixed tiles of data.pair_tiles,
+which PairTile evaluates on the threads of a TilePool's ordered map, and
+adds their sums in tile order, so no n x n array is built. The nuisance
+Newtons visit none: the treatment block's sums of 1/V1 are separable, and
+the outcome Newton reads kernel sums and is judged by the pass.
 
 The covariance of the stacked root is the U-statistic sandwich
 4 B^{-1} Sigma B^{-T}, with Sigma estimated from per-subject projections
@@ -36,14 +38,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import gpi
-from .data import (Dataset, indicator_sums, outcome_kernel, pair_tiles,
-                   treated_control)
+from .data import (Dataset, OutcomeSort, indicator_sums, outcome_kernel,
+                   pair_tiles, treated_control)
 from .errors import (ConvergenceError, DerivativeCheckError, EstimabilityError,
                      MwwdrError, SeparationError, ValidationError)
-from .gpi import (LINKS, GpiModel, flat_gamma_block, gamma_block, link_initial,
-                  link_values, pair_link_values, predictors)
+from .gpi import (LINKS, GpiModel, flat_gamma_block, gamma_block,
+                  interpolated_gamma_block, link_initial, link_values,
+                  pair_link_values, predictors)
 from .newton import newton
-from .parallel import TilePool
+from .parallel import TilePool, malloc_policy
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel,
                          clipped_propensities, design_matrix, fit_propensity)
 
@@ -54,6 +57,8 @@ TOL = 1e-8
 MAX_ITER = 100
 # the finite-difference check's relative step in each coordinate of theta
 FD_STEP = 1e-6
+# the step of the trapezoid rule behind _eta_block's sums of 1/V1
+ETA_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -128,10 +133,10 @@ class ThetaLayout:
 
 
 # ---------------------------------------------------------------------------
-# workspace on the tiled pair engine
+# workspace, pair tiles and pass
 
 
-def _eta_block(X, z, pi, clipped, tiles, pool):
+def _eta_block(X, z, pi, clipped):
     """Score and Jacobian of the treatment block at propensities pi, and
     each subject's sum of its pair scores.
 
@@ -141,31 +146,25 @@ def _eta_block(X, z, pi, clipped, tiles, pool):
     -d1 V1^-1 dh1', with dh1 the gradient of h1 in eta: d1 without the
     terms of the clipped subjects, whose propensity is held at the bound
     and so does not move with eta. With M the n x n matrix of 1/V1 (zero
-    diagonal), every pair sum is M times one of the columns (1, e, Ap,
+    diagonal), every pair sum is M times one of the columns C = (1, e, Ap,
     e * Ap); M is symmetric, so the clipped subjects' terms are read off
-    M Ap too. M is built one pair tile (I, J) of tiles (data.pair_tiles) at
-    a time, on the tile map of the TilePool pool, so no n x n array is
-    held: the tile adds M_IJ C_J to I's rows and, off the diagonal,
-    M_IJ' C_I to J's rows, in tile order.
+    M Ap too. M is separable: 1/s = int exp(u - s e^u) du, and the
+    trapezoid rule in v, u = v - e^-v, gives 4/s = sum_k w_k exp(-t_k s)
+    (within 1e-15 relative for s in [2 min pp, 1/2]), so M C = E diag(w)
+    E' C minus its diagonal's terms, E_ik = exp(-t_k pp_i): O(n R) for R
+    nodes (40 to 90), with no n x n array and no pair visited.
     """
     pp = pi * (1.0 - pi)
     e = z - pi
     Ap = X * pp[:, None]
     k = Ap.shape[1]
     C = np.column_stack([np.ones_like(e), e, Ap, e[:, None] * Ap])
-
-    def tile_sums(tile):
-        I, J = tile[:2]
-        M = np.add.outer(pp[I], pp[J])
-        np.divide(4.0, M, out=M)
-        if I == J:
-            np.fill_diagonal(M, 0.0)
-            return [(I, M @ C[I])]
-        return [(I, M @ C[J]), (J, M.T @ C[I])]
-
-    MC = np.zeros_like(C)
-    for sums in pool.map(tile_sums, tiles):
-        add_sums(MC, sums)
+    # the integrand's tails are below 1e-19 of 1/s outside the nodes
+    v = np.arange(-3.8, math.log(22.5 / pp.min()) + ETA_STEP, ETA_STEP)
+    t = np.exp(v - np.exp(-v))
+    w = 4.0 * ETA_STEP * t * (1.0 + np.exp(-v))
+    E = np.exp(-np.multiply.outer(pp, t))
+    MC = E @ (w[:, None] * (E.T @ C)) - ((E * E) @ w)[:, None] * C
     m1, me, mA, meA = MC[:, 0], MC[:, 1], MC[:, 2:2 + k], MC[:, 2 + k:]
     cr = 0.5 * (e * m1 + me)  # each subject's sum of V1^-1 (f1 - h1)
     score = 0.5 * Ap.T @ cr
@@ -184,9 +183,9 @@ class _Workspace:
     model's covariates wg and, once set, the propensities pi (set_eta, by
     each step of _fit_eta_pairwise, also fills clipped and _eta_block's
     value) and the outcome model's predictors (set_gamma, by each step of
-    _fit_gamma_pairwise; _pair_pass then fills its block). Every pair sum
-    maps over its one tiling, tiles (data.pair_tiles), on pool, on the
-    caller's thread until pool is entered."""
+    _fit_gamma_pairwise; _pair_pass then fills its block). The pass maps
+    over its one tiling, tiles (data.pair_tiles), on pool, on the caller's
+    thread until pool is entered."""
 
     def __init__(self, dataset, spec):
         t, c = treated_control(dataset)
@@ -205,13 +204,14 @@ class _Workspace:
         self.pi = self.a1 = self.a0 = self.flat = None
         self.tiles = pair_tiles(self.n, self.n1)
         self.pool = TilePool(len(self.tiles))
+        malloc_policy()  # before the Newtons' O(n R) arrays, not at the pass
 
     def set_eta(self, eta):
         self.eta = eta
         self.pi, self.clipped = clipped_propensities(self.X, eta,
                                                      self.spec.clip_eps)
         self.eta_score, self.eta_jac, self.eta_proj = _eta_block(
-            self.X, self.z, self.pi, self.clipped, self.tiles, self.pool)
+            self.X, self.z, self.pi, self.clipped)
 
     def set_gamma(self, gamma):
         """The outcome model's linear predictors at gamma, a1 on a subject's
@@ -502,32 +502,34 @@ def _fit_eta_pairwise(ws):
 
 
 def _predicts_final(norms, tol):
-    """Whether quadratic convergence from the last two judged score norms,
+    """Whether quadratic convergence from the last two score norms,
     norm_k (norm_k / norm_k-1)^2, puts the next one within tol."""
     return len(norms) > 1 and norms[-1] * (norms[-1] / norms[-2]) ** 2 <= tol
 
 
 def _fit_gamma_pairwise(ws, judge=None):
     """Newton solve of the outcome block, from the constant model at the
-    mean observed indicator. An evaluation at zero slopes (the first, and
-    every one of a constant model) is gpi.flat_gamma_block, from
-    data.indicator_sums, and visits no pair; any other sums gamma_block's
-    Newton form over the tiles' treated x control pairs. Every evaluation
-    sets the workspace's predictors, so on return they are at the root.
+    mean observed indicator. No evaluation maps over the pair tiles: one at
+    zero slopes (the first, and every one of a constant model) is
+    gpi.flat_gamma_block, exact, and any other is
+    gpi.interpolated_gamma_block, both read from one data.OutcomeSort of
+    the workspace's outcomes. Every evaluation sets the workspace's
+    predictors, so on return they are at the root.
 
-    judge(gamma), when given, is the pair pass at the predictors just set,
-    which leaves the outcome block's score in ws.gamma_score: gamma_block's
-    other form, with the same score bits. The Newton hands it the first
-    tiled iterate that _predicts_final calls final, once per fit. If that
-    score's norm passes, the iterate is the root, judged by the pass, and
-    its tiles are not swept twice; if not, the Newton form is evaluated
-    there as well and the Newton goes on."""
+    Away from zero slopes only the pair pass judges: judge(gamma), the pass
+    at the predictors just set (one with no delta row when None), leaves
+    the outcome block's exact score in ws.gamma_score. The Newton calls it
+    where _predicts_final calls the iterate final, where the interpolated
+    score's norm is within tolerance, and on its last cycle, and it stops
+    only on the pass's norm; on a miss it steps on the pass's score with
+    the interpolated information and goes on."""
     n1 = ws.n1
     m = n1 * (ws.n - n1)
     if m == 0:
         raise EstimabilityError("no discordant pairs to fit the outcome model on")
     w1, w0 = ws.wg[:n1], ws.wg[n1:]
-    sums = indicator_sums(ws.y[:n1], ws.y[n1:], ws.ties, w1, w0)
+    sort = OutcomeSort(ws.y[:n1], ws.y[n1:], ws.ties)
+    sums = indicator_sums(ws.y[:n1], ws.y[n1:], ws.ties, w1, w0, sort)
     mean_ind = float(sums[0].sum()) / m
     if mean_ind in (0.0, 1.0):
         raise SeparationError(
@@ -544,19 +546,15 @@ def _fit_gamma_pairwise(ws, judge=None):
                 f"the {arm} arm's covariates, centred, have rank below {p}; "
                 "the outcome model is not identified")
 
-    tiles = [s for s in ws.tiles if PairTile(ws, *s).has_tc]
-    tol = max(gpi.SCORE_TOL, m * 1e-13)
+    judge = judge or (lambda gamma: _pair_pass(ws, []))
+    tol, max_iter = max(gpi.SCORE_TOL, m * 1e-13), gpi.MAX_ITER
     norms = []
 
-    def tile_sums(tile_spec):
-        tile = PairTile(ws, *tile_spec)
-        # not tile.G[tile.tc]: that evaluates the link on all of I x J
-        A, G, D = pair_link_values(ws.link, ws.a1[tile.rows], ws.a0[tile.cols])
-        return gamma_block(tile.K, G, D, ws.wg[tile.rows], ws.wg[tile.cols],
-                           ws.link, A)
+    def interpolated():
+        return interpolated_gamma_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0,
+                                        ws.link)
 
     def evaluate(gamma):
-        nonlocal judge
         if np.max(np.abs(gamma)) > gpi.SEPARATION_BOUND:
             raise SeparationError(
                 "outcome-model fit diverged; response may be degenerate")
@@ -566,22 +564,24 @@ def _fit_gamma_pairwise(ws, judge=None):
             score, info = flat_gamma_block(sums, ws.a1[0] + ws.a0[0], g, d,
                                            w1, w0, ws.link)
         else:
-            if judge is not None and _predicts_final(norms, tol):
+            # every earlier cycle added its norm
+            last = len(norms) == max_iter
+            info, judged = None, last or _predicts_final(norms, tol)
+            if not judged:
+                score, info = interpolated()
+                judged = np.max(np.abs(score)) <= tol
+            if judged:
                 judge(gamma)
-                score, judge = ws.gamma_score, None
-                norm = float(np.max(np.abs(score)))
-                if norm <= tol:
-                    return score, None, norm
-            score = info = 0.0
-            for s, q in ws.pool.map(tile_sums, tiles):
-                score = score + s
-                info = info + q
+                score = ws.gamma_score
+                if last or np.max(np.abs(score)) <= tol:
+                    return score, None, float(np.max(np.abs(score)))
+                info = interpolated()[1] if info is None else info
         norms.append(float(np.max(np.abs(score))))
         return score, info, norms[-1]
 
     gamma = np.zeros(1 + 2 * p)
     gamma[0] = link_initial(ws.link, mean_ind)
-    fit = newton(evaluate, gamma, tol, gpi.MAX_ITER,
+    fit = newton(evaluate, gamma, tol, max_iter,
                  partial(ConvergenceError,
                          "outcome-model Newton iteration did not converge"),
                  partial(ConvergenceError, "singular Jacobian in outcome-model fit"))

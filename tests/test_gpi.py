@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mwwdr import data, gpi
+from mwwdr import data, gpi, ugee
 from mwwdr.data import Dataset, outcome_kernel
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
 from mwwdr.gpi import (LINKS, GpiModel, fit_gpi, flat_gamma_block, gamma_block,
-                       link_initial, link_values, pair_link_values, predictors)
+                       interpolated_gamma_block, link_initial, link_values,
+                       pair_link_values, predictors)
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
 from mwwdr.ugee import (FrmSpec, PairTile, _Workspace, solve_families,
@@ -364,3 +365,93 @@ class TestFlatBlock:
         for x, y_ in zip(got, want):
             assert x.shape == y_.shape
             assert np.max(np.abs(x - y_)) <= 1e-12 * np.max(np.abs(y_))
+
+
+def _newton_iterates(ds, link):
+    """The workspace of ds and the outcome Newton's iterates at non-zero
+    slopes."""
+    ws = _Workspace(ds, FrmSpec(link=link))
+    iterates, set_gamma = [], ws.set_gamma
+    ws.set_gamma = lambda gamma: (iterates.append(gamma), set_gamma(gamma))
+    ugee._fit_gamma_pairwise(ws)
+    return ws, set_gamma, [g for g in iterates if np.any(g[1:])]
+
+
+def _blocks(ws, link):
+    """The interpolated block and gamma_block's dense Newton form at the
+    workspace's predictors."""
+    n1 = ws.n1
+    w1, w0, a1, a0 = ws.wg[:n1], ws.wg[n1:], ws.a1[:n1], ws.a0[n1:]
+    sort = data.OutcomeSort(ws.y[:n1], ws.y[n1:], ws.ties)
+    got = interpolated_gamma_block(sort, a1, a0, w1, w0, link)
+    A, G, D = pair_link_values(link, a1, a0)
+    K = outcome_kernel(ws.y[:n1], ws.y[n1:], ws.ties)
+    return got, gamma_block(K, G, D, w1, w0, link, A)
+
+
+def kinked_dataset():
+    """n = 600 outcomes so well predicted by the first covariate that
+    12.6 % of the probit root's pair predictors lie past the clamp at
+    -7.03."""
+    rng = np.random.default_rng(11)
+    w = rng.normal(0.0, 1.0, (600, 2))
+    y = 2.0 * w[:, 0] + w[:, 1] + rng.normal(0.0, 0.5, 600)
+    return Dataset((rng.random(600) < 0.5).astype(int), y, w)
+
+
+class TestInterpolatedBlock:
+    """The outcome block's Newton form at any slopes, interpolated in one
+    arm's predictor, against gamma_block's sum over every pair."""
+
+    @pytest.mark.parametrize("case", ["seed7-probit", "seed7-logit", "kink-probit"])
+    def test_matches_the_dense_sum_at_the_newton_iterates(self, case):
+        # bounds: information within 1e-13 of its largest entry and the
+        # score within half the Newton's tolerance. Measured: information
+        # within 1.9e-15 (seed 7) and 5.3e-16 (kink), score within 7.6e-9
+        # of the 1e-7 tolerance (seed 7) and 8.1e-12 of 1e-8 (kink)
+        link = case.split("-")[1]
+        ds = synthetic_confounded_trial(n=2000, seed=7) if case.startswith("seed7") \
+            else kinked_dataset()
+        ws, set_gamma, iterates = _newton_iterates(ds, link)
+        assert len(iterates) >= 5
+        tol = max(gpi.SCORE_TOL, ws.n1 * (ws.n - ws.n1) * 1e-13)
+        past = 0.0
+        for gamma in iterates:
+            set_gamma(gamma)
+            A = ws.a1[:ws.n1, None] + ws.a0[ws.n1:]
+            past = max(past, np.mean(np.abs(A) > 7.04))
+            (score, info), (want_score, want_info) = _blocks(ws, link)
+            assert np.max(np.abs(info - want_info)) <= 1e-13 * np.max(np.abs(want_info))
+            assert np.max(np.abs(score - want_score)) <= tol / 2
+        assert (past > 0.1) == case.startswith("kink")
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_few_predictor_values_are_the_nodes(self, link):
+        # covariates in {0, 1, 2}: at most 9 predictor values a side, which
+        # are the nodes, so the weights pick each subject's value and the
+        # kernel sums are those of the dense kernel exactly; the block
+        # differs from the dense sum by its order of adding alone. A block
+        # of at most one tile's pairs is the dense sum. Measured: within
+        # 2.0e-15 (score) and 6.0e-15 (information) of the largest entry
+        rng = np.random.default_rng(5)
+        w = rng.integers(0, 3, (1000, 2)).astype(float)
+        y = w.sum(axis=1) + rng.normal(0.0, 1.0, 1000)
+        ds = Dataset((rng.random(1000) < 0.5).astype(int), y, w)
+        ws = _Workspace(ds, FrmSpec(link=link))
+        ws.set_gamma(np.array([0.1, -0.4, 0.3, 0.5, -0.2]))
+        n1 = ws.n1
+        nodes, L = gpi._lagrange(ws.a0[n1:])
+        assert len(nodes) <= 9
+        assert L.tobytes() == (ws.a0[n1:, None] == nodes).astype(float).tobytes()
+        K = outcome_kernel(ws.y[:n1], ws.y[n1:], ws.ties)
+        sort = data.OutcomeSort(ws.y[:n1], ws.y[n1:], ws.ties)
+        assert sort.sums(L).tobytes() == (K @ L).tobytes()
+        (score, info), (want_score, want_info) = _blocks(ws, link)
+        for got, want in ((score, want_score), (info, want_info)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        small = Dataset(ds.z[:500], ds.y[:500], ds.w[:500])
+        ws = _Workspace(small, FrmSpec(link=link))
+        ws.set_gamma(np.array([0.1, -0.4, 0.3, 0.5, -0.2]))
+        assert ws.n1 * (ws.n - ws.n1) <= data.PAIR_TILE ** 2
+        got, want = _blocks(ws, link)
+        assert all(g.tobytes() == w_.tobytes() for g, w_ in zip(got, want))

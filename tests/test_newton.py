@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,66 @@ def test_increasing_map_of_y_keeps_every_bit(case):
     for fa, fb in zip(a, b):
         for name in ("theta", "se", "B_hat"):
             assert getattr(fa, name).tobytes() == getattr(fb, name).tobytes()
+
+
+_RESIDUAL = (ConvergenceError, "stacked system residual above tolerance")
+
+
+def _gate(a, b):
+    """The largest difference of a and b in the benchmark gate's form,
+    |a - b| / max(1, |a|, |b|)."""
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a),
+                                                                    np.abs(b)))))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hard_fits())
+def test_permuting_the_subjects_moves_only_round_off(case):
+    # TestMetamorphic's permutation over hard_fits's data: it changes the
+    # order of every sum, so both fits raise the same class of error or
+    # agree to round-off. Measured over these examples: theta within
+    # 1.5e-14 in gate form (5.7e-15 with the separable treatment block and
+    # the interpolated outcome Newton); the bound is the 9.5e-14 measured
+    # on TestMetamorphic's data. Round-off alone may turn the treatment
+    # Newton's "did not converge" into "singular Jacobian", so only the
+    # class is compared. The finite-difference check draws its pairs by
+    # position, so a permutation checks other pairs: it is off here
+    ds, spec = case
+    spec = replace(spec, fd_check_pairs=0)
+    perm = np.random.default_rng(0).permutation(ds.n)
+    permuted = Dataset(ds.z[perm], ds.y[perm], ds.w[perm],
+                       outcome_kind=ds.outcome_kind)
+    a, b = _fits_or_error(ds, spec), _fits_or_error(permuted, spec)
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        # round-off alone can decide dr's stacked-residual check, which is
+        # absolute on a row of scale sum w (ROADMAP item 4): one example
+        # here fits in one order only, with the tiled nuisance sums too
+        if _RESIDUAL not in (a, b):
+            assert isinstance(a, tuple) and isinstance(b, tuple) and a[0] is b[0]
+        return
+    assert max(_gate(fa.theta, fb.theta) for fa, fb in zip(a, b)) <= 9.5e-14
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(hard_fits())
+def test_affine_map_of_w_moves_se_only_by_round_off(case):
+    # TestMetamorphic's affine map w -> 2w + 1 over hard_fits's data: every
+    # model's coefficients move to others with the same fitted values, so
+    # where both fits return, se(delta) moves only as far as the Newton
+    # tolerances let the roots: measured within 3.9e-9 relative over these
+    # examples, before and after the interpolated outcome Newton; the bound
+    # allows 10 times that. The map changes the coefficients' sizes, which
+    # the separation checks read, so an error may change class or become a
+    # fit; such examples are not compared
+    ds, spec = case
+    mapped = Dataset(ds.z, ds.y, 2.0 * ds.w + 1.0, outcome_kind=ds.outcome_kind)
+    a, b = _fits_or_error(ds, spec), _fits_or_error(mapped, spec)
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return
+    for fa, fb in zip(a, b):
+        assert abs(fb.se[-1] - fa.se[-1]) <= 3.9e-8 * fa.se[-1]
 
 
 def _clamped_g_case():
