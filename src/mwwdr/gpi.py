@@ -194,9 +194,10 @@ def _lagrange(x):
     for p, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         nodes.append(lo + (hi - lo) * unit)
         j = np.flatnonzero(panel == p)
-        D = x[j, None] - nodes[-1]
-        at = D == 0.0
-        W = b / np.where(at, 1.0, D)
+        W = x[j, None] - nodes[-1]
+        at = W == 0.0
+        W[at] = 1.0
+        np.divide(b, W, out=W)
         W /= W.sum(axis=1, keepdims=True)
         hit = at.any(axis=1)
         W[hit] = at[hit]
@@ -243,31 +244,33 @@ def interpolated_gamma_block(sort, a1, a0, w1, w0, link):
     parts = []
     for rows, a, b, w in ((True, a1, a0, w0), (False, a0, a1, w1[:, :0])):
         nodes, L = _lagrange(b)
-        R = len(nodes)
-        # K L and, where Q reads K (probit), K (L * w_m) for w's columns w_m
-        u = np.column_stack([np.ones(len(b)), w if link == "probit" else w[:, :0]])
-        KL = sort.sums((u[:, :, None] * L[:, None]).reshape(len(b), -1), rows)
-        KL = KL.reshape(len(a), -1, R)
-        c, cg, qa, ec, g = _newton_terms(link, a[:, None] + nodes)
-        total = L.sum(axis=0)
-        c0, cg0 = c[:, R // 2].copy(), cg[:, R // 2].copy()
-        c -= c0[:, None]
-        cg -= cg0[:, None]
-        S = np.einsum("ik,ik->i", c, KL[:, 0]) - cg @ total \
-            + (c0 * sort.sums(rows=rows) - cg0 * len(b))
-        Q = qa @ total + np.einsum("ik,ik->i", ec, KL[:, 0])
-        Qw = qa @ (L.T @ w)
-        if u.shape[1] > 1:
-            Qw += np.einsum("ik,imk->im", ec, KL[:, 1:])
-        near = np.flatnonzero((g.min(axis=1) <= PROB_EPS)
-                              | (g.max(axis=1) >= 1.0 - PROB_EPS))
+        mid, total, Lw = len(nodes) // 2, L.sum(axis=0), L.T @ w
+        k, KL = sort.sums(rows=rows), sort.sums(L, rows)
+        S, Q, Qw = np.empty(len(a)), np.empty(len(a)), np.empty((len(a), w.shape[1]))
+        EC, near = np.empty(KL.shape), []
+        # a tile's rows at a time, so that no array outgrows the pass's
+        for i in range(0, len(a), PAIR_TILE):
+            at = slice(i, i + PAIR_TILE)
+            c, cg, qa, EC[at], g = _newton_terms(link, a[at, None] + nodes)
+            c0, cg0 = c[:, mid].copy(), cg[:, mid].copy()
+            c -= c0[:, None]
+            cg -= cg0[:, None]
+            S[at] = np.einsum("ik,ik->i", c, KL[at]) - cg @ total \
+                + (c0 * k[at] - cg0 * len(b))
+            Q[at] = qa @ total + np.einsum("ik,ik->i", EC[at], KL[at])
+            Qw[at] = qa @ Lw
+            near.extend(i + np.flatnonzero((g.min(axis=1) <= PROB_EPS)
+                                           | (g.max(axis=1) >= 1.0 - PROB_EPS)))
+        # where Q reads K (probit): e c K (L * w_m) for each of w's columns
+        for m in range(w.shape[1]) if link == "probit" else ():
+            Qw[:, m] += np.einsum("ik,ik->i", EC, sort.sums(L * w[:, m, None], rows))
         step = max(1, PAIR_TILE ** 2 // len(b))  # a tile's worth of pairs
-        for at in (near[k:k + step] for k in range(0, len(near), step)):
-            K = outcome_kernel(sort.y1[at], sort.y0, sort.ties) if rows else \
-                outcome_kernel(sort.y1, sort.y0[at], sort.ties).T
-            c, cg, qa, ec, _ = _newton_terms(link, a[at, None] + b)
-            S[at], Q[at] = (c * K - cg).sum(axis=1), (qa + ec * K).sum(axis=1)
-            Qw[at] = (qa + ec * K) @ w
+        for j in (near[s:s + step] for s in range(0, len(near), step)):
+            K = outcome_kernel(sort.y1[j], sort.y0, sort.ties) if rows else \
+                outcome_kernel(sort.y1, sort.y0[j], sort.ties).T
+            c, cg, qa, ec, _ = _newton_terms(link, a[j, None] + b)
+            S[j], Q[j] = (c * K - cg).sum(axis=1), (qa + ec * K).sum(axis=1)
+            Qw[j] = (qa + ec * K) @ w
         parts.append((S, Q, Qw))
     (rs, qr, Qw0), (cs, qc, _) = parts
     return _score_info(rs, cs, qr, qc, qr.sum(), w1.T @ Qw0, w1, w0)

@@ -163,8 +163,9 @@ def _eta_block(X, z, pi, clipped):
     v = np.arange(-3.8, math.log(22.5 / pp.min()) + ETA_STEP, ETA_STEP)
     t = np.exp(v - np.exp(-v))
     w = 4.0 * ETA_STEP * t * (1.0 + np.exp(-v))
-    E = np.exp(-np.multiply.outer(pp, t))
-    MC = E @ (w[:, None] * (E.T @ C)) - ((E * E) @ w)[:, None] * C
+    E = np.multiply.outer(pp, -t)
+    np.exp(E, out=E)
+    MC = E @ (w[:, None] * (E.T @ C)) - np.einsum("ik,ik,k->i", E, E, w)[:, None] * C
     m1, me, mA, meA = MC[:, 0], MC[:, 1], MC[:, 2:2 + k], MC[:, 2 + k:]
     cr = 0.5 * (e * m1 + me)  # each subject's sum of V1^-1 (f1 - h1)
     score = 0.5 * Ap.T @ cr
@@ -548,13 +549,14 @@ def _fit_gamma_pairwise(ws, judge=None):
 
     judge = judge or (lambda gamma: _pair_pass(ws, []))
     tol, max_iter = max(gpi.SCORE_TOL, m * 1e-13), gpi.MAX_ITER
-    norms = []
+    norms, exact = [], False
 
     def interpolated():
         return interpolated_gamma_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0,
                                         ws.link)
 
     def evaluate(gamma):
+        nonlocal exact
         if np.max(np.abs(gamma)) > gpi.SEPARATION_BOUND:
             raise SeparationError(
                 "outcome-model fit diverged; response may be degenerate")
@@ -566,16 +568,20 @@ def _fit_gamma_pairwise(ws, judge=None):
         else:
             # every earlier cycle added its norm
             last = len(norms) == max_iter
-            info, judged = None, last or _predicts_final(norms, tol)
+            info, judged = None, exact or last or _predicts_final(norms, tol)
             if not judged:
                 score, info = interpolated()
                 judged = np.max(np.abs(score)) <= tol
             if judged:
                 judge(gamma)
+                if last or np.max(np.abs(ws.gamma_score)) <= tol:
+                    return ws.gamma_score, None, float(np.max(np.abs(ws.gamma_score)))
+                if info is None:
+                    score, info = interpolated()
+                # an interpolant off by tol / 2 cannot find the root: the
+                # pass judges every later iterate
+                exact = exact or np.max(np.abs(score - ws.gamma_score)) > tol / 2
                 score = ws.gamma_score
-                if last or np.max(np.abs(score)) <= tol:
-                    return score, None, float(np.max(np.abs(score)))
-                info = interpolated()[1] if info is None else info
         norms.append(float(np.max(np.abs(score))))
         return score, info, norms[-1]
 

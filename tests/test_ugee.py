@@ -8,7 +8,6 @@ import pytest
 from mwwdr import data, gpi, parallel, ugee
 from mwwdr.data import Dataset
 from mwwdr.errors import ConvergenceError, ValidationError
-from mwwdr.parallel import TilePool
 from mwwdr.propensity import clipped_propensities, design_matrix
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
@@ -582,9 +581,10 @@ class TestMetamorphic:
 
 
 class TestOutcomeNewton:
-    """The outcome Newton visits no pair: its evaluations are closed-form at
-    zero slopes and interpolated elsewhere, and only the pair pass judges
-    an iterate, so a fit maps over the pair tiles in its passes alone."""
+    """The outcome Newton maps over no tile: its evaluations are
+    closed-form at zero slopes and interpolated elsewhere, and only the
+    pair pass judges an iterate, so a fit maps over the pair tiles in its
+    passes alone."""
 
     @staticmethod
     def count_maps(monkeypatch):
