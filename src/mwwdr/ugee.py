@@ -16,12 +16,11 @@ Unobserved indicator components are dropped from the system together with
 the matching rows of the gradient and working variance, so the treatment
 and outcome blocks reproduce the standalone propensity and pairwise-outcome
 fits, and the delta equation is linear given the other blocks. One
-workspace per dataset holds the blocks every family shares. Only its pair
-pass visits pairs: it streams over the fixed tiles of data.pair_tiles,
-which PairTile evaluates on the threads of a TilePool's ordered map, and
-adds their sums in tile order, so no n x n array is built. The nuisance
-Newtons visit none: the treatment block's sums of 1/V1 are separable, and
-the outcome Newton reads kernel sums and is judged by the pass.
+workspace per dataset holds the blocks every family shares. Its pair pass
+streams over the fixed tiles of data.pair_tiles, which PairTile evaluates
+on the threads of a TilePool's ordered map, and adds their sums in tile
+order, so no n x n array is built; the nuisance Newtons read separable
+and kernel sums instead, and the pass judges the outcome Newton's root.
 
 The covariance of the stacked root is the U-statistic sandwich
 4 B^{-1} Sigma B^{-T}, with Sigma estimated from per-subject projections
@@ -150,9 +149,9 @@ def _eta_block(X, z, pi, clipped):
     e * Ap); M is symmetric, so the clipped subjects' terms are read off
     M Ap too. M is separable: 1/s = int exp(u - s e^u) du, and the
     trapezoid rule in v, u = v - e^-v, gives 4/s = sum_k w_k exp(-t_k s)
-    (within 1e-15 relative for s in [2 min pp, 1/2]), so M C = E diag(w)
-    E' C minus its diagonal's terms, E_ik = exp(-t_k pp_i): O(n R) for R
-    nodes (40 to 90), with no n x n array and no pair visited.
+    within 1e-15 relative for s in [2 min pp, 1/2], so M C = E diag(w) E' C
+    minus its diagonal's terms, E_ik = exp(-t_k pp_i), in O(n R) for R = 40
+    to 90 nodes.
     """
     pp = pi * (1.0 - pi)
     e = z - pi
@@ -185,8 +184,7 @@ class _Workspace:
     each step of _fit_eta_pairwise, also fills clipped and _eta_block's
     value) and the outcome model's predictors (set_gamma, by each step of
     _fit_gamma_pairwise; _pair_pass then fills its block). The pass maps
-    over its one tiling, tiles (data.pair_tiles), on pool, on the caller's
-    thread until pool is entered."""
+    over tiles (data.pair_tiles), on pool, or the caller's thread."""
 
     def __init__(self, dataset, spec):
         t, c = treated_control(dataset)
@@ -510,20 +508,19 @@ def _predicts_final(norms, tol):
 
 def _fit_gamma_pairwise(ws, judge=None):
     """Newton solve of the outcome block, from the constant model at the
-    mean observed indicator. No evaluation maps over the pair tiles: one at
-    zero slopes (the first, and every one of a constant model) is
-    gpi.flat_gamma_block, exact, and any other is
-    gpi.interpolated_gamma_block, both read from one data.OutcomeSort of
-    the workspace's outcomes. Every evaluation sets the workspace's
-    predictors, so on return they are at the root.
+    mean observed indicator, setting the workspace's predictors at every
+    evaluation. None maps over the pair tiles: at zero slopes (the first,
+    and every one of a constant model) it is gpi.flat_gamma_block, exact,
+    elsewhere gpi.interpolated_gamma_block, both from one data.OutcomeSort.
 
     Away from zero slopes only the pair pass judges: judge(gamma), the pass
     at the predictors just set (one with no delta row when None), leaves
-    the outcome block's exact score in ws.gamma_score. The Newton calls it
-    where _predicts_final calls the iterate final, where the interpolated
-    score's norm is within tolerance, and on its last cycle, and it stops
-    only on the pass's norm; on a miss it steps on the pass's score with
-    the interpolated information and goes on."""
+    the block's exact score in ws.gamma_score. The Newton calls it where
+    _predicts_final calls the iterate final, where the interpolated norm is
+    within tolerance, and on its last cycle, and stops only on its norm. On
+    a miss it steps on the pass's score with the interpolated information;
+    if those scores differ by tol / 2, the pass judges every later iterate,
+    as the interpolant cannot find the root."""
     n1 = ws.n1
     m = n1 * (ws.n - n1)
     if m == 0:
@@ -576,10 +573,7 @@ def _fit_gamma_pairwise(ws, judge=None):
                 judge(gamma)
                 if last or np.max(np.abs(ws.gamma_score)) <= tol:
                     return ws.gamma_score, None, float(np.max(np.abs(ws.gamma_score)))
-                if info is None:
-                    score, info = interpolated()
-                # an interpolant off by tol / 2 cannot find the root: the
-                # pass judges every later iterate
+                score, info = interpolated() if info is None else (score, info)
                 exact = exact or np.max(np.abs(score - ws.gamma_score)) > tol / 2
                 score = ws.gamma_score
         norms.append(float(np.max(np.abs(score))))
