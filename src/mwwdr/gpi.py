@@ -8,7 +8,7 @@ sets the pair workspace's predictors at every step and steps on the
 observed information, minus the exact Jacobian of that score, so it
 converges quadratically under either link; the sandwich's bread keeps the
 expected information. gamma_block gives both, summed over pairs; the
-Newton's evaluations visit no pair. At zero slopes every pair has one
+Newton's evaluations map over no tile. At zero slopes every pair has one
 predictor, and flat_gamma_block gives the Newton's form from kernel sums
 exactly: the fit's first evaluation, and every one of a constant model.
 At other slopes interpolated_gamma_block interpolates the pair functions

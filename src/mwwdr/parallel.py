@@ -6,8 +6,8 @@ Every sum of a fit's pair pass is a sum over the fixed tiles of
 data.pair_tiles. A TilePool evaluates the tiles on the caller's thread and
 on its own threads, and hands the results back in tile order, so that the
 caller adds them up in the same order for any number of threads, and every
-reported number is the same bit for bit. Importing this module starts no thread and
-changes no BLAS or malloc setting.
+reported number is the same bit for bit. Importing this module starts no
+thread and changes no BLAS or malloc setting.
 """
 
 import ctypes

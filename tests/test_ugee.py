@@ -632,6 +632,23 @@ class TestOutcomeNewton:
             list(solve_families(no_w, constant))
             assert calls == {"map": 1, "pass": 1}
 
+    def test_a_poor_interpolant_costs_passes_not_convergence(self, monkeypatch):
+        # with 6 nodes the interpolated score misses the exact one by far
+        # more than half the tolerance; once a pass shows that, the pass
+        # judges every later iterate, and the fit reaches the same root.
+        # Measured: 18 passes and 35 steps, theta within 1.8e-12
+        calls = self.count_maps(monkeypatch)
+        ds = synthetic_confounded_trial(n=2000, seed=7)
+        spec = FrmSpec(fd_check_pairs=0)
+        want, = solve_families(ds, spec, ("msi",))
+        monkeypatch.setattr(gpi, "NODES", 6)
+        calls["pass"] = 0
+        got, = solve_families(ds, spec, ("msi",))
+        assert calls["pass"] > 1
+        tol = max(gpi.SCORE_TOL, ds.n1 * ds.n0 * 1e-13)
+        assert self.exact_norm(ds, got.theta[:-1]) <= tol
+        assert np.max(np.abs(got.theta - want.theta)) <= 1e-9
+
     @pytest.mark.parametrize("link", ["probit", "logit"])
     def test_a_miss_costs_one_pass(self, link, monkeypatch):
         # the pass judges the first interpolated iterate, which misses; the
