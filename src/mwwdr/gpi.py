@@ -206,20 +206,21 @@ def _lagrange(x):
     return np.concatenate(nodes), L
 
 
-def _newton_terms(link, A):
+def _newton_terms(link, A, tail=True):
     """(c, c g, q - e c g, e c, g) at the predictors A: a pair's score term
     in gamma_block's Newton form is S = c K - c g, and its weight is
-    Q = (q - e c g) + e c K, with c = d / v, q = c d and e as there."""
-    if link == "logit":
-        g, d = link_values(link, A)
-        c, ec = np.ones_like(d), np.zeros_like(d)  # d = v
-    else:
-        # v = t (1 - t) from the tail t = Phi(-|a|), so that it keeps its
-        # digits where g nears 1 and 1 - g does not
+    Q = (q - e c g) + e c K, with c = d / v, q = c d and e as there. With
+    tail, probit's v is t (1 - t) from the tail t = Phi(-|a|), which keeps
+    its digits where g nears 1 and 1 - g does not, as an interpolant needs;
+    else v = g (1 - g), as gamma_block, and so the pass, has it."""
+    if link == "probit" and tail:
         t, d = normal_cdf_pdf(-np.abs(A))
-        g = np.where(A < 0.0, t, 1.0 - t)
-        c = d / (t * (1.0 - t))
-        ec = c * (A + c * (1.0 - 2.0 * g))
+        g, v = np.where(A < 0.0, t, 1.0 - t), t * (1.0 - t)
+    else:
+        g, d = link_values(link, A)
+        v = (1.0 - g) * g  # under logit d, so c = 1
+    c = d / v
+    ec = c * (A + c * (1.0 - 2.0 * g)) if link == "probit" else np.zeros_like(c)
     return c, c * g, c * d - ec * g, ec, g
 
 
@@ -269,7 +270,7 @@ def interpolated_gamma_block(sort, a1, a0, w1, w0, link):
         for j in (near[s:s + step] for s in range(0, len(near), step)):
             K = outcome_kernel(sort.y1[j], sort.y0, sort.ties) if rows else \
                 outcome_kernel(sort.y1, sort.y0[j], sort.ties).T
-            c, cg, qa, ec, _ = _newton_terms(link, a[j, None] + b)
+            c, cg, qa, ec, _ = _newton_terms(link, a[j, None] + b, tail=False)
             S[j], Q[j] = (c * K - cg).sum(axis=1), (qa + ec * K).sum(axis=1)
             Qw[j] = (qa + ec * K) @ w
         parts.append((S, Q, Qw))
