@@ -149,19 +149,6 @@ class OutcomeSort:
         return 0.5 * (above[positions[0]] + above[positions[1]])
 
 
-def kernel_sums(y1, y0, ties, weights0=None):
-    """outcome_kernel(y1, y0, ties) @ weights0 (OutcomeSort.sums)."""
-    return OutcomeSort(y1, y0, ties).sums(weights0)
-
-
-def indicator_sums(y1, y0, ties, w1, w0, sort=None):
-    """The kernel sums a constant outcome model's block reads
-    (gpi.flat_gamma_block): K's row sums, its column sums and w1' K w0,
-    from sort, the OutcomeSort of y1 and y0 (a new one when None)."""
-    sort = sort or OutcomeSort(y1, y0, ties)
-    return sort.sums(), sort.sums(rows=False), w1.T @ sort.sums(w0)
-
-
 # The most subjects in one block of the pair tiles, at every n. A
 # 256 x 256 float64 array is 0.5 MB, and one tile of the three-family pass
 # holds about nine at once (traced peak 4.5 MB, of which 2.7 MB are the

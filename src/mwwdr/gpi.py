@@ -7,13 +7,12 @@ Bernoulli working variance g(1 - g). Its Newton, ugee._fit_gamma_pairwise,
 sets the pair workspace's predictors at every step and steps on the
 observed information, minus the exact Jacobian of that score, so it
 converges quadratically under either link; the sandwich's bread keeps the
-expected information. gamma_block gives both, summed over pairs; the
-Newton's evaluations map over no tile. At zero slopes every pair has one
-predictor, and flat_gamma_block gives the Newton's form from kernel sums
-exactly: the fit's first evaluation, and every one of a constant model.
-At other slopes interpolated_gamma_block interpolates the pair functions
-in one arm's predictor at NODES Chebyshev points, and only the pair pass,
-which sums gamma_block's other form, judges a root.
+expected information. gamma_block gives both, summed over pairs. Every
+Newton evaluation is gamma_newton_block, which maps over no tile: exact
+from kernel sums at zero slopes, where every pair has one predictor, and
+elsewhere interpolating the pair functions in one arm's predictor at NODES
+Chebyshev points. Only the pair pass, which sums gamma_block's other form,
+judges a root.
 """
 
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ LINKS = ("probit", "logit")
 SCORE_TOL = 1e-8
 MAX_ITER = 100
 SEPARATION_BOUND = 30.0
-# Chebyshev points per panel of interpolated_gamma_block's predictors, and
+# Chebyshev points per panel of gamma_newton_block's predictors, and
 # the widest panel: its pair functions' complex poles nearest the real axis
 # lie 2.8 off it (probit; pi under logit), so on a panel of half-width 3.5
 # the points interpolate them to within about 1e-15 (Trefethen, Approximation
@@ -110,6 +109,22 @@ def gamma_block(K, G, D, w1, w0, link=None, A=None):
     of K log g + (1 - K) log(1 - g) in a, positive for K in [0, 1] where
     g is not clamped. G and A are overwritten.
     """
+    S, Q = _pair_terms(K, A, G, D, link)
+    rs, cs = S.sum(axis=1), S.sum(axis=0)
+    score, info = _score_info(rs, cs, Q.sum(axis=1), Q.sum(axis=0), Q.sum(),
+                              w1.T @ Q @ w0, w1, w0)
+    if link is not None:
+        return score, info
+    rows1 = np.column_stack([rs, w1 * rs[:, None], S @ w0])
+    rows0 = np.column_stack([cs, S.T @ w1, w0 * cs[:, None]])
+    return score, info, rows1, rows0
+
+
+def _pair_terms(K, A, G, D, link):
+    """gamma_block's pair terms over a block of pairs, (S, Q): the score
+    terms and the weights, the observed information's under probit (read
+    from A) and d^2 / v otherwise, which under logit is the observed one
+    too. G and A are overwritten."""
     V = 1.0 - G
     V *= G  # v
     S = D / V
@@ -125,14 +140,7 @@ def gamma_block(K, G, D, w1, w0, link=None, A=None):
     if link == "probit":
         A *= S
         Q += A
-    rs, cs = S.sum(axis=1), S.sum(axis=0)
-    score, info = _score_info(rs, cs, Q.sum(axis=1), Q.sum(axis=0), Q.sum(),
-                              w1.T @ Q @ w0, w1, w0)
-    if link is not None:
-        return score, info
-    rows1 = np.column_stack([rs, w1 * rs[:, None], S @ w0])
-    rows0 = np.column_stack([cs, S.T @ w1, w0 * cs[:, None]])
-    return score, info, rows1, rows0
+    return S, Q
 
 
 def _score_info(rs, cs, qr, qc, qtotal, cross, w1, w0):
@@ -151,27 +159,6 @@ def _score_info(rs, cs, qr, qc, qtotal, cross, w1, w0):
     info[1:1 + p, 1 + p:] = cross
     info[1 + p:, 1:1 + p] = cross.T
     return score, info
-
-
-def flat_gamma_block(sums, a, g, d, w1, w0, link):
-    """gamma_block's Newton form, (score, info), over a treated x control
-    block whose pairs all have the predictor a, so that g and dg/da take
-    one value, g and d. A pair's score term S = c (K - g), c = d / v, and
-    its weight d^2 / v + e S, with e = a + c (1 - 2g) under probit and 0
-    under logit, are then linear in the indicator K, so every sum comes
-    from sums = (k1, k0, kw): each treated subject's kernel sum over the
-    controls, each control's over the treated, and w1' K w0. No pair is
-    visited."""
-    k1, k0, kw = sums
-    n1, n0 = len(k1), len(k0)
-    v = g * (1.0 - g)
-    c, q = d / v, d * d / v
-    e = a + c * (1.0 - 2.0 * g) if link == "probit" else 0.0
-    rs, cs = c * (k1 - n0 * g), c * (k0 - n1 * g)
-    ss = np.outer(w1.sum(axis=0), w0.sum(axis=0))  # w1' 1 1' w0
-    return _score_info(rs, cs, n0 * q + e * rs, n1 * q + e * cs,
-                       n1 * n0 * q + e * rs.sum(), q * ss + e * c * (kw - g * ss),
-                       w1, w0)
 
 
 def _lagrange(x):
@@ -206,14 +193,13 @@ def _lagrange(x):
     return np.concatenate(nodes), L
 
 
-def _newton_terms(link, A, tail=True):
+def _newton_terms(link, A):
     """(c, c g, q - e c g, e c, g) at the predictors A: a pair's score term
     in gamma_block's Newton form is S = c K - c g, and its weight is
-    Q = (q - e c g) + e c K, with c = d / v, q = c d and e as there. With
-    tail, probit's v is t (1 - t) from the tail t = Phi(-|a|), which keeps
-    its digits where g nears 1 and 1 - g does not, as an interpolant needs;
-    else v = g (1 - g), as gamma_block, and so the pass, has it."""
-    if link == "probit" and tail:
+    Q = (q - e c g) + e c K, with c = d / v, q = c d and e as there.
+    Probit's v is t (1 - t) from the tail t = Phi(-|a|), which keeps its
+    digits where g nears 1 and 1 - g does not, as an interpolant needs."""
+    if link == "probit":
         t, d = normal_cdf_pdf(-np.abs(A))
         g, v = np.where(A < 0.0, t, 1.0 - t), t * (1.0 - t)
     else:
@@ -224,21 +210,41 @@ def _newton_terms(link, A, tail=True):
     return c, c * g, c * d - ec * g, ec, g
 
 
-def interpolated_gamma_block(sort, a1, a0, w1, w0, link):
+def gamma_newton_block(sort, a1, a0, w1, w0, link, flat=None):
     """gamma_block's Newton form, (score, info), over the treated x control
-    block of the predictors a1 + a0, from kernel sums. A treated subject's
-    sums interpolate each pair function h of _newton_terms in the control
-    predictor, h(a1_i + a0_j) ~ sum_k h(a1_i + y_k) ell_k(a0_j) (_lagrange),
-    so they need h at the nodes and the kernel sums of the Lagrange weights
-    (times w0's columns for w1' Q w0) from sort, the block's
-    data.OutcomeSort; a control subject's interpolate in the treated
-    predictor. Each subject's weights sum to 1, so S's terms at the middle
-    node sum to c k - c g n exactly from its kernel sum k, and only the rest
-    is interpolated, which keeps round-off to what varies over the nodes.
-    Where a subject's predictors reach the link's clamp, its terms have a
-    kink that no polynomial follows, and its sums are taken pair by pair,
-    as are those of a block no larger than one pair tile, whose n1 x n0
-    terms cost less than its interpolants' (n1 + n0) R."""
+    block of the predictors a1 + a0, from kernel sums of sort, the block's
+    data.OutcomeSort.
+
+    flat, (g, dg/da) at the block's one predictor, says that every slope
+    is zero. A pair's score term S = c (K - g), c = d / v, and its weight
+    d^2 / v + e S, with e = a + c (1 - 2g) under probit and 0 under logit,
+    are then linear in the indicator K, so every sum is exact from K's row
+    sums, its column sums and w1' K w0, and no pair is visited.
+
+    At other slopes a treated subject's sums interpolate each pair
+    function h of _newton_terms in the control predictor,
+    h(a1_i + a0_j) ~ sum_k h(a1_i + y_k) ell_k(a0_j) (_lagrange), so they
+    need h at the nodes and the kernel sums of the Lagrange weights (times
+    w0's columns for w1' Q w0); a control subject's interpolate in the
+    treated predictor. Each subject's weights sum to 1, so S's terms at the
+    middle node sum to c k - c g n exactly from its kernel sum k, and only
+    the rest is interpolated, which keeps round-off to what varies over the
+    nodes. Where a subject's predictors reach the link's clamp, its terms
+    have a kink that no polynomial follows, and its sums are gamma_block's
+    pair terms summed pair by pair, as are those of a block no larger than
+    one pair tile, whose n1 x n0 terms cost less than its interpolants'
+    (n1 + n0) R."""
+    if flat is not None:
+        (g,), (d,) = flat
+        n1, n0 = len(a1), len(a0)
+        v = g * (1.0 - g)
+        c, q = d / v, d * d / v
+        e = a1[0] + a0[0] + c * (1.0 - 2.0 * g) if link == "probit" else 0.0
+        rs, cs = c * (sort.sums() - n0 * g), c * (sort.sums(rows=False) - n1 * g)
+        ss = np.outer(w1.sum(axis=0), w0.sum(axis=0))  # w1' 1 1' w0
+        return _score_info(rs, cs, n0 * q + e * rs, n1 * q + e * cs,
+                           n1 * n0 * q + e * rs.sum(),
+                           q * ss + e * c * (w1.T @ sort.sums(w0) - g * ss), w1, w0)
     if len(a1) * len(a0) <= PAIR_TILE ** 2:
         A, G, D = pair_link_values(link, a1, a0)
         K = outcome_kernel(sort.y1, sort.y0, sort.ties)
@@ -270,9 +276,8 @@ def interpolated_gamma_block(sort, a1, a0, w1, w0, link):
         for j in (near[s:s + step] for s in range(0, len(near), step)):
             K = outcome_kernel(sort.y1[j], sort.y0, sort.ties) if rows else \
                 outcome_kernel(sort.y1, sort.y0[j], sort.ties).T
-            c, cg, qa, ec, _ = _newton_terms(link, a[j, None] + b, tail=False)
-            S[j], Q[j] = (c * K - cg).sum(axis=1), (qa + ec * K).sum(axis=1)
-            Qw[j] = (qa + ec * K) @ w
+            PS, PQ = _pair_terms(K, *pair_link_values(link, a[j], b), link)
+            S[j], Q[j], Qw[j] = PS.sum(axis=1), PQ.sum(axis=1), PQ @ w
         parts.append((S, Q, Qw))
     (rs, qr, Qw0), (cs, qc, _) = parts
     return _score_info(rs, cs, qr, qc, qr.sum(), w1.T @ Qw0, w1, w0)

@@ -16,7 +16,7 @@ import glob
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 
 # Threads a fit's tiles may run on in this process; None: one per CPU the
@@ -74,20 +74,17 @@ class TilePool:
             for item in items:
                 yield fn(item)
             return
-        results, errors = [None] * len(items), {}
-        done = [threading.Event() for _ in items]
+        futures = [Future() for _ in items]  # one result slot per item
         claims = itertools.count()  # next() on it is atomic
         stop = threading.Event()
 
         def run(k):
+            item, items[k] = items[k], None
             try:
-                results[k] = fn(items[k])
+                futures[k].set_result(fn(item))
             except BaseException as exc:  # re-raised by the caller below
-                errors[k] = exc
+                futures[k].set_exception(exc)
                 stop.set()
-            finally:
-                items[k] = None
-                done[k].set()
 
         def claim():
             return len(items) if stop.is_set() else next(claims)
@@ -97,24 +94,18 @@ class TilePool:
                 run(k)
 
         first = next(claims)
-        futures = [self._executor.submit(drain) for _ in range(self.threads)]
+        workers = [self._executor.submit(drain) for _ in range(self.threads)]
         try:
             run(first)
             for k in range(len(items)):
-                while not done[k].is_set():
-                    j = claim()
-                    if j < len(items):
-                        run(j)
-                    else:
-                        done[k].wait()
-                if k in errors:
-                    raise errors.pop(k)
-                result, results[k] = results[k], None
-                yield result
+                while not futures[k].done() and (j := claim()) < len(items):
+                    run(j)
+                future, futures[k] = futures[k], None
+                yield future.result()
         finally:
             stop.set()
-            for future in futures:
-                future.result()
+            for worker in workers:
+                worker.result()
 
 
 def single_threaded():

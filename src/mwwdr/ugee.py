@@ -19,8 +19,9 @@ fits, and the delta equation is linear given the other blocks. One
 workspace per dataset holds the blocks every family shares. Its pair pass
 streams over the fixed tiles of data.pair_tiles, which PairTile evaluates
 on the threads of a TilePool's ordered map, and adds their sums in tile
-order, so no n x n array is built; the nuisance Newtons read separable
-and kernel sums instead, and the pass judges the outcome Newton's root.
+order, so no n x n array is built. The nuisance Newtons read separable
+and kernel sums instead, and the outcome Newton ends on the pass that
+judged its root, which sums every family's delta row too.
 
 The covariance of the stacked root is the U-statistic sandwich
 4 B^{-1} Sigma B^{-T}, with Sigma estimated from per-subject projections
@@ -37,13 +38,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import gpi
-from .data import (Dataset, OutcomeSort, indicator_sums, outcome_kernel,
-                   pair_tiles, treated_control)
+from .data import (Dataset, OutcomeSort, outcome_kernel, pair_tiles,
+                   treated_control)
 from .errors import (ConvergenceError, DerivativeCheckError, EstimabilityError,
                      MwwdrError, SeparationError, ValidationError)
-from .gpi import (LINKS, GpiModel, flat_gamma_block, gamma_block,
-                  interpolated_gamma_block, link_initial, link_values,
-                  pair_link_values, predictors)
+from .gpi import (LINKS, GpiModel, gamma_block, gamma_newton_block,
+                  link_initial, link_values, pair_link_values, predictors)
 from .newton import newton
 from .parallel import TilePool, malloc_policy
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel,
@@ -218,7 +218,8 @@ class _Workspace:
         that g of the ordered pair (i, j) is link_inv(a1_i + a0_j)."""
         self.a1, self.a0 = predictors(gamma, self.wg, self.wg)
         # at zero slopes (always, in the constant model) every pair has one
-        # predictor: flat holds its g and dg/da, which the tiles fill
+        # predictor: flat holds its g and dg/da, which the tiles fill and
+        # the outcome Newton's evaluation reads
         self.flat = None if np.any(gamma[1:]) else \
             link_values(self.link, self.a1[:1] + self.a0[:1])
 
@@ -509,26 +510,25 @@ def _predicts_final(norms, tol):
 def _fit_gamma_pairwise(ws, judge=None):
     """Newton solve of the outcome block, from the constant model at the
     mean observed indicator, setting the workspace's predictors at every
-    evaluation. None maps over the pair tiles: at zero slopes (the first,
-    and every one of a constant model) it is gpi.flat_gamma_block, exact,
-    elsewhere gpi.interpolated_gamma_block, both from one data.OutcomeSort.
+    evaluation. Every evaluation is gpi.gamma_newton_block, from one
+    data.OutcomeSort, which maps over no tile: exact at zero slopes (the
+    first, and every one of a constant model), interpolated elsewhere.
 
-    Away from zero slopes only the pair pass judges: judge(gamma), the pass
-    at the predictors just set (one with no delta row when None), leaves
-    the block's exact score in ws.gamma_score. The Newton calls it where
-    _predicts_final calls the iterate final, where the interpolated norm is
-    within tolerance, and on its last cycle, and stops only on its norm. On
-    a miss it steps on the pass's score with the interpolated information;
-    if those scores differ by tol / 2, the pass judges every later iterate,
-    as the interpolant cannot find the root."""
+    Only the pair pass judges: judge(), the pass at the predictors just set
+    (one with no delta row when None), leaves the block's exact score in
+    ws.gamma_score. The Newton calls it where _predicts_final calls the
+    iterate final, where the evaluated norm is within tolerance, and on its
+    last cycle, and stops only on its norm, so every fit ends on the pass
+    that judged its root. On a miss it steps on the pass's score with the
+    evaluated information; if those scores differ by tol / 2, the pass
+    judges every later iterate, as the interpolant cannot find the root."""
     n1 = ws.n1
     m = n1 * (ws.n - n1)
     if m == 0:
         raise EstimabilityError("no discordant pairs to fit the outcome model on")
     w1, w0 = ws.wg[:n1], ws.wg[n1:]
     sort = OutcomeSort(ws.y[:n1], ws.y[n1:], ws.ties)
-    sums = indicator_sums(ws.y[:n1], ws.y[n1:], ws.ties, w1, w0, sort)
-    mean_ind = float(sums[0].sum()) / m
+    mean_ind = float(sort.sums().sum()) / m
     if mean_ind in (0.0, 1.0):
         raise SeparationError(
             f"all observed pair indicators equal {int(mean_ind)}; "
@@ -544,13 +544,13 @@ def _fit_gamma_pairwise(ws, judge=None):
                 f"the {arm} arm's covariates, centred, have rank below {p}; "
                 "the outcome model is not identified")
 
-    judge = judge or (lambda gamma: _pair_pass(ws, []))
+    judge = judge or (lambda: _pair_pass(ws, []))
     tol, max_iter = max(gpi.SCORE_TOL, m * 1e-13), gpi.MAX_ITER
     norms, exact = [], False
 
-    def interpolated():
-        return interpolated_gamma_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0,
-                                        ws.link)
+    def block():
+        return gamma_newton_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0, ws.link,
+                                  ws.flat)
 
     def evaluate(gamma):
         nonlocal exact
@@ -558,24 +558,19 @@ def _fit_gamma_pairwise(ws, judge=None):
             raise SeparationError(
                 "outcome-model fit diverged; response may be degenerate")
         ws.set_gamma(gamma)
-        if ws.flat is not None:
-            (g,), (d,) = ws.flat
-            score, info = flat_gamma_block(sums, ws.a1[0] + ws.a0[0], g, d,
-                                           w1, w0, ws.link)
-        else:
-            # every earlier cycle added its norm
-            last = len(norms) == max_iter
-            info, judged = None, exact or last or _predicts_final(norms, tol)
-            if not judged:
-                score, info = interpolated()
-                judged = np.max(np.abs(score)) <= tol
-            if judged:
-                judge(gamma)
-                if last or np.max(np.abs(ws.gamma_score)) <= tol:
-                    return ws.gamma_score, None, float(np.max(np.abs(ws.gamma_score)))
-                score, info = interpolated() if info is None else (score, info)
-                exact = exact or np.max(np.abs(score - ws.gamma_score)) > tol / 2
-                score = ws.gamma_score
+        # every earlier cycle added its norm
+        last = len(norms) == max_iter
+        info, judged = None, exact or last or _predicts_final(norms, tol)
+        if not judged:
+            score, info = block()
+            judged = np.max(np.abs(score)) <= tol
+        if judged:
+            judge()
+            if last or np.max(np.abs(ws.gamma_score)) <= tol:
+                return ws.gamma_score, None, float(np.max(np.abs(ws.gamma_score)))
+            score, info = block() if info is None else (score, info)
+            exact = exact or np.max(np.abs(score - ws.gamma_score)) > tol / 2
+            score = ws.gamma_score
         norms.append(float(np.max(np.abs(score))))
         return score, info, norms[-1]
 
@@ -786,8 +781,9 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES):
     spec sets everything but the family. The families share one workspace:
     the treatment block (maximum-likelihood start, pairwise Newton, and its
     score, Jacobian and projections at the root) and the outcome block are
-    fitted once if any family needs them, and one pass over the pair tiles
-    then sums the outcome block at its root and every family's delta row.
+    fitted once if any family needs them. One pass over the pair tiles sums
+    every family's delta row: the pass that judged the outcome block's
+    root, or, with no outcome block, a pass of its own.
     Each family gets its own residual check, sandwich and
     finite-difference check.
 
@@ -801,24 +797,23 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES):
     dataset.require_both_arms()
     specs = [replace(spec, family=family) for family in families]
     ws = _Workspace(dataset, spec)
-    eta_fit = gamma_fit = rows = passed = None
+    eta_fit = gamma_fit = rows = None
 
-    def pass_at(gamma):
-        """Every family's delta row, and the outcome block at the predictors
-        of gamma once set, from one pass."""
-        nonlocal rows, passed
-        rows, passed = [_DeltaRow(ws, fspec) for fspec in specs], gamma
+    def pass_all():
+        """Every family's delta row, and the outcome block once its
+        predictors are set, from one pass."""
+        nonlocal rows
+        rows = [_DeltaRow(ws, fspec) for fspec in specs]
         _pair_pass(ws, rows)
 
     with ws.pool:
         if any(fspec.has_eta for fspec in specs):
             eta_fit = _fit_eta_pairwise(ws)
         if any(fspec.has_gamma for fspec in specs):
-            gamma_fit = _fit_gamma_pairwise(ws, pass_at)
-        # the root the outcome Newton returns is the very array it handed
-        # to pass_at when the pass judged it
-        if gamma_fit is None or passed is not gamma_fit.gamma:
-            pass_at(None)
+            # the outcome fit ends on the pass that judged its root
+            gamma_fit = _fit_gamma_pairwise(ws, pass_all)
+        else:
+            pass_all()
     for fspec, row in zip(specs, rows):
         yield _solve_family(dataset, fspec, ws, row, eta_fit, gamma_fit)
 

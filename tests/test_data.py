@@ -134,7 +134,8 @@ def outcomes(rng, n, kind):
 
 
 class TestKernelSums:
-    """data.kernel_sums, from one sort, against the dense kernel matrix."""
+    """data.OutcomeSort's kernel sums, from one sort, against the dense
+    kernel matrix."""
 
     @pytest.mark.parametrize("kind", ["continuous", "count"])
     @pytest.mark.parametrize("ties", [False, True])
@@ -144,20 +145,20 @@ class TestKernelSums:
         y1, y0 = outcomes(rng, n1, kind), outcomes(rng, n0, kind)
         K = data.outcome_kernel(y1, y0, ties).astype(float)
         # unweighted sums are multiples of 1/2: exact
-        got = data.kernel_sums(y1, y0, ties)
+        got = data.OutcomeSort(y1, y0, ties).sums()
         assert got.tobytes() == K.sum(axis=1).tobytes()
         weights0 = rng.uniform(1.0, 50.0, n0)
-        got = data.kernel_sums(y1, y0, ties, weights0)
+        got = data.OutcomeSort(y1, y0, ties).sums(weights0)
         want = K @ weights0
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_outcomes_outside_and_on_the_controls(self):
         y0 = np.array([2.0, 1.0, 2.0, 3.0])
         y1 = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        assert data.kernel_sums(y1, y0, False).tolist() == [4, 4, 3, 1, 0]
-        assert data.kernel_sums(y1, y0, True).tolist() == [4, 3.5, 2, 0.5, 0]
+        assert data.OutcomeSort(y1, y0, False).sums().tolist() == [4, 4, 3, 1, 0]
+        assert data.OutcomeSort(y1, y0, True).sums().tolist() == [4, 3.5, 2, 0.5, 0]
         w = np.array([1.0, 10.0, 100.0, 1000.0])
-        assert data.kernel_sums(y1, y0, True, w).tolist() \
+        assert data.OutcomeSort(y1, y0, True).sums(w).tolist() \
             == [1111.0, 1106.0, 1050.5, 500.0, 0.0]
 
     def test_mww_matches_dense_bit_for_bit(self):

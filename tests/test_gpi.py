@@ -4,9 +4,8 @@ import pytest
 from mwwdr import data, gpi, ugee
 from mwwdr.data import Dataset, outcome_kernel
 from mwwdr.errors import EstimabilityError, SeparationError, ValidationError
-from mwwdr.gpi import (LINKS, GpiModel, fit_gpi, flat_gamma_block, gamma_block,
-                       interpolated_gamma_block, link_initial, link_values,
-                       pair_link_values, predictors)
+from mwwdr.gpi import (LINKS, GpiModel, fit_gpi, gamma_block, gamma_newton_block,
+                       link_initial, link_values, pair_link_values, predictors)
 from mwwdr.simstudy import (ScenarioConfig, generate_dataset,
                             synthetic_confounded_trial)
 from mwwdr.ugee import (FrmSpec, PairTile, _Workspace, solve_families,
@@ -356,9 +355,8 @@ class TestFlatBlock:
         ws.set_gamma(gamma)
         n1 = ws.n1
         w1, w0 = ws.wg[:n1], ws.wg[n1:]
-        (g,), (d,) = ws.flat
-        sums = data.indicator_sums(ws.y[:n1], ws.y[n1:], ties, w1, w0)
-        got = flat_gamma_block(sums, ws.a1[0] + ws.a0[0], g, d, w1, w0, link)
+        sort = data.OutcomeSort(ws.y[:n1], ws.y[n1:], ties)
+        got = gamma_newton_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0, link, ws.flat)
         A, G, D = pair_link_values(link, ws.a1[:n1], ws.a0[n1:])
         K = outcome_kernel(ws.y[:n1], ws.y[n1:], ties)
         want = gamma_block(K, G, D, w1, w0, link, A)
@@ -383,7 +381,7 @@ def _blocks(ws, link):
     n1 = ws.n1
     w1, w0, a1, a0 = ws.wg[:n1], ws.wg[n1:], ws.a1[:n1], ws.a0[n1:]
     sort = data.OutcomeSort(ws.y[:n1], ws.y[n1:], ws.ties)
-    got = interpolated_gamma_block(sort, a1, a0, w1, w0, link)
+    got = gamma_newton_block(sort, a1, a0, w1, w0, link)
     A, G, D = pair_link_values(link, a1, a0)
     K = outcome_kernel(ws.y[:n1], ws.y[n1:], ws.ties)
     return got, gamma_block(K, G, D, w1, w0, link, A)

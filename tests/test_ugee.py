@@ -581,10 +581,11 @@ class TestMetamorphic:
 
 
 class TestOutcomeNewton:
-    """The outcome Newton maps over no tile: its evaluations are
-    closed-form at zero slopes and interpolated elsewhere, and only the
-    pair pass judges an iterate, so a fit maps over the pair tiles in its
-    passes alone."""
+    """The outcome Newton maps over no tile: every evaluation is
+    gpi.gamma_newton_block, closed-form at zero slopes and interpolated
+    elsewhere. Only the pair pass judges an iterate, a constant model's
+    one evaluation too, so a fit maps over the pair tiles in its passes
+    alone and ends on the pass that judged its root."""
 
     @staticmethod
     def count_maps(monkeypatch):
@@ -631,6 +632,24 @@ class TestOutcomeNewton:
             no_w = ds if constant.constant_only_gpi else Dataset(ds.z, ds.y)
             list(solve_families(no_w, constant))
             assert calls == {"map": 1, "pass": 1}
+
+    @pytest.mark.parametrize("link", ["probit", "logit"])
+    def test_a_constant_model_is_judged_by_one_pass(self, link, monkeypatch):
+        # the constant model starts at its root, and the pass judges that
+        # start: fit_gpi maps over the tiles in that pass alone, and both
+        # fits report the pass's exact norm, not the closed form's
+        calls = self.count_maps(monkeypatch)
+        ds = synthetic_confounded_trial(n=600, seed=7)
+        m = gpi.fit_gpi(ds, constant_only=True, link=link)
+        assert calls == {"map": 1, "pass": 1}
+        assert m.iterations == 0
+        spec = FrmSpec(link=link, constant_only_gpi=True, fd_check_pairs=0)
+        ws = ugee._Workspace(ds, spec)
+        ws.set_gamma(m.gamma)
+        ugee._pair_pass(ws, [])
+        assert m.score_norm == float(np.max(np.abs(ws.gamma_score)))
+        msi, = solve_families(ds, spec, ("msi",))
+        assert msi.diagnostics["gamma_score_norm"] == m.score_norm
 
     def test_a_poor_interpolant_costs_passes_not_convergence(self, monkeypatch):
         # with 6 nodes the interpolated score misses the exact one by far

@@ -6,10 +6,14 @@ directory of their own under --scratch, and `perfbench/run.py --trace 0`
 runs there, one workload at a time, the two commits taking turns at going
 first. For each workload and each end-to-end metric that BENCHMARK.json
 names, the file holds both commits' SHAs, every run's value, each side's
-median and quartiles, the pairs the head commit won (ties count for
-neither side) and whether a gain is shown: the head wins at least nine
-tenths of the pairs and the medians differ by more than the base's
-interquartile range. It also holds every run's environment record
+median and quartiles, the operations it attempted and those that failed,
+the pairs the head commit won (ties count for neither side) and whether a
+gain is shown: the head wins at least nine tenths of the pairs, the medians
+differ by more than the base's interquartile range, and the head's share of
+failed operations is no larger than the base's. A run that exits non-zero,
+prints no result line or fails the harness's correctness gate is no
+sample: the tool stops with that run's standard error. It also holds every
+run's environment record
 (perfbench/envinfo.py) and, per commit, the set-up samples counted per
 50 ms step: the harness times set-up through a polling wait that sleeps
 up to 50 ms at a time, so those samples fall on steps.
@@ -51,15 +55,23 @@ def export(rev, scratch):
 
 def run_once(tree, workload, seconds, seed):
     """One harness run: its metrics, correctness, set-up samples and
-    environment, read from the run's standard output."""
+    environment, read from the run's standard output. Stops the tool where
+    the run exited non-zero, printed no result line or was not correct."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--trace", "0", "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    if not lines:
-        raise SystemExit(f"{tree}: perfbench/run.py printed nothing:\n{proc.stderr}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode != 0 or not isinstance(result, dict) \
+            or result.get("correct") is not True:
+        verdict = "no result line" if not isinstance(result, dict) \
+            else f"correct: {result.get('correct')}"
+        raise SystemExit(f"{tree}: perfbench/run.py --workload {workload} exited "
+                         f"{proc.returncode}, {verdict}:\n{proc.stderr}")
     setup = next((line.split(":", 1)[1].split() for line in lines
                   if line.startswith("setup_s samples:")), [])
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
@@ -69,15 +81,20 @@ def run_once(tree, workload, seconds, seed):
             "env": env}
 
 
-def side(samples):
+def side(samples, runs):
+    """One commit's samples and quantiles, with the operations its runs
+    attempted and those that failed."""
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive") \
         if len(samples) > 1 else samples * 3
-    return {"samples": samples, "median": median, "q1": q1, "q3": q3}
+    return {"samples": samples, "median": median, "q1": q1, "q3": q3,
+            "attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs)}
 
 
 def summarize(runs, base, head, metrics):
-    """Per metric: both sides' samples and quantiles, the head's wins over
-    the pairs both sides finished, and whether a gain is shown."""
+    """Per metric: both sides' samples, quantiles and operations, the
+    head's wins over the pairs both sides finished, and whether a gain is
+    shown."""
     pairs = {}
     for r in runs:
         pairs.setdefault(r["pair"], {})[r["commit"]] = r
@@ -88,12 +105,16 @@ def summarize(runs, base, head, metrics):
         b = [p[base]["metrics"][name] for p in done]
         h = [p[head]["metrics"][name] for p in done]
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, h))
-        sb, sh = side(b), side(h)
+        sb = side(b, [p[base] for p in done])
+        sh = side(h, [p[head] for p in done])
         gain = (sb["median"] - sh["median"]) * (1 if lower else -1)
+        # the head's failed share above the base's, without dividing by 0
+        fails_more = sh["failed"] * sb["attempted"] > sb["failed"] * sh["attempted"]
         summary[name] = {
             "better": m["better"], "bound": m["bound"], "base": sb, "head": sh,
             "head_wins": wins, "pairs": len(done),
-            "gain_shown": wins >= 0.9 * len(done) and gain > sb["q3"] - sb["q1"]}
+            "gain_shown": wins >= 0.9 * len(done) and gain > sb["q3"] - sb["q1"]
+            and not fails_more}
     steps = {}
     for r in runs:
         counts = steps.setdefault(r["commit"], {})
