@@ -123,8 +123,7 @@ def gamma_block(K, G, D, w1, w0, link=None, A=None):
 def _pair_terms(K, A, G, D, link):
     """gamma_block's pair terms over a block of pairs, (S, Q): the score
     terms and the weights, the observed information's under probit (read
-    from A) and d^2 / v otherwise, which under logit is the observed one
-    too. G and A are overwritten."""
+    from A), else d^2 / v (under logit both). G and A are overwritten."""
     V = 1.0 - G
     V *= G  # v
     S = D / V

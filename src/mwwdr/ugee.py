@@ -19,9 +19,8 @@ fits, and the delta equation is linear given the other blocks. One
 workspace per dataset holds the blocks every family shares. Its pair pass
 streams over the fixed tiles of data.pair_tiles, which PairTile evaluates
 on the threads of a TilePool's ordered map, and adds their sums in tile
-order, so no n x n array is built. The nuisance Newtons read separable
-and kernel sums instead, and the outcome Newton ends on the pass that
-judged its root, which sums every family's delta row too.
+order, so no n x n array is built; the nuisance Newtons read separable
+and kernel sums, and the outcome fit ends on the pass judging its root.
 
 The covariance of the stacked root is the U-statistic sandwich
 4 B^{-1} Sigma B^{-T}, with Sigma estimated from per-subject projections
@@ -218,8 +217,7 @@ class _Workspace:
         that g of the ordered pair (i, j) is link_inv(a1_i + a0_j)."""
         self.a1, self.a0 = predictors(gamma, self.wg, self.wg)
         # at zero slopes (always, in the constant model) every pair has one
-        # predictor: flat holds its g and dg/da, which the tiles fill and
-        # the outcome Newton's evaluation reads
+        # predictor: flat holds its g and dg/da, which the tiles fill
         self.flat = None if np.any(gamma[1:]) else \
             link_values(self.link, self.a1[:1] + self.a0[:1])
 
@@ -781,9 +779,8 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES):
     spec sets everything but the family. The families share one workspace:
     the treatment block (maximum-likelihood start, pairwise Newton, and its
     score, Jacobian and projections at the root) and the outcome block are
-    fitted once if any family needs them. One pass over the pair tiles sums
-    every family's delta row: the pass that judged the outcome block's
-    root, or, with no outcome block, a pass of its own.
+    fitted once if any family needs them. The pass that judged the outcome
+    root, or one of its own without an outcome block, sums every delta row.
     Each family gets its own residual check, sandwich and
     finite-difference check.
 
