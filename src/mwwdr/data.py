@@ -202,39 +202,55 @@ def load_csv(path, schema: CsvSchema, outcome_kind="continuous") -> Dataset:
     except OSError as exc:
         raise IngestionError(f"cannot open {path}: {exc}") from None
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise IngestionError("empty file or missing header row")
         needed = [schema.z_col, schema.y_col, *schema.w_cols]
-        missing = [c for c in needed if c not in reader.fieldnames]
+        missing = [c for c in needed if c not in header]
         if missing:
             raise IngestionError(f"missing column(s): {', '.join(missing)}")
-
-        z, y, w, ids, rejected = [], [], [], [], 0
-        for rownum, rec in enumerate(reader, start=1):
-            vals = [rec.get(c) for c in needed]
-            if any(v is None or v.strip() == "" for v in vals):
+        # rows are numbered as csv.DictReader numbers them: blank lines are
+        # skipped, and a repeated column name maps to its last column
+        column = {name: k for k, name in enumerate(header)}
+        cols = [column[c] for c in needed]
+        rows, rownums, rejected = [], [], 0
+        for rownum, row in enumerate(filter(None, reader), start=1):
+            if all(k < len(row) and row[k].strip() for k in cols):
+                rows.append(row)
+                rownums.append(rownum)
+            else:
                 rejected += 1
-                continue
-            zv = vals[0].strip()
-            if zv not in ("0", "1"):
-                raise IngestionError(
-                    f"treatment column {schema.z_col!r} must be 0/1, got {zv!r}",
-                    row=rownum)
-            try:
-                yv = float(vals[1])
-                wv = [float(v) for v in vals[2:]]
-            except ValueError as exc:
-                raise IngestionError(f"non-numeric value: {exc}", row=rownum) from None
-            z.append(int(zv))
-            y.append(yv)
-            w.append(wv)
-            ids.append(rec.get("id", str(rownum)))
 
-    if len(z) < 2:
-        raise IngestionError(f"need at least 2 usable rows, found {len(z)}")
-    ds = Dataset(np.array(z), np.array(y),
-                 np.array(w) if schema.w_cols else None,
+    z = [row[cols[0]].strip() for row in rows]
+    try:
+        values = [np.array([row[k] for row in rows], dtype=float) for k in cols[1:]]
+    except ValueError:
+        values = None
+    if values is None or not set(z) <= {"0", "1"}:
+        _raise_first_bad_row(rows, rownums, schema.z_col, cols)
+    if len(rows) < 2:
+        raise IngestionError(f"need at least 2 usable rows, found {len(rows)}")
+    k = column.get("id")
+    ids = ([row[k] if k < len(row) else None for row in rows] if k is not None
+           else [str(rownum) for rownum in rownums])
+    ds = Dataset(np.array(z) == "1", values[0],
+                 np.column_stack(values[1:]) if schema.w_cols else None,
                  ids=ids, outcome_kind=outcome_kind)
     ds.n_rejected_rows = rejected
     return ds
+
+
+def _raise_first_bad_row(rows, rownums, z_col, cols):
+    """Raise the IngestionError of the first row whose treatment is not 0/1
+    or whose outcome or a covariate is not a number, in that order."""
+    for rownum, row in zip(rownums, rows):
+        zv = row[cols[0]].strip()
+        if zv not in ("0", "1"):
+            raise IngestionError(
+                f"treatment column {z_col!r} must be 0/1, got {zv!r}", row=rownum)
+        try:
+            for k in cols[1:]:
+                float(row[k])
+        except ValueError as exc:
+            raise IngestionError(f"non-numeric value: {exc}", row=rownum) from None

@@ -32,6 +32,7 @@ from .ugee import FrmSpec, solve_families, wald, wald_test
 ESTIMATOR_NAMES = ("mww", "ipw", "msi", "dr")
 _ORACLE_STREAM = 1 << 48
 _ORACLE_CHUNK = 1_000_000  # pairs per draw of the true-delta oracle
+_ORACLE_BLOCK = 1 << 16  # normals per noise draw inside a chunk (0.5 MB)
 _MAX_REGEN_ATTEMPTS = 1000
 
 
@@ -162,7 +163,17 @@ def true_gamma(config):
 def true_delta(config, n_pairs=10_000_000):
     """Monte Carlo oracle for P(treated potential <= control potential)
     across independent subjects. Exact 1/2 when beta1 = 0 (the two potential
-    outcomes are exchangeable across subjects)."""
+    outcomes are exchangeable across subjects).
+
+    The draws are fixed: chunks of _ORACLE_CHUNK pairs (the last one
+    ragged), and within a chunk of m pairs m normals for w_i, m for w_j,
+    then m for each noise row u1, ..., u4 of
+        y1 = b1 + b2 w_i + (u1^2 - 1) sb + (u2^2 - 1) se
+        y0 =      b2 w_j + (u3^2 - 1) sb + (u4^2 - 1) se,
+    summed left to right. It holds the chunk's two outcome rows and one
+    block of _ORACLE_BLOCK normals: each noise row is drawn into the block
+    one block at a time and added into its outcome row in place, and the
+    hits are counted block by block. The block size changes no value."""
     if config.beta[1] == 0.0:
         return 0.5
     gen = RngStream(config.seed, _ORACLE_STREAM).generator()
@@ -170,14 +181,13 @@ def true_delta(config, n_pairs=10_000_000):
     sw = math.sqrt(config.sigma2_w)
     sb = math.sqrt(config.sigma2_b / 2.0)
     se = math.sqrt(config.sigma2 / 2.0)
-    buffers = np.empty((3, min(_ORACLE_CHUNK, n_pairs)))
+    rows = np.empty((2, min(_ORACLE_CHUNK, n_pairs)))
+    block = np.empty(min(_ORACLE_BLOCK, n_pairs))
     hits, total = 0, 0
     while total < n_pairs:
         m = min(_ORACLE_CHUNK, n_pairs - total)
-        # y1 = b1 + b2 wi + (u1^2 - 1) sb + (u2^2 - 1) se and y0 = b2 wj +
-        # (u3^2 - 1) sb + (u4^2 - 1) se, drawn wi, wj, u1, ..., u4 and summed
-        # left to right, in three buffers reused by every chunk
-        y1, y0, u = buffers[:, :m]
+        starts = range(0, m, _ORACLE_BLOCK)
+        y1, y0 = rows[:, :m]
         for w in (y1, y0):
             gen.standard_normal(out=w)
             w *= sw
@@ -187,12 +197,17 @@ def true_delta(config, n_pairs=10_000_000):
         y0 *= b2
         for y in (y1, y0):
             for scale in (sb, se):
-                gen.standard_normal(out=u)
-                np.square(u, out=u)
-                u -= 1.0
-                u *= scale
-                y += u
-        hits += int(np.count_nonzero(y1 <= y0))
+                for start in starts:
+                    part = y[start:start + _ORACLE_BLOCK]
+                    u = block[:part.size]
+                    gen.standard_normal(out=u)
+                    np.square(u, out=u)
+                    u -= 1.0
+                    u *= scale
+                    part += u
+        for start in starts:
+            stop = start + _ORACLE_BLOCK
+            hits += int(np.count_nonzero(y1[start:stop] <= y0[start:stop]))
         total += m
     return hits / total
 

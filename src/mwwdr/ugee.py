@@ -869,9 +869,11 @@ def _solve_family(dataset, spec, ws, row, eta_fit, gamma_fit):
 def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0):
     """Compare the bread's delta row with central finite differences.
 
-    The n_pairs random pairs pick the subjects they touch; on the
-    sub-dataset of those subjects, _bread's delta row is compared, in each
-    coordinate of theta, with the central difference of the normalized
+    The n_pairs random pairs are drawn as positions in one content order
+    of the subjects (by z, then y, then the columns of w), so a permutation
+    of the subjects checks the same pairs. On the sub-dataset of the
+    subjects they touch, in that order, _bread's delta row is compared, in
+    each coordinate of theta, with the central difference of the normalized
     delta residual sum_ij w_ij (f3_ij - delta) over its pairs. The
     sub-dataset is one tile of the pair engine: f3 is that tile's response
     at the moved theta, and the pair weights w are held at theta; with w
@@ -885,7 +887,8 @@ def check_residual_derivatives(dataset, theta, spec, n_pairs=100, seed=0):
         picked.update((i, int(rng.integers(i + 1, dataset.n))))
     if not picked:
         return 0.0
-    idx = sorted(picked)
+    order = np.lexsort((*dataset.w.T[::-1], dataset.y, dataset.z))
+    idx = order[sorted(picked)]
     sub = Dataset(dataset.z[idx], dataset.y[idx], dataset.w[idx],
                   outcome_kind=dataset.outcome_kind)
     ws, row, layout, _ = _at(sub, spec, theta)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from mwwdr.data import CsvSchema, Dataset, load_csv
 from mwwdr.errors import EstimabilityError, IngestionError, ValidationError
 from mwwdr.estimators import mww_estimate
 from mwwdr.simstudy import synthetic_confounded_trial, write_dataset_csv
+
+from csv_rows import row_loop_load_csv
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -55,6 +59,66 @@ class TestLoadCsv:
         assert back.n == 333 and back.p == 4
         assert np.allclose(back.y, ds.y)
         assert np.array_equal(back.z, ds.z)
+
+
+def _outcome(load, path, schema):
+    try:
+        ds = load(path, schema)
+    except IngestionError as exc:
+        return "error", str(exc), exc.row
+    return ("dataset", ds.z.tobytes(), ds.y.tobytes(), ds.w.tobytes(), ds.w.shape,
+            ds.w.flags.c_contiguous, ds.ids, ds.n_rejected_rows)
+
+
+class TestBulkIngestion:
+    """load_csv converts whole columns; the row-by-row loader it replaced
+    (tests/csv_rows.py) gives the same dataset bytes or the same error."""
+
+    # a blank line, an empty required value, padded numbers, a short row,
+    # an extra field and a second "w" column, the one that is read
+    MESSY = ("id,z,y,w,note,w\n"
+             "a, 1 , 1.5 ,9,x,0.25\n"
+             "\n"
+             "b,0,,9,x,1\n"
+             "c,0,\t2e-3,9,x, -1_0.5 \n"
+             "\n\n"
+             "d,1,3,9\n"
+             "e,1,4,9,x,7,extra,fields\n"
+             "f,0,nan_is_not_here,9,x,\n"
+             "g,0,-0,9,x,1e-400\n")
+
+    @pytest.mark.parametrize("text, w_cols", [
+        (MESSY, ("w",)),
+        (MESSY, ()),
+        ("z,y\n1,1\n\n0,2\n", ()),
+        ("y,z,u\n3,1,1\n2,0,\n1,0,2\n4,1,3\n", ("u",)),
+        ("z,y,w\n1,1,1\n0,zz,1\n3,1,1\n", ("w",)),       # bad y before bad z
+        ("z,y,w\n1,1,1\n7,1,1\n0,zz,1\n", ("w",)),       # bad z before bad y
+        ("z,y,w\n1,1,1\n\n0,2, 1,5\n", ("w",)),          # bad w after a blank line
+        ("z,y,w\n1,1,1\n0,2,0x10\n", ("w",)),
+        ("z,y\n2,1\n", ()),                                # an error before the row count
+        ("z,y\n1,1\n", ()),
+        ("z,y\n", ()),
+        ("\nz,y\n1,1\n0,2\n", ()),
+        ("", ()),
+    ])
+    def test_matches_the_row_loop(self, tmp_path, text, w_cols):
+        path = write(tmp_path, text)
+        schema = CsvSchema("z", "y", w_cols)
+        assert _outcome(load_csv, path, schema) == _outcome(row_loop_load_csv, path, schema)
+
+    def test_messy_rows_read_as_dictreader_reads_them(self, tmp_path):
+        ds = load_csv(write(tmp_path, self.MESSY), CsvSchema("z", "y", ("w",)))
+        assert ds.ids == ("a", "c", "e", "g")
+        assert ds.n_rejected_rows == 3
+        assert list(ds.z) == [1, 0, 1, 0]
+        assert list(ds.y) == [1.5, 2e-3, 4.0, 0.0]
+        assert list(ds.w[:, 0]) == [0.25, -10.5, 7.0, 0.0]
+
+    def test_fixture_matches_the_row_loop(self):
+        path = Path(__file__).parent / "fixtures" / "confounded_rct.csv"
+        schema = CsvSchema("z", "y", ("age", "bmi", "chol", "health"))
+        assert _outcome(load_csv, path, schema) == _outcome(row_loop_load_csv, path, schema)
 
 
 class TestDataset:

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,6 +109,37 @@ class TestTrueValues:
         # the default 10^7 pairs at two seeds
         assert true_delta(sim.preset_power(50, 200, 7)) == 0.2758941
         assert true_delta(sim.preset_power(50, 200, 11)) == 0.2758956
+
+    @pytest.mark.parametrize("config, n_pairs, pinned", [
+        # less than one block
+        (sim.preset_power(50, 200, 7), 40_000, "0x1.1a8c154c985f0p-2"),
+        # three whole chunks
+        (sim.preset_power(50, 200, 7), 3_000_000, "0x1.1aa8eb463497bp-2"),
+        # a ragged last chunk and a ragged last block
+        (ScenarioConfig(beta=(0.3, -0.7, 2.0), sigma2=2.0, seed=3, n=50, reps=2),
+         2_345_678, "0x1.3b228c1ab0ff0p-1"),
+    ])
+    def test_true_delta_bits_pinned(self, config, n_pairs, pinned):
+        assert true_delta(config, n_pairs=n_pairs).hex() == pinned
+
+    @pytest.mark.parametrize("block", [1000, 1 << 14, 1 << 20])
+    def test_true_delta_does_not_depend_on_the_block(self, monkeypatch, block):
+        cfg = ScenarioConfig(beta=(0.3, -0.7, 2.0), sigma2=2.0, seed=3)
+        monkeypatch.setattr(sim, "_ORACLE_CHUNK", 50_000)
+        expected = true_delta(cfg, n_pairs=123_457)
+        monkeypatch.setattr(sim, "_ORACLE_BLOCK", block)
+        assert true_delta(cfg, n_pairs=123_457) == expected
+
+    def test_true_delta_holds_two_chunk_rows_and_one_block(self):
+        # two rows of _ORACLE_CHUNK doubles (16 MB) and a block of normals
+        # (0.5 MB); three rows and a boolean row traced 25.0 MB
+        tracemalloc.start()
+        try:
+            true_delta(sim.preset_power(50, 200, 7), n_pairs=3_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 17e6
 
     def test_true_delta_against_independent_mc(self):
         # fresh numpy-based pair simulation, different generator family

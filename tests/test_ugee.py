@@ -453,6 +453,18 @@ class TestSandwich:
                                                n_pairs=100, seed=1)
             assert worst <= 1e-5
 
+    @pytest.mark.parametrize("family", ["ipw", "msi", "dr"])
+    def test_fd_check_draws_its_pairs_by_content(self, family):
+        # a permutation of the subjects checks the same pairs, in the same
+        # order, so at one theta it returns the same bits
+        ds = small_sim_dataset(80, seed=14)
+        spec = FrmSpec(family=family)
+        theta = solve_ugee(ds, FrmSpec(family=family, fd_check_pairs=0)).theta
+        perm = np.random.default_rng(5).permutation(ds.n)
+        permuted = Dataset(ds.z[perm], ds.y[perm], ds.w[perm])
+        assert (check_residual_derivatives(permuted, theta, spec, n_pairs=8)
+                == check_residual_derivatives(ds, theta, spec, n_pairs=8))
+
     @pytest.mark.parametrize("block", ["eta", "gamma"])
     def test_fd_check_reads_the_bread(self, block, monkeypatch):
         # the per-fit check differentiates the delta row the sandwich is

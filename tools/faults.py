@@ -7,12 +7,21 @@ prints each fit's wall time, minor page faults and system time, then their
 medians over the fits after the first (the first pays for imports, code
 warm-up and fresh heap pages).
 
+With --simulate it runs cli.main simulate --preset P --n N --reps R
+--seed S --threads 2 K times instead (defaults table5, 50 and 200), and
+prints each call's wall time and, after it, the peak resident set of this
+process and of its largest waited-for child (ru_maxrss of RUSAGE_SELF and
+RUSAGE_CHILDREN, in MB of 10^6 bytes), which shows whether the caller or
+a pool worker sets a study's peak.
+
     PYTHONPATH=src python tools/faults.py --n 1000 --fits 5
     PYTHONPATH=src python tools/faults.py --n 2000 --cli
+    PYTHONPATH=src python tools/faults.py --simulate --fits 2
 
 Faults and system time come from resource.getrusage and cover every
-thread of the process. The --cli input and report go to a temporary
-directory, which is removed; nothing else is written.
+thread of the process. The --cli input and report and the --simulate
+reports go to a temporary directory, which is removed; nothing else is
+written.
 """
 
 import argparse
@@ -59,21 +68,62 @@ def measure(n, seed, fits, use_cli):
     return rows
 
 
+def _peak_mb(who):
+    return resource.getrusage(who).ru_maxrss * 1024 / 1e6
+
+
+def measure_simulate(preset, n, reps, seed, calls):
+    """[(wall s, peak MB of this process, peak MB of its children)] after
+    each of calls simulate calls."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "study.json")
+        rows = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            code = cli.main(["simulate", "--preset", preset, "--n", str(n),
+                             "--reps", str(reps), "--seed", str(seed),
+                             "--threads", "2", "--output", out])
+            wall = time.perf_counter() - start
+            if code != 0:
+                raise SystemExit(f"simulate exited {code}")
+            rows.append((wall, _peak_mb(resource.RUSAGE_SELF),
+                         _peak_mb(resource.RUSAGE_CHILDREN)))
+    return rows
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=1000)
+    parser.add_argument("--n", type=int, default=None,
+                        help="sample size (default 1000, or 50 with --simulate)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--fits", type=int, default=5)
+    parser.add_argument("--fits", type=int, default=5,
+                        help="fits, or simulate calls with --simulate")
     parser.add_argument("--cli", action="store_true",
                         help="fit through cli.main estimate --estimator all")
+    parser.add_argument("--simulate", action="store_true",
+                        help="time cli.main simulate calls and their peak memory")
+    parser.add_argument("--preset", default="table5", choices=sorted(cli.PRESETS),
+                        help="simulate preset (with --simulate)")
+    parser.add_argument("--reps", type=int, default=200,
+                        help="replications per scenario (with --simulate)")
     opts = parser.parse_args()
+    if opts.simulate:
+        if opts.cli:
+            parser.error("--cli and --simulate exclude each other")
+        n = 50 if opts.n is None else opts.n
+        rows = measure_simulate(opts.preset, n, opts.reps, opts.seed, opts.fits)
+        for k, (wall, own, children) in enumerate(rows, 1):
+            print(f"call {k}: wall {wall:.3f} s, peak RSS self {own:.2f} MB, "
+                  f"children {children:.2f} MB")
+        raise SystemExit(0)
     if opts.fits < 2:
         parser.error("--fits must be at least 2")
-    rows = measure(opts.n, opts.seed, opts.fits, opts.cli)
+    n = 1000 if opts.n is None else opts.n
+    rows = measure(n, opts.seed, opts.fits, opts.cli)
     for k, (wall, faults, system) in enumerate(rows, 1):
         print(f"fit {k}: wall {wall:.3f} s, minor faults {faults}, "
               f"system {system:.3f} s")
     wall, faults, system = (statistics.median(col) for col in zip(*rows[1:]))
-    print(f"n={opts.n} seed={opts.seed} via={'cli' if opts.cli else 'solve_families'} "
+    print(f"n={n} seed={opts.seed} via={'cli' if opts.cli else 'solve_families'} "
           f"fits 2-{opts.fits} median: wall {wall:.3f} s, minor faults "
           f"{faults:g}, system {system:.3f} s")
