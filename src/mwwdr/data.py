@@ -1,6 +1,7 @@
 """Observed-data containers, pair tiling, and CSV ingestion."""
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -9,6 +10,9 @@ import numpy as np
 from .errors import EstimabilityError, IngestionError, ValidationError
 
 OUTCOME_KINDS = ("continuous", "count")
+# rows converted at a time: one chunk's strings are held, not the file's,
+# since the heap that they grow is not given back to the system
+_CSV_CHUNK = 256
 
 
 class Dataset:
@@ -214,43 +218,47 @@ def load_csv(path, schema: CsvSchema, outcome_kind="continuous") -> Dataset:
         # skipped, and a repeated column name maps to its last column
         column = {name: k for k, name in enumerate(header)}
         cols = [column[c] for c in needed]
-        rows, rownums, rejected = [], [], 0
-        for rownum, row in enumerate(filter(None, reader), start=1):
-            if all(k < len(row) and row[k].strip() for k in cols):
-                rows.append(row)
-                rownums.append(rownum)
-            else:
-                rejected += 1
+        id_col = column.get("id")
+        numbered = enumerate(filter(None, reader), start=1)
+        parts, ids, rejected = [], [], 0
+        while chunk := list(itertools.islice(numbered, _CSV_CHUNK)):
+            kept = [(rownum, row) for rownum, row in chunk
+                    if all(k < len(row) and row[k].strip() for k in cols)]
+            rejected += len(chunk) - len(kept)
+            parts.append(_columns(kept, cols, schema.z_col))
+            ids += ([str(rownum) for rownum, _ in kept] if id_col is None else
+                    [row[id_col] if id_col < len(row) else None for _, row in kept])
 
-    z = [row[cols[0]].strip() for row in rows]
-    try:
-        values = [np.array([row[k] for row in rows], dtype=float) for k in cols[1:]]
-    except ValueError:
-        values = None
-    if values is None or not set(z) <= {"0", "1"}:
-        _raise_first_bad_row(rows, rownums, schema.z_col, cols)
-    if len(rows) < 2:
-        raise IngestionError(f"need at least 2 usable rows, found {len(rows)}")
-    k = column.get("id")
-    ids = ([row[k] if k < len(row) else None for row in rows] if k is not None
-           else [str(rownum) for rownum in rownums])
-    ds = Dataset(np.array(z) == "1", values[0],
-                 np.column_stack(values[1:]) if schema.w_cols else None,
+    if len(ids) < 2:
+        raise IngestionError(f"need at least 2 usable rows, found {len(ids)}")
+    z, y, *w = (np.concatenate(col) for col in zip(*parts))
+    ds = Dataset(z, y, np.column_stack(w) if w else None,
                  ids=ids, outcome_kind=outcome_kind)
     ds.n_rejected_rows = rejected
     return ds
 
 
-def _raise_first_bad_row(rows, rownums, z_col, cols):
-    """Raise the IngestionError of the first row whose treatment is not 0/1
+def _columns(kept, cols, z_col):
+    """The treatment column (True where 1) and the float columns of the
+    kept (rownum, row) pairs, in the order of cols. Each column is
+    converted at once; only when one fails are the rows checked one by one,
+    to raise the IngestionError of the first row whose treatment is not 0/1
     or whose outcome or a covariate is not a number, in that order."""
-    for rownum, row in zip(rownums, rows):
-        zv = row[cols[0]].strip()
-        if zv not in ("0", "1"):
-            raise IngestionError(
-                f"treatment column {z_col!r} must be 0/1, got {zv!r}", row=rownum)
-        try:
-            for k in cols[1:]:
-                float(row[k])
-        except ValueError as exc:
-            raise IngestionError(f"non-numeric value: {exc}", row=rownum) from None
+    z = [row[cols[0]].strip() for _, row in kept]
+    try:
+        values = [np.array([row[k] for _, row in kept], dtype=float)
+                  for k in cols[1:]]
+    except ValueError:
+        values = None
+    if values is None or not set(z) <= {"0", "1"}:
+        for rownum, row in kept:
+            zv = row[cols[0]].strip()
+            if zv not in ("0", "1"):
+                raise IngestionError(
+                    f"treatment column {z_col!r} must be 0/1, got {zv!r}", row=rownum)
+            try:
+                for k in cols[1:]:
+                    float(row[k])
+            except ValueError as exc:
+                raise IngestionError(f"non-numeric value: {exc}", row=rownum) from None
+    return (np.array(z, dtype=str) == "1", *values)

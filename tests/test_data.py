@@ -71,8 +71,9 @@ def _outcome(load, path, schema):
 
 
 class TestBulkIngestion:
-    """load_csv converts whole columns; the row-by-row loader it replaced
-    (tests/csv_rows.py) gives the same dataset bytes or the same error."""
+    """load_csv converts each column of a chunk of rows at once; the
+    row-by-row loader it replaced (tests/csv_rows.py) gives the same
+    dataset bytes or the same error."""
 
     # a blank line, an empty required value, padded numbers, a short row,
     # an extra field and a second "w" column, the one that is read
@@ -102,7 +103,11 @@ class TestBulkIngestion:
         ("\nz,y\n1,1\n0,2\n", ()),
         ("", ()),
     ])
-    def test_matches_the_row_loop(self, tmp_path, text, w_cols):
+    @pytest.mark.parametrize("chunk", [1, 3, data._CSV_CHUNK])
+    def test_matches_the_row_loop(self, tmp_path, monkeypatch, text, w_cols, chunk):
+        # chunks of 1 and 3 rows put rejected rows, bad rows and blank
+        # lines on either side of a chunk's end
+        monkeypatch.setattr(data, "_CSV_CHUNK", chunk)
         path = write(tmp_path, text)
         schema = CsvSchema("z", "y", w_cols)
         assert _outcome(load_csv, path, schema) == _outcome(row_loop_load_csv, path, schema)
