@@ -3,9 +3,9 @@ pair tiles over a thread pool, with its malloc policy, the pin of OpenBLAS
 to one thread, and the set-up of run_studies' worker processes.
 
 Every sum of a fit's pair pass is a sum over the fixed tiles of
-data.pair_tiles. A TilePool evaluates the tiles on the caller's thread and
-on its own threads, and hands the results back in tile order, so that the
-caller adds them up in the same order for any number of threads, and every
+data.pair_tiles. A TilePool evaluates the tiles on its threads, while the
+caller waits, and hands the results back in tile order, so that the caller
+adds them up in the same order for any number of threads, and every
 reported number is the same bit for bit. Importing this module starts no
 thread and changes no BLAS or malloc setting.
 """
@@ -13,10 +13,8 @@ thread and changes no BLAS or malloc setting.
 import ctypes
 import functools
 import glob
-import itertools
 import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 # Threads a fit's tiles may run on in this process; None: one per CPU the
@@ -35,18 +33,18 @@ def _tile_workers():
 
 
 class TilePool:
-    """The threads of one fit's tile maps: min(_tile_workers(), n_items)
-    in all, the caller's thread and a pool of the others, which exists
-    while the TilePool is entered (a with block) and only then. Outside
-    that block, or with one worker, map evaluates its items one by one on
-    the caller's thread."""
+    """The threads of one fit's tile maps: a pool of min(_tile_workers(),
+    n_items) threads while the TilePool is entered (a with block), and
+    none outside that block or with one worker, where map evaluates its
+    items one by one on the caller's thread."""
 
     def __init__(self, n_items=1):
-        self.threads = min(_tile_workers(), n_items) - 1 if n_items > 1 else 0
+        workers = min(_tile_workers(), n_items) if n_items > 1 else 1
+        self.threads = workers if workers > 1 else 0
         self._executor = None
 
     def __enter__(self):
-        if self.threads > 0:
+        if self.threads:
             self._executor = ThreadPoolExecutor(
                 self.threads, thread_name_prefix="mwwdr-tiles")
         return self
@@ -57,55 +55,19 @@ class TilePool:
             self._executor = None
 
     def map(self, fn, items):
-        """Yield fn(item) for each of items, in order.
+        """An iterator of fn(item) for each of items, in order.
 
-        With the pool's threads, the caller and the threads claim the items
-        in order, the caller item 0, and evaluate them; the caller yields
-        each result once it and every earlier one are done, and holds no
-        result it has yielded. fn must not write to state another item
-        reads. An exception of fn is raised at the first item that raised
-        one, after the results before it, as the loop on one thread would
-        raise it; no item is claimed after it, and map returns once every
-        claimed item is done. The first map of the process applies
-        malloc_policy."""
+        With the pool's threads, they evaluate the items while the caller
+        waits for each result in turn. fn must not write to state another
+        item reads. An exception of fn is raised at the first item that
+        raised one, after the results before it, as the loop on one thread
+        would raise it; the items not yet started are then cancelled, and
+        those already running finish before the with block exits. The
+        first map of the process applies malloc_policy."""
         malloc_policy()
-        items = list(items)
-        if self._executor is None or len(items) < 2:
-            for item in items:
-                yield fn(item)
-            return
-        futures = [Future() for _ in items]  # one result slot per item
-        claims = itertools.count()  # next() on it is atomic
-        stop = threading.Event()
-
-        def run(k):
-            item, items[k] = items[k], None
-            try:
-                futures[k].set_result(fn(item))
-            except BaseException as exc:  # re-raised by the caller below
-                futures[k].set_exception(exc)
-                stop.set()
-
-        def claim():
-            return len(items) if stop.is_set() else next(claims)
-
-        def drain():
-            while (k := claim()) < len(items):
-                run(k)
-
-        first = next(claims)
-        workers = [self._executor.submit(drain) for _ in range(self.threads)]
-        try:
-            run(first)
-            for k in range(len(items)):
-                while not futures[k].done() and (j := claim()) < len(items):
-                    run(j)
-                future, futures[k] = futures[k], None
-                yield future.result()
-        finally:
-            stop.set()
-            for worker in workers:
-                worker.result()
+        if self._executor is None:
+            return (fn(item) for item in items)
+        return self._executor.map(fn, items)
 
 
 def single_threaded():
@@ -118,12 +80,13 @@ def single_threaded():
 
 @functools.cache
 def malloc_policy():
-    """Fix glibc malloc's mmap threshold at 32 MiB (its largest) and its
-    trim threshold at 256 MiB, where the C library has mallopt: once per
-    process, at its first workspace or tile map, never at import. Under
-    the defaults, the dynamic mmap threshold and heap trimming keep handing
-    the 0.17-2 MB tile and Newton arrays fresh pages, which every fit
-    faults in again.
+    """Fix glibc malloc's mmap threshold at 32 MiB (its largest), its trim
+    threshold at 256 MiB and its arenas at one, where the C library has
+    mallopt: once per process, at its first workspace or tile map, never
+    at import. Under the defaults, the dynamic mmap threshold and heap
+    trimming keep handing the 0.17-2 MB tile and Newton arrays fresh pages,
+    which every fit faults in again, and each tile thread grows an arena of
+    its own, which keeps the pages it freed.
     The setting holds for the whole process and the processes it forks."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -132,6 +95,7 @@ def malloc_policy():
     mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD (malloc.h)
     mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 # ---------------------------------------------------------------------------

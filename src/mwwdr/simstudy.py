@@ -10,6 +10,7 @@ The data-generating process: for subject i,
 and the observed outcome is the potential outcome selected by z_i.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -474,9 +475,9 @@ def synthetic_confounded_trial(n=333, seed=2024) -> Dataset:
 def write_dataset_csv(dataset, path, w_names=None):
     """Write a dataset in the canonical CSV layout (id, z, y, covariates)."""
     w_names = list(w_names or [f"w{k}" for k in range(1, dataset.p + 1)])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["id", "z", "y", *w_names]) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")  # quotes only what needs it
+        out.writerow(["id", "z", "y", *w_names])
         for k in range(dataset.n):
-            vals = [dataset.ids[k], str(int(dataset.z[k])), repr(float(dataset.y[k]))]
-            vals += [repr(float(v)) for v in dataset.w[k]]
-            fh.write(",".join(vals) + "\n")
+            out.writerow([dataset.ids[k], int(dataset.z[k]), repr(float(dataset.y[k])),
+                          *(repr(float(v)) for v in dataset.w[k])])

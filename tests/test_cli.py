@@ -207,13 +207,13 @@ class TestEstimate:
     def test_out_of_memory_on_a_tile_thread(self, monkeypatch, capsys, tmp_path):
         # n = 600 has six pair tiles; in the first map that runs on a pool,
         # the third item raises MemoryError on the pool's thread, while the
-        # caller holds the first
+        # caller waits for the first results
         path = tmp_path / "trial.csv"
         write_dataset_csv(synthetic_confounded_trial(n=600, seed=7), path,
                           ("age", "bmi", "chol", "health"))
         monkeypatch.setattr(parallel, "_tile_workers", lambda: 2)
         real_map = parallel.TilePool.map
-        raised, where = threading.Event(), []
+        where = []
 
         def third_tile_exhausted(self, fn, items):
             if not self.threads:  # a map on the caller's thread alone
@@ -221,13 +221,9 @@ class TestEstimate:
             items = list(items)
 
             def tile(item):
-                on_caller = threading.current_thread() is threading.main_thread()
                 if item is items[2]:
-                    where.append(on_caller)
-                    raised.set()
+                    where.append(threading.current_thread() is threading.main_thread())
                     raise MemoryError
-                if on_caller:
-                    raised.wait(timeout=60)
                 return fn(item)
 
             return real_map(self, tile, items)

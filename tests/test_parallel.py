@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -59,7 +60,7 @@ class TestTilePool:
         try:
             def mapped():
                 with parallel.TilePool(len(counts)) as pool:
-                    assert pool.threads == 7
+                    assert pool.threads == 8
                     return list(pool.map(fn, range(len(counts))))
             got = run_in_thread(mapped)
         finally:
@@ -104,6 +105,14 @@ class TestTilePool:
         with parallel.TilePool(1) as single:
             assert single.threads == 0
             assert list(single.map(fn, range(4))) == [0, 1, 2, 3]
+        # a simulate worker's one tile thread: no pool even when entered
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: 1)
+        before = threading.active_count()
+        with parallel.TilePool(8) as one:
+            assert one.threads == 0
+            assert list(one.map(fn, range(8))) == list(range(8))
+            assert threading.active_count() == before
+        assert len(on) == 16
         assert set(on) == {threading.current_thread()}
 
 
@@ -121,6 +130,27 @@ def test_worker_setup_without_mallopt(cdll, monkeypatch):
     try:
         assert list(parallel.TilePool().map(abs, [-1, 2])) == [1, 2]
         assert parallel.malloc_policy.cache_info().misses == 1
+    finally:
+        parallel.malloc_policy.cache_clear()  # the next map applies it
+
+
+def test_malloc_policy_values(monkeypatch):
+    # the first map sets the mmap threshold, the trim threshold and one
+    # arena, and later maps set nothing
+    calls = []
+
+    def recording_c_library(name, *args, **kwargs):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(ctypes, "CDLL", recording_c_library)
+    parallel.malloc_policy.cache_clear()
+    try:
+        for _ in range(2):
+            assert list(parallel.TilePool().map(abs, [-1, 2])) == [1, 2]
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
     finally:
         parallel.malloc_policy.cache_clear()  # the next map applies it
 

@@ -9,6 +9,7 @@ import pytest
 
 import mwwdr.simstudy as sim
 from mwwdr import cli, ugee
+from mwwdr.data import CsvSchema, Dataset, load_csv
 from mwwdr.errors import (ConvergenceError, DerivativeCheckError, MwwdrError,
                           ValidationError)
 from mwwdr.simstudy import (ScenarioConfig, StudySummary, generate_dataset,
@@ -348,3 +349,24 @@ class TestConfoundedFixture:
         y = np.sort(ds.y)
         iqr = np.quantile(y, 0.75) - np.quantile(y, 0.25)
         assert y[-1] > np.quantile(y, 0.75) + 3 * iqr
+
+    def test_csv_round_trip_quotes_ids(self, tmp_path):
+        # a comma, a double quote and a newline in an id stay in their own
+        # field, and shift no value of their row
+        ds = Dataset([1, 0, 1, 0], [0.5, -1.25, 2.0, 3.0], [[0.1], [0.2], [0.3], [0.4]],
+                     ids=["a,1", "b", 'c"q', "d\ne"])
+        path = tmp_path / "d.csv"
+        sim.write_dataset_csv(ds, path)
+        back = load_csv(path, CsvSchema("z", "y", ("w1",)))
+        assert back.ids == ds.ids
+        assert np.array_equal(back.z, ds.z) and np.array_equal(back.y, ds.y)
+        assert np.array_equal(back.w, ds.w)
+
+    def test_plain_csv_rows_are_unquoted(self, tmp_path):
+        ds = sim.synthetic_confounded_trial(n=3, seed=1)
+        path = tmp_path / "d.csv"
+        sim.write_dataset_csv(ds, path)
+        rows = [",".join([ds.ids[k], str(int(ds.z[k])), repr(float(ds.y[k])),
+                          *(repr(float(v)) for v in ds.w[k])]) for k in range(3)]
+        assert path.read_bytes().decode() == "\n".join(
+            ["id,z,y,w1,w2,w3,w4", *rows, ""])

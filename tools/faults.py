@@ -14,6 +14,10 @@ process and of its largest waited-for child (ru_maxrss of RUSAGE_SELF and
 RUSAGE_CHILDREN, in MB of 10^6 bytes), which shows whether the caller or
 a pool worker sets a study's peak.
 
+Each run ends with glibc's malloc_stats(), where the C library has it:
+the system and in-use bytes of every malloc arena of this process, on
+standard error.
+
     PYTHONPATH=src python tools/faults.py --n 1000 --fits 5
     PYTHONPATH=src python tools/faults.py --n 2000 --cli
     PYTHONPATH=src python tools/faults.py --simulate --fits 2
@@ -25,9 +29,11 @@ written.
 """
 
 import argparse
+import ctypes
 import os
 import resource
 import statistics
+import sys
 import tempfile
 import time
 
@@ -91,6 +97,18 @@ def measure_simulate(preset, n, reps, seed, calls):
     return rows
 
 
+def print_malloc_stats():
+    """glibc's per-arena byte counts on standard error, after this
+    process's standard output; nothing without malloc_stats."""
+    try:
+        stats = ctypes.CDLL(None).malloc_stats
+    except (OSError, AttributeError, TypeError):
+        return
+    stats.restype, stats.argtypes = None, []
+    sys.stdout.flush()
+    stats()
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=None,
@@ -115,6 +133,7 @@ if __name__ == "__main__":
         for k, (wall, own, children) in enumerate(rows, 1):
             print(f"call {k}: wall {wall:.3f} s, peak RSS self {own:.2f} MB, "
                   f"children {children:.2f} MB")
+        print_malloc_stats()
         raise SystemExit(0)
     if opts.fits < 2:
         parser.error("--fits must be at least 2")
@@ -127,3 +146,4 @@ if __name__ == "__main__":
     print(f"n={n} seed={opts.seed} via={'cli' if opts.cli else 'solve_families'} "
           f"fits 2-{opts.fits} median: wall {wall:.3f} s, minor faults "
           f"{faults:g}, system {system:.3f} s")
+    print_malloc_stats()
