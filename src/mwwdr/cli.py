@@ -162,7 +162,7 @@ def cmd_simulate(args) -> int:
                                   "file sets its own n and reps")
         if not os.path.exists(args.scenario):
             raise FileNotFoundError(f"scenario file not found: {args.scenario}")
-        with open(args.scenario, encoding="utf-8") as fh:
+        with open(args.scenario, encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:

@@ -195,14 +195,15 @@ class CsvSchema:
 
 
 def load_csv(path, schema: CsvSchema, outcome_kind="continuous") -> Dataset:
-    """Read a header-first UTF-8 CSV into a Dataset.
+    """Read a header-first UTF-8 CSV, with a byte-order mark or without,
+    into a Dataset.
 
     Rows with an empty value in any required column are rejected listwise
     (counted on the returned dataset). Malformed values raise IngestionError
     naming the 1-based data row.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestionError(f"cannot open {path}: {exc}") from None
     with fh:

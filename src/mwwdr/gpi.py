@@ -54,6 +54,23 @@ def pair_link_values(link, x, y):
     return (A, *link_values(link, A))
 
 
+def _one_predictor(x, y):
+    """Whether the pairs x[:, None] + y[None, :] have one predictor: x's
+    values and y's each equal as floats, as at zero slopes."""
+    return np.all(x == x[0]) and np.all(y == y[0])
+
+
+def pair_link(link, x, y):
+    """(G, D), both writable: pair_link_values without the predictors. At
+    one predictor the link is evaluated once and fills the block, which
+    builds no predictor array; Phi and phi agree at +-0, the one way such
+    predictors can differ, so that is the per-element kernel's value."""
+    if _one_predictor(x, y):
+        return tuple(np.full((len(x), len(y)), v[0])
+                     for v in link_values(link, x[:1] + y[:1]))
+    return pair_link_values(link, x, y)[1:]
+
+
 def link_initial(link, mean):
     mean = min(max(mean, 1e-6), 1.0 - 1e-6)
     if link == "probit":
@@ -209,13 +226,14 @@ def _newton_terms(link, A):
     return c, c * g, c * d - ec * g, ec, g
 
 
-def gamma_newton_block(sort, a1, a0, w1, w0, link, flat=None):
+def gamma_newton_block(sort, a1, a0, w1, w0, link):
     """gamma_block's Newton form, (score, info), over the treated x control
     block of the predictors a1 + a0, from kernel sums of sort, the block's
     data.OutcomeSort.
 
-    flat, (g, dg/da) at the block's one predictor, says that every slope
-    is zero. A pair's score term S = c (K - g), c = d / v, and its weight
+    Where a1 and a0 are each constant, the block has one predictor (at
+    zero slopes, the only such case once each arm's covariates have full
+    rank). A pair's score term S = c (K - g), c = d / v, and its weight
     d^2 / v + e S, with e = a + c (1 - 2g) under probit and 0 under logit,
     are then linear in the indicator K, so every sum is exact from K's row
     sums, its column sums and w1' K w0, and no pair is visited.
@@ -233,8 +251,8 @@ def gamma_newton_block(sort, a1, a0, w1, w0, link, flat=None):
     pair terms summed pair by pair, as are those of a block no larger than
     one pair tile, whose n1 x n0 terms cost less than its interpolants'
     (n1 + n0) R."""
-    if flat is not None:
-        (g,), (d,) = flat
+    if _one_predictor(a1, a0):
+        (g,), (d,) = link_values(link, a1[:1] + a0[:1])
         n1, n0 = len(a1), len(a0)
         v = g * (1.0 - g)
         c, q = d / v, d * d / v
@@ -291,7 +309,7 @@ def fit_gpi(dataset, constant_only=False, link="probit"):
     (gamma_block's Newton form). This is the outcome fit of solve_families
     (ugee._fit_gamma_pairwise) on a workspace of its own, which sets the
     predictors at every step, and judges its root by a pair pass with no
-    delta row; its tiles run on the caller's thread.
+    delta row, whose tiles run on the threads of its one tile map.
     """
     from .ugee import FrmSpec, _fit_gamma_pairwise, _Workspace  # ugee imports gpi
     spec = FrmSpec(link=link, constant_only_gpi=constant_only)

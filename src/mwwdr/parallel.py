@@ -1,13 +1,13 @@
 """Threads inside one process: the ordered tile map that spreads a fit's
-pair tiles over a thread pool, with its malloc policy, the pin of OpenBLAS
-to one thread, and the set-up of run_studies' worker processes.
+pair tiles over threads, the malloc policy of the pair workspace, the pin
+of OpenBLAS to one thread, and the set-up of run_studies' worker processes.
 
 Every sum of a fit's pair pass is a sum over the fixed tiles of
-data.pair_tiles. A TilePool evaluates the tiles on its threads, while the
-caller waits, and hands the results back in tile order, so that the caller
-adds them up in the same order for any number of threads, and every
-reported number is the same bit for bit. Importing this module starts no
-thread and changes no BLAS or malloc setting.
+data.pair_tiles. tile_map evaluates the tiles on threads that exist for
+that one map, while the caller waits, and hands the results back in tile
+order, so that the caller adds them up in the same order for any number
+of threads, and every reported number is the same bit for bit. Importing
+this module starts no thread and changes no BLAS or malloc setting.
 """
 
 import ctypes
@@ -32,42 +32,24 @@ def _tile_workers():
     return _WORKERS or usable_cpus()
 
 
-class TilePool:
-    """The threads of one fit's tile maps: a pool of min(_tile_workers(),
-    n_items) threads while the TilePool is entered (a with block), and
-    none outside that block or with one worker, where map evaluates its
-    items one by one on the caller's thread."""
+def tile_map(fn, items):
+    """An iterator of fn(item) for each of the sequence items, in order.
 
-    def __init__(self, n_items=1):
-        workers = min(_tile_workers(), n_items) if n_items > 1 else 1
-        self.threads = workers if workers > 1 else 0
-        self._executor = None
-
-    def __enter__(self):
-        if self.threads:
-            self._executor = ThreadPoolExecutor(
-                self.threads, thread_name_prefix="mwwdr-tiles")
-        return self
-
-    def __exit__(self, *exc):
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def map(self, fn, items):
-        """An iterator of fn(item) for each of items, in order.
-
-        With the pool's threads, they evaluate the items while the caller
-        waits for each result in turn. fn must not write to state another
-        item reads. An exception of fn is raised at the first item that
-        raised one, after the results before it, as the loop on one thread
-        would raise it; the items not yet started are then cancelled, and
-        those already running finish before the with block exits. The
-        first map of the process applies malloc_policy."""
-        malloc_policy()
-        if self._executor is None:
-            return (fn(item) for item in items)
-        return self._executor.map(fn, items)
+    A ThreadPoolExecutor of min(_tile_workers(), len(items)) threads,
+    opened for this one map, evaluates the items while the caller waits
+    for each result in turn; with one worker or one item they are
+    evaluated one by one on the caller's thread, and no thread starts. fn
+    must not write to state another item reads. An exception of fn is
+    raised at the first item that raised one, after the results before
+    it, as the loop on one thread would raise it; the items not yet
+    started are then cancelled, and those already running finish before
+    it propagates. No thread outlives the map."""
+    workers = min(_tile_workers(), len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(workers, thread_name_prefix="mwwdr-tiles") as pool:
+        yield from pool.map(fn, items)
 
 
 def single_threaded():
@@ -82,8 +64,8 @@ def single_threaded():
 def malloc_policy():
     """Fix glibc malloc's mmap threshold at 32 MiB (its largest), its trim
     threshold at 256 MiB and its arenas at one, where the C library has
-    mallopt: once per process, at its first workspace or tile map, never
-    at import. Under the defaults, the dynamic mmap threshold and heap
+    mallopt: once per process, at its first pair workspace, never at
+    import. Under the defaults, the dynamic mmap threshold and heap
     trimming keep handing the 0.17-2 MB tile and Newton arrays fresh pages,
     which every fit faults in again, and each tile thread grows an arena of
     its own, which keeps the pages it freed.

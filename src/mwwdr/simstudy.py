@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field
 from typing import Tuple
 
@@ -341,6 +341,9 @@ def run_studies(configs, threads=1):
         with one_blas_thread():
             results, oracles = map(_worker, jobs), map(true_delta, configs)
             return [_summarize(config, results, oracles) for config in configs]
+    # imported here, not with the module: it imports multiprocessing,
+    # which a process that opens no pool should not pay for
+    from concurrent.futures import ProcessPoolExecutor
     import numpy.random  # noqa: F401 -- once, before the fork, not in each worker
     pool = ProcessPoolExecutor(max_workers=threads, initializer=single_threaded)
     try:

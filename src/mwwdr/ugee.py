@@ -18,7 +18,7 @@ and outcome blocks reproduce the standalone propensity and pairwise-outcome
 fits, and the delta equation is linear given the other blocks. One
 workspace per dataset holds the blocks every family shares. Its pair pass
 streams over the fixed tiles of data.pair_tiles, which PairTile evaluates
-on the threads of a TilePool's ordered map, and adds their sums in tile
+on the threads of one parallel.tile_map, and adds their sums in tile
 order, so no n x n array is built; the nuisance Newtons read separable
 and kernel sums, and the outcome fit ends on the pass judging its root.
 
@@ -42,9 +42,9 @@ from .data import (Dataset, OutcomeSort, outcome_kernel, pair_tiles,
 from .errors import (ConvergenceError, DerivativeCheckError, EstimabilityError,
                      MwwdrError, SeparationError, ValidationError)
 from .gpi import (LINKS, GpiModel, gamma_block, gamma_newton_block,
-                  link_initial, link_values, pair_link_values, predictors)
+                  link_initial, pair_link, predictors)
 from .newton import newton
-from .parallel import TilePool, malloc_policy
+from .parallel import malloc_policy, tile_map
 from .propensity import (DEFAULT_CLIP_EPS, PropensityModel,
                          clipped_propensities, design_matrix, fit_propensity)
 
@@ -182,8 +182,9 @@ class _Workspace:
     model's covariates wg and, once set, the propensities pi (set_eta, by
     each step of _fit_eta_pairwise, also fills clipped and _eta_block's
     value) and the outcome model's predictors (set_gamma, by each step of
-    _fit_gamma_pairwise; _pair_pass then fills its block). The pass maps
-    over tiles (data.pair_tiles), on pool, or the caller's thread."""
+    _fit_gamma_pairwise; _pair_pass then fills its block). It holds data
+    only: the pass maps over its tiles (data.pair_tiles) with
+    parallel.tile_map."""
 
     def __init__(self, dataset, spec):
         t, c = treated_control(dataset)
@@ -199,9 +200,8 @@ class _Workspace:
         # treats it as the model with p = 0
         w = dataset.w[self.order]
         self.wg = w[:, :0] if spec.constant_only_gpi else w
-        self.pi = self.a1 = self.a0 = self.flat = None
+        self.pi = self.a1 = self.a0 = None
         self.tiles = pair_tiles(self.n, self.n1)
-        self.pool = TilePool(len(self.tiles))
         malloc_policy()  # before the Newtons' O(n R) arrays, not at the pass
 
     def set_eta(self, eta):
@@ -214,12 +214,10 @@ class _Workspace:
     def set_gamma(self, gamma):
         """The outcome model's linear predictors at gamma, a1 on a subject's
         treated side (with the intercept) and a0 on its control side, so
-        that g of the ordered pair (i, j) is link_inv(a1_i + a0_j)."""
+        that g of the ordered pair (i, j) is link_inv(a1_i + a0_j). At zero
+        slopes (always, in the constant model) every pair has one
+        predictor, and gpi.pair_link fills each tile's g and dg/da."""
         self.a1, self.a0 = predictors(gamma, self.wg, self.wg)
-        # at zero slopes (always, in the constant model) every pair has one
-        # predictor: flat holds its g and dg/da, which the tiles fill
-        self.flat = None if np.any(gamma[1:]) else \
-            link_values(self.link, self.a1[:1] + self.a0[:1])
 
     def tile(self):
         """All the subjects as one diagonal tile."""
@@ -267,25 +265,17 @@ class PairTile:
         pi = self.ws.pi
         return np.outer(pi[self.rows], 1.0 - pi[self.cols])
 
-    def _link(self, x, y):
-        """g and dg/da of the pairs with predictors x[:, None] + y[None, :],
-        filled from the workspace's flat values when it has them."""
-        ws = self.ws
-        if ws.flat is None:
-            return pair_link_values(ws.link, x, y)[1:]
-        return [np.full(self.shape, v[0]) for v in ws.flat]
-
     @cached_property
     def _forward(self):
         """G and DG; DG, dg/da, is zero on a diagonal tile's diagonal."""
-        G, D = self._link(self.ws.a1[self.I], self.ws.a0[self.J])
+        G, D = pair_link(self.ws.link, self.ws.a1[self.I], self.ws.a0[self.J])
         if self.diag:
             np.fill_diagonal(D, 0.0)
         return G, D
 
     @cached_property
     def _backward(self):
-        return self._link(self.ws.a0[self.I], self.ws.a1[self.J])
+        return pair_link(self.ws.link, self.ws.a0[self.I], self.ws.a1[self.J])
 
     G = property(lambda self: self._forward[0])
     DG = property(lambda self: self._forward[1])
@@ -467,7 +457,7 @@ def _pair_pass(ws, rows):
             block = score, info, [(tile.rows, rows1), (tile.cols, rows0)]
         return block, [row.tile_sums(tile) for row in rows]
 
-    for block, sums in ws.pool.map(tile_sums, ws.tiles):
+    for block, sums in tile_map(tile_sums, ws.tiles):
         if block is not None:
             score, info, proj = block
             ws.gamma_score += score
@@ -547,8 +537,7 @@ def _fit_gamma_pairwise(ws, judge=None):
     norms, exact = [], False
 
     def block():
-        return gamma_newton_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0, ws.link,
-                                  ws.flat)
+        return gamma_newton_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0, ws.link)
 
     def evaluate(gamma):
         nonlocal exact
@@ -741,13 +730,12 @@ def _at(dataset, spec, theta):
     layout = ThetaLayout(dataset.p, spec)
     eta, gamma, delta = layout.unpack(theta)
     ws = _Workspace(dataset, spec)
-    with ws.pool:
-        if layout.eta_dim:
-            ws.set_eta(eta)
-        if layout.gamma_dim:
-            ws.set_gamma(gamma)
-        row = _DeltaRow(ws, spec)
-        _pair_pass(ws, [row])
+    if layout.eta_dim:
+        ws.set_eta(eta)
+    if layout.gamma_dim:
+        ws.set_gamma(gamma)
+    row = _DeltaRow(ws, spec)
+    _pair_pass(ws, [row])
     return ws, row, layout, delta
 
 
@@ -784,12 +772,13 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES):
     Each family gets its own residual check, sandwich and
     finite-difference check.
 
-    The tile work runs on a pool of threads, one per CPU the process may
-    use (capped by the tile count), that is opened here and closed before
-    the first fit is yielded. The tiles' sums are added in one fixed
-    order, so the fits do not depend on the thread count; they depend on
-    OpenBLAS's thread count unless the caller pins it to one thread, as
-    the command line does (parallel.one_blas_thread).
+    Each pass maps its tiles over threads, one per CPU the process may use
+    (capped by the tile count), that exist for that one map
+    (parallel.tile_map), so none is left when the first fit is yielded.
+    The tiles' sums are added in one fixed order, so the fits do not
+    depend on the thread count; they depend on OpenBLAS's thread count
+    unless the caller pins it to one thread, as the command line does
+    (parallel.one_blas_thread).
     """
     dataset.require_both_arms()
     specs = [replace(spec, family=family) for family in families]
@@ -803,14 +792,13 @@ def solve_families(dataset, spec: FrmSpec, families=FAMILIES):
         rows = [_DeltaRow(ws, fspec) for fspec in specs]
         _pair_pass(ws, rows)
 
-    with ws.pool:
-        if any(fspec.has_eta for fspec in specs):
-            eta_fit = _fit_eta_pairwise(ws)
-        if any(fspec.has_gamma for fspec in specs):
-            # the outcome fit ends on the pass that judged its root
-            gamma_fit = _fit_gamma_pairwise(ws, pass_all)
-        else:
-            pass_all()
+    if any(fspec.has_eta for fspec in specs):
+        eta_fit = _fit_eta_pairwise(ws)
+    if any(fspec.has_gamma for fspec in specs):
+        # the outcome fit ends on the pass that judged its root
+        gamma_fit = _fit_gamma_pairwise(ws, pass_all)
+    else:
+        pass_all()
     for fspec, row in zip(specs, rows):
         yield _solve_family(dataset, fspec, ws, row, eta_fit, gamma_fit)
 

@@ -99,6 +99,51 @@ class TestSummarize:
         assert summary["call_s"]["gain_shown"]
 
 
+class TestVerdict:
+    """The no-regression verdict: the bound is a share of the base's
+    median, and a base spread wider than it leaves the metric unresolved
+    unless every head run beats every base run."""
+
+    def verdicts(self, benchpairs, base, head, reps=None):
+        runs = runs_of(base, head)
+        for r in runs if reps else ():
+            r["metrics"]["reps_per_s"] = reps[r["commit"]][r["pair"]]
+        summary, _ = benchpairs.summarize(runs, "base", "head", METRICS)
+        return summary["call_s"]["verdict"], summary["reps_per_s"]["verdict"]
+
+    def test_worse_than_bound(self, benchpairs):
+        # call_s 30 % slower, then reps_per_s 30 % lower, over tight bases
+        assert self.verdicts(benchpairs, [1.0] * 10, [1.3] * 10) \
+            == ("worse than bound", "within bound")
+        reps = {"base": [1.0] * 10, "head": [0.7] * 10}
+        assert self.verdicts(benchpairs, [1.0] * 10, [1.0] * 10, reps) \
+            == ("within bound", "worse than bound")
+
+    def test_within_bound(self, benchpairs):
+        # 20 % slower or a little faster, with quartiles 0.01 apart
+        tight = [1.0, 1.01] * 5
+        assert self.verdicts(benchpairs, tight, [x + 0.2 for x in tight])[0] \
+            == "within bound"
+        assert self.verdicts(benchpairs, tight, [x - 0.01 for x in tight])[0] \
+            == "within bound"
+
+    def test_unresolved_unless_every_run_is_better(self, benchpairs):
+        # the base's quartiles lie 1.0 apart around a median of 1.5, more
+        # than its bound of 0.375: a head 0.01 slower, or faster in every
+        # pair but not in every run, is unresolved; one whose every run
+        # beats every base run is within the bound
+        wide = [1.0, 2.0] * 5
+        for head in ([x + 0.01 for x in wide], [x - 0.05 for x in wide]):
+            assert self.verdicts(benchpairs, wide, head)[0] == "unresolved"
+        assert self.verdicts(benchpairs, wide, [0.9] * 10)[0] == "within bound"
+        reps = {"base": [1.0, 2.0] * 5, "head": [2.5] * 10}
+        assert self.verdicts(benchpairs, [1.0] * 10, [1.0] * 10, reps)[1] \
+            == "within bound"
+        reps["head"] = [2.5] * 9 + [1.5]
+        assert self.verdicts(benchpairs, [1.0] * 10, [1.0] * 10, reps)[1] \
+            == "unresolved"
+
+
 class TestRunOnce:
     RESULT = {"correct": True, "attempted": 4, "failed": 0,
               "metrics": {"call_s": {"value": 0.25}}}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mwwdr
-from mwwdr import parallel
+from mwwdr import parallel, ugee
 from mwwdr.cli import main
 from mwwdr.simstudy import synthetic_confounded_trial, write_dataset_csv
 
@@ -205,19 +205,19 @@ class TestEstimate:
         assert err.startswith("error (estimability):") and "n = 120" in err
 
     def test_out_of_memory_on_a_tile_thread(self, monkeypatch, capsys, tmp_path):
-        # n = 600 has six pair tiles; in the first map that runs on a pool,
-        # the third item raises MemoryError on the pool's thread, while the
-        # caller waits for the first results
+        # n = 600 has six pair tiles; in the first map that runs on
+        # threads, the third item raises MemoryError on a tile thread, while
+        # the caller waits for the first results
         path = tmp_path / "trial.csv"
         write_dataset_csv(synthetic_confounded_trial(n=600, seed=7), path,
                           ("age", "bmi", "chol", "health"))
         monkeypatch.setattr(parallel, "_tile_workers", lambda: 2)
-        real_map = parallel.TilePool.map
+        real_map = ugee.tile_map
         where = []
 
-        def third_tile_exhausted(self, fn, items):
-            if not self.threads:  # a map on the caller's thread alone
-                return real_map(self, fn, items)
+        def third_tile_exhausted(fn, items):
+            if len(items) < 2:  # a map on the caller's thread alone
+                return real_map(fn, items)
             items = list(items)
 
             def tile(item):
@@ -226,9 +226,9 @@ class TestEstimate:
                     raise MemoryError
                 return fn(item)
 
-            return real_map(self, tile, items)
+            return real_map(tile, items)
 
-        monkeypatch.setattr(parallel.TilePool, "map", third_tile_exhausted)
+        monkeypatch.setattr(ugee, "tile_map", third_tile_exhausted)
         before = threading.active_count()
         code = run(["estimate", "--input", path, "--z-col", "z", "--y-col", "y",
                     "--w-cols", "age,bmi,chol,health"])
@@ -271,13 +271,20 @@ class TestSimulate:
         assert run(base + ["--threads", "2", "--output", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_scenario_file(self, capsys):
+    def test_scenario_file(self, capsys, tmp_path):
         code = run(["simulate", "--scenario", FIXTURES / "scenario_small.json",
                     "--seed", "3", "--threads", "1"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"]["config"]["seed"] == 3
         assert payload["scenario"]["n_reps_used"] == 6
+        # the same file saved with a byte-order mark
+        marked = tmp_path / "scenario.json"
+        marked.write_bytes(b"\xef\xbb\xbf"
+                           + (FIXTURES / "scenario_small.json").read_bytes())
+        assert run(["simulate", "--scenario", marked, "--seed", "3",
+                    "--threads", "1"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
 
     def test_invalid_scenario_field_named(self, tmp_path, capsys):
         # each malformed file exits 2 with a message naming what is wrong

@@ -125,6 +125,18 @@ class TestBulkIngestion:
         schema = CsvSchema("z", "y", ("age", "bmi", "chol", "health"))
         assert _outcome(load_csv, path, schema) == _outcome(row_loop_load_csv, path, schema)
 
+    @pytest.mark.parametrize("name, w_cols", [
+        ("confounded_rct.csv", ("age", "bmi", "chol", "health")),
+        ("four_row.csv", ())])
+    def test_byte_order_mark(self, tmp_path, name, w_cols):
+        # a CSV saved with a byte-order mark (Excel's "CSV UTF-8") reads as
+        # the same file without it: its first header is "id" or "z"
+        path = Path(__file__).parent / "fixtures" / name
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        schema = CsvSchema("z", "y", w_cols)
+        assert _outcome(load_csv, marked, schema) == _outcome(load_csv, path, schema)
+
 
 class TestDataset:
     def test_validation(self):

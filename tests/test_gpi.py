@@ -98,11 +98,18 @@ class TestPairLinkValues:
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 4), (256, 256)])
     @pytest.mark.parametrize("link", LINKS)
-    def test_filled_block_is_the_per_element_kernel(self, link, shape):
-        # at zero slopes the workspace evaluates the link once and a tile
+    def test_filled_block_is_the_per_element_kernel(self, link, shape, monkeypatch):
+        # at zero slopes a tile evaluates the link once per orientation and
         # fills its g and dg/da, forward and backward: in the constant
         # model, and in a covariate model, whose predictors g0 + w'0 and
         # w'0 then hold zeros of either sign
+        evaluated, link_values = [], gpi.link_values
+
+        def counted(*args):
+            evaluated.append(args[1].size)
+            return link_values(*args)
+
+        monkeypatch.setattr(gpi, "link_values", counted)
         r, c = shape
         rng = np.random.default_rng(5)
         ds = Dataset(np.repeat([1, 0], shape), rng.normal(size=r + c),
@@ -117,9 +124,10 @@ class TestPairLinkValues:
                 tile = PairTile(ws, I, J, I, J)
                 per_element = (*pair_link_values(link, ws.a1[I], ws.a0[J])[1:],
                                *pair_link_values(link, ws.a0[I], ws.a1[J])[1:])
-                assert ws.flat is not None
-                for got, want in zip((tile.G, tile.DG, tile.Gb, tile.DGb),
-                                     per_element):
+                evaluated.clear()
+                filled = (tile.G, tile.DG, tile.Gb, tile.DGb)
+                assert evaluated == [1, 1]
+                for got, want in zip(filled, per_element):
                     assert got.shape == shape
                     assert got.tobytes() == want.tobytes(), (value, constant)
                     assert got.flags.writeable
@@ -356,13 +364,33 @@ class TestFlatBlock:
         n1 = ws.n1
         w1, w0 = ws.wg[:n1], ws.wg[n1:]
         sort = data.OutcomeSort(ws.y[:n1], ws.y[n1:], ties)
-        got = gamma_newton_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0, link, ws.flat)
+        got = gamma_newton_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0, link)
         A, G, D = pair_link_values(link, ws.a1[:n1], ws.a0[n1:])
         K = outcome_kernel(ws.y[:n1], ws.y[n1:], ties)
         want = gamma_block(K, G, D, w1, w0, link, A)
         for x, y_ in zip(got, want):
             assert x.shape == y_.shape
             assert np.max(np.abs(x - y_)) <= 1e-12 * np.max(np.abs(y_))
+
+    @pytest.mark.parametrize("link", LINKS)
+    def test_the_predictors_choose_the_closed_form(self, link, monkeypatch):
+        # the block takes its closed form from predictors that are each
+        # constant, and visits no pair; at a non-zero slope it does
+        ds = synthetic_confounded_trial(n=60, seed=3)
+        ws = _Workspace(ds, FrmSpec(link=link))
+        n1 = ws.n1
+        w1, w0 = ws.wg[:n1], ws.wg[n1:]
+        sort = data.OutcomeSort(ws.y[:n1], ws.y[n1:], ws.ties)
+        visited = []
+        kernel = gpi.outcome_kernel
+        monkeypatch.setattr(gpi, "outcome_kernel",
+                            lambda *args: visited.append(1) or kernel(*args))
+        for slope, visits in ((0.0, []), (0.01, [1])):
+            gamma = np.zeros(1 + 2 * ws.wg.shape[1])
+            gamma[:2] = 0.2, slope
+            ws.set_gamma(gamma)
+            gamma_newton_block(sort, ws.a1[:n1], ws.a0[n1:], w1, w0, link)
+            assert visited == visits
 
 
 def _newton_iterates(ds, link):

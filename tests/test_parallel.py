@@ -1,4 +1,4 @@
-"""The ordered tile map (parallel.TilePool), its malloc policy and the
+"""The ordered tile map (parallel.tile_map), the malloc policy and the
 OpenBLAS pin."""
 
 import ctypes
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from mwwdr import cli, parallel
+from mwwdr import FrmSpec, cli, data, parallel, solve_families
+from mwwdr.ugee import _Workspace
 from mwwdr.simstudy import synthetic_confounded_trial, write_dataset_csv
 
 try:
@@ -41,32 +42,32 @@ def run_in_thread(target, timeout=60):
     return out["value"]
 
 
-class TestTilePool:
+class TestTileMap:
     def test_results_in_item_order_under_stress(self, monkeypatch):
         # more threads than cores and a short switch interval: every item
         # is evaluated exactly once and the results come back in order
         monkeypatch.setattr(parallel, "_tile_workers", lambda: 8)
         counts = [0] * 300
         lock = threading.Lock()
+        threads = set()
 
         def fn(k):
             with lock:
                 counts[k] += 1
+                threads.add(threading.current_thread())
             return k * k
 
         before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            def mapped():
-                with parallel.TilePool(len(counts)) as pool:
-                    assert pool.threads == 8
-                    return list(pool.map(fn, range(len(counts))))
-            got = run_in_thread(mapped)
+            got = run_in_thread(lambda: list(parallel.tile_map(fn, range(len(counts)))))
         finally:
             sys.setswitchinterval(interval)
         assert got == [k * k for k in range(len(counts))]
         assert counts == [1] * len(counts)
+        assert len(threads) <= 8
+        assert all(t.name.startswith("mwwdr-tiles") for t in threads)
         assert threading.active_count() == before
 
     def test_first_failing_item_raises(self, monkeypatch):
@@ -82,9 +83,8 @@ class TestTilePool:
         got = []
 
         def mapped():
-            with parallel.TilePool(8) as pool:
-                for value in pool.map(fn, range(8)):
-                    got.append(value)
+            for value in parallel.tile_map(fn, range(8)):
+                got.append(value)
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="item 3"):
@@ -92,28 +92,54 @@ class TestTilePool:
         assert got == [0, 1, 2]
         assert threading.active_count() == before
 
-    def test_inline_outside_the_with_block_and_with_one_worker(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_tile_workers", lambda: 2)
+    def test_inline_with_one_worker_or_one_item(self, monkeypatch):
         on = []
 
         def fn(k):
             on.append(threading.current_thread())
             return k
 
-        pool = parallel.TilePool(4)
-        assert list(pool.map(fn, range(4))) == [0, 1, 2, 3]
-        with parallel.TilePool(1) as single:
-            assert single.threads == 0
-            assert list(single.map(fn, range(4))) == [0, 1, 2, 3]
-        # a simulate worker's one tile thread: no pool even when entered
-        monkeypatch.setattr(parallel, "_tile_workers", lambda: 1)
         before = threading.active_count()
-        with parallel.TilePool(8) as one:
-            assert one.threads == 0
-            assert list(one.map(fn, range(8))) == list(range(8))
-            assert threading.active_count() == before
-        assert len(on) == 16
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: 2)
+        assert list(parallel.tile_map(fn, [0])) == [0]
+        # a simulate worker's one tile thread
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: 1)
+        assert list(parallel.tile_map(fn, range(8))) == list(range(8))
+        assert threading.active_count() == before
+        assert len(on) == 9
         assert set(on) == {threading.current_thread()}
+
+
+class TestNoThreadOutlivesAFit:
+    def tile_threads(self):
+        return [t for t in threading.enumerate() if t.name.startswith("mwwdr-tiles")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solve_families(self, workers, monkeypatch):
+        # n = 600: six pair tiles. With two workers each pass runs on
+        # threads that are gone when the fits come back; with one, no
+        # thread starts
+        ds = synthetic_confounded_trial(n=600, seed=7)
+        assert len(data.pair_tiles(ds.n, ds.n1)) == 6
+        monkeypatch.setattr(parallel, "_tile_workers", lambda: workers)
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        before = threading.active_count()
+        fits = list(solve_families(ds, FrmSpec(fd_check_pairs=0)))
+        assert len(fits) == 3
+        assert self.tile_threads() == []
+        assert threading.active_count() == before
+        assert bool(started) == (workers > 1)
+        assert all(name.startswith("mwwdr-tiles") for name in started)
+
+
+SMALL = synthetic_confounded_trial(n=20, seed=1)
 
 
 def _no_c_library(name, *args, **kwargs):
@@ -124,19 +150,19 @@ def _no_c_library(name, *args, **kwargs):
                          ids=["no-mallopt", "no-c-library"])
 def test_worker_setup_without_mallopt(cdll, monkeypatch):
     # where the C library has no mallopt, or cannot be opened, the malloc
-    # policy does nothing, and the tile map that applies it still runs
+    # policy does nothing, and the workspace that applies it is still built
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     parallel.malloc_policy.cache_clear()
     try:
-        assert list(parallel.TilePool().map(abs, [-1, 2])) == [1, 2]
+        assert _Workspace(SMALL, FrmSpec()).n == SMALL.n
         assert parallel.malloc_policy.cache_info().misses == 1
     finally:
-        parallel.malloc_policy.cache_clear()  # the next map applies it
+        parallel.malloc_policy.cache_clear()  # the next workspace applies it
 
 
 def test_malloc_policy_values(monkeypatch):
-    # the first map sets the mmap threshold, the trim threshold and one
-    # arena, and later maps set nothing
+    # the first workspace sets the mmap threshold, the trim threshold and
+    # one arena, and later ones set nothing
     calls = []
 
     def recording_c_library(name, *args, **kwargs):
@@ -149,10 +175,10 @@ def test_malloc_policy_values(monkeypatch):
     parallel.malloc_policy.cache_clear()
     try:
         for _ in range(2):
-            assert list(parallel.TilePool().map(abs, [-1, 2])) == [1, 2]
+            assert _Workspace(SMALL, FrmSpec()).n == SMALL.n
         assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
     finally:
-        parallel.malloc_policy.cache_clear()  # the next map applies it
+        parallel.malloc_policy.cache_clear()  # the next workspace applies it
 
 
 def test_worker_initializer_sets_one_thread(monkeypatch):
@@ -176,6 +202,15 @@ def python_in_subprocess(code, **env):
     return out.stdout.split()
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # only run_studies on two or more workers opens a process pool, so
+    # an estimate process does not pay for importing multiprocessing
+    code = ("import sys\n"
+            "import mwwdr, mwwdr.cli\n"
+            "print('multiprocessing' in sys.modules)\n")
+    assert python_in_subprocess(code) == ["False"]
+
+
 def _has_mallopt():
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
@@ -186,7 +221,7 @@ def _has_mallopt():
 class TestMallocPolicy:
     def test_first_tile_map_applies_it_once(self):
         # importing the package and its command line opens no C library;
-        # the first fit's first tile map does, once for the process
+        # the first fit's workspace does, once for the process
         code = ("import ctypes\n"
                 "opened, real = [], ctypes.CDLL\n"
                 "def recording(name, *args, **kwargs):\n"

@@ -602,7 +602,7 @@ class TestOutcomeNewton:
     @staticmethod
     def count_maps(monkeypatch):
         calls = {"map": 0, "pass": 0}
-        tile_map, pair_pass = parallel.TilePool.map, ugee._pair_pass
+        tile_map, pair_pass = ugee.tile_map, ugee._pair_pass
 
         def counted_map(*args):
             calls["map"] += 1
@@ -612,7 +612,7 @@ class TestOutcomeNewton:
             calls["pass"] += 1
             return pair_pass(*args)
 
-        monkeypatch.setattr(parallel.TilePool, "map", counted_map)
+        monkeypatch.setattr(ugee, "tile_map", counted_map)
         monkeypatch.setattr(ugee, "_pair_pass", counted_pass)
         return calls
 

@@ -10,7 +10,9 @@ median and quartiles, the operations it attempted and those that failed,
 the pairs the head commit won (ties count for neither side) and whether a
 gain is shown: the head wins at least nine tenths of the pairs, the medians
 differ by more than the base's interquartile range, and the head's share of
-failed operations is no larger than the base's. A run that exits non-zero,
+failed operations is no larger than the base's. Each metric also gets a
+no-regression verdict against the bound BENCHMARK.json fixes for it, a
+share of the base's median (see verdict). A run that exits non-zero,
 prints no result line or fails the harness's correctness gate is no
 sample: the tool stops with that run's standard error. It also holds every
 run's environment record
@@ -91,10 +93,27 @@ def side(samples, runs):
             "failed": sum(r["failed"] for r in runs)}
 
 
+def verdict(sb, sh, bound, lower):
+    """The no-regression verdict on one metric from both sides' summaries:
+    "worse than bound" where the head's median is worse than the base's by
+    more than bound times the base's median; else "unresolved" where the
+    base's interquartile range exceeds that share of its median and not
+    every head run beats every base run; else "within bound"."""
+    sign = 1 if lower else -1
+    allowed = bound * abs(sb["median"])
+    if sign * (sh["median"] - sb["median"]) > allowed:
+        return "worse than bound"
+    every_run_better = max(sh["samples"]) < min(sb["samples"]) if lower \
+        else min(sh["samples"]) > max(sb["samples"])
+    if sb["q3"] - sb["q1"] > allowed and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs, base, head, metrics):
     """Per metric: both sides' samples, quantiles and operations, the
-    head's wins over the pairs both sides finished, and whether a gain is
-    shown."""
+    head's wins over the pairs both sides finished, whether a gain is
+    shown, and the no-regression verdict."""
     pairs = {}
     for r in runs:
         pairs.setdefault(r["pair"], {})[r["commit"]] = r
@@ -114,7 +133,8 @@ def summarize(runs, base, head, metrics):
             "better": m["better"], "bound": m["bound"], "base": sb, "head": sh,
             "head_wins": wins, "pairs": len(done),
             "gain_shown": wins >= 0.9 * len(done) and gain > sb["q3"] - sb["q1"]
-            and not fails_more}
+            and not fails_more,
+            "verdict": verdict(sb, sh, m["bound"], lower)}
     steps = {}
     for r in runs:
         counts = steps.setdefault(r["commit"], {})
@@ -157,7 +177,8 @@ def main(argv=None):
             (ROOT / opts.out).write_text(json.dumps(report, indent=1) + "\n")
             print(workload, f"pair {k + 1}/{opts.pairs}",
                   {name: (round(s["base"]["median"], 4), round(s["head"]["median"], 4),
-                          s["head_wins"]) for name, s in summary.items()}, flush=True)
+                          s["head_wins"], s["verdict"]) for name, s in summary.items()},
+                  flush=True)
 
 
 if __name__ == "__main__":
