@@ -111,9 +111,6 @@ class TestTileMap:
 
 
 class TestNoThreadOutlivesAFit:
-    def tile_threads(self):
-        return [t for t in threading.enumerate() if t.name.startswith("mwwdr-tiles")]
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_solve_families(self, workers, monkeypatch):
         # n = 600: six pair tiles. With two workers each pass runs on
@@ -133,7 +130,8 @@ class TestNoThreadOutlivesAFit:
         before = threading.active_count()
         fits = list(solve_families(ds, FrmSpec(fd_check_pairs=0)))
         assert len(fits) == 3
-        assert self.tile_threads() == []
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("mwwdr-tiles")]
         assert threading.active_count() == before
         assert bool(started) == (workers > 1)
         assert all(name.startswith("mwwdr-tiles") for name in started)
